@@ -48,14 +48,11 @@ class AlignmentResult:
     ``exact``: some token run covers precisely the requested bytes.
     ``expanded``: the minimal covering run overshoots on a side; the
     requested range is then a proper subset of the run's byte range.
-    ``failed``: empty encoding or empty request. ``decoded`` renders the
-    covered bytes (replacement characters if a token boundary happens to
-    split a multi-byte codepoint).
+    ``failed``: empty encoding or empty request.
     """
 
     kind: str
     span: TokenSpan | None = None
-    decoded: str | None = None
 
 
 def codepoint_span_to_byte_span(text: str, span: CharSpan) -> tuple[int, int]:
@@ -78,10 +75,10 @@ def token_slice_for_span(enc: Encoding, byte_span: tuple[int, int]) -> Alignment
     an empty request.
     """
     start, end = byte_span
-    if not (0 <= start <= end <= enc.source_len_bytes):
+    source_len = len(enc.source_bytes)
+    if not (0 <= start <= end <= source_len):
         raise ValueError(
-            f"byte span {start}:{end} out of range for source of "
-            f"{enc.source_len_bytes} bytes"
+            f"byte span {start}:{end} out of range for source of {source_len} bytes"
         )
     if not enc.ids or start == end:
         return AlignmentResult(kind=FAILED)
@@ -89,12 +86,8 @@ def token_slice_for_span(enc: Encoding, byte_span: tuple[int, int]) -> Alignment
     # offsets partition the source, so binary search on both edges
     lo = bisect_right(enc.offsets, start, key=lambda o: o[1])
     hi = bisect_left(enc.offsets, end, key=lambda o: o[0])
-    span = TokenSpan(lo, hi)
-    cover_start = enc.offsets[lo][0]
-    cover_end = enc.offsets[hi - 1][1]
-    kind = EXACT if (cover_start == start and cover_end == end) else EXPANDED
-    decoded = enc.source_bytes[cover_start:cover_end].decode("utf-8", errors="replace")
-    return AlignmentResult(kind=kind, span=span, decoded=decoded)
+    exact = enc.offsets[lo][0] == start and enc.offsets[hi - 1][1] == end
+    return AlignmentResult(kind=EXACT if exact else EXPANDED, span=TokenSpan(lo, hi))
 
 
 def find_subsequence(

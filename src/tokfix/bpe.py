@@ -102,13 +102,12 @@ class Encoding:
     """Token ids plus one half-open byte range per id into the UTF-8 source.
 
     Offsets are sorted, non-overlapping, and partition
-    ``[0, source_len_bytes)`` exactly: byte-level BPE drops nothing.
+    ``[0, len(source_bytes))`` exactly: byte-level BPE drops nothing.
     """
 
     ids: tuple[int, ...]
     offsets: tuple[tuple[int, int], ...]
-    source_len_bytes: int
-    text: str = ""
+    text: str
 
     @cached_property
     def source_bytes(self) -> bytes:
@@ -266,12 +265,7 @@ def encode(tok: Tokenizer, text: str) -> Encoding:
             end = pos + len(unit)
             offsets.append((pos, end))
             pos = end
-    return Encoding(
-        ids=tuple(ids),
-        offsets=tuple(offsets),
-        source_len_bytes=len(text.encode("utf-8")),
-        text=text,
-    )
+    return Encoding(ids=tuple(ids), offsets=tuple(offsets), text=text)
 
 
 def decode_bytes(tok: Tokenizer, ids: Iterable[int]) -> bytes:

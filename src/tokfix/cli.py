@@ -237,6 +237,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     _, stream = read_dataset(args.dataset[0], gzipped=_gzip_flag(args.gzip))
     examples = list(stream)
+    if len(args.predictions) == 2 and not examples:
+        raise DatasetError("dataset has no questions to compare two prediction files on")
 
     reports = []
     per_example_scores = []

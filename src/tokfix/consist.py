@@ -279,7 +279,9 @@ def analyze_dataset(
     ``"any"`` counts the most favorable verdict across all gold answers.
     ``sample_size`` takes a uniform reservoir sample, deterministic for a
     fixed seed and input order. Questions without any answer text are
-    skipped.
+    skipped. A context is encoded again only when an example's
+    ``context`` is not the object the previous judged example used, so
+    the questions of one ``read_dataset`` record share one encoding.
     """
     if answer_policy not in ("first", "any"):
         raise ValueError(f"unknown answer policy {answer_policy!r}")
@@ -288,13 +290,16 @@ def analyze_dataset(
         examples = _reservoir_sample(examples, sample_size, seed)
 
     stats = ConsistencyStats(verdicts=[] if keep_verdicts else None)
+    context: str | None = None
     for example in examples:
         answers = answers_for_analysis(example)
         if not answers:
             continue
         if answer_policy == "first":
             answers = answers[:1]
-        context_enc = encode(tok, example.context)
+        if example.context is not context:
+            context = example.context
+            context_enc = encode(tok, context)
         best = None
         for answer in answers:
             verdict = check_consistency(tok, context_enc, answer)
@@ -341,6 +346,20 @@ def repair_answer_choice(
     return None
 
 
+def _records(
+    examples: Iterable[ExtractiveExample],
+) -> Iterator[list[ExtractiveExample]]:
+    """Split an example stream into runs that share one context object."""
+    record: list[ExtractiveExample] = []
+    for example in examples:
+        if record and example.context is not record[0].context:
+            yield record
+            record = []
+        record.append(example)
+    if record:
+        yield record
+
+
 def fix_dataset(
     tok: Tokenizer,
     examples: Iterable[ExtractiveExample],
@@ -350,33 +369,46 @@ def fix_dataset(
 ) -> dict:
     """Repair every example and write the fixed dataset; return a summary.
 
-    The summary's method counts plus the skip counts partition the input
-    total. Span mismatches are counted and skipped, never fatal.
+    Consecutive examples that share one ``context`` object, as the
+    examples of one ``read_dataset`` record do, are repaired against one
+    encoding of it, made when the first of them needs it, and written
+    back as one record with their qas in input order. Python may share
+    one object between equal empty or one-character strings, so records
+    with such a context can merge. A record whose qas were all skipped
+    is dropped. The summary's method counts plus the skip counts
+    partition the input total; ``written`` counts the repaired qas. Span
+    mismatches are counted and skipped, never fatal.
     """
     counts: Counter[str] = Counter()
     total = 0
 
-    def outcomes() -> Iterator[tuple[ExtractiveExample, FixOutcome]]:
+    def groups() -> Iterator[tuple[str, list[tuple[ExtractiveExample, FixOutcome]]]]:
         nonlocal total
-        for example in examples:
-            total += 1
-            choice = repair_answer_choice(example)
-            if choice is None:
-                counts["skipped_no_answer"] += 1
-                continue
-            answer, span = choice
-            context_enc = encode(tok, example.context)
-            try:
-                outcome = make_consistent_target(
-                    tok, example.context, context_enc, answer, span
-                )
-            except SpanMismatchError:
-                counts["skipped_span_mismatch"] += 1
-                continue
-            counts[outcome.method] += 1
-            yield example, outcome
+        for record in _records(examples):
+            total += len(record)
+            context = record[0].context
+            context_enc: Encoding | None = None
+            pairs: list[tuple[ExtractiveExample, FixOutcome]] = []
+            for example in record:
+                choice = repair_answer_choice(example)
+                if choice is None:
+                    counts["skipped_no_answer"] += 1
+                    continue
+                answer, span = choice
+                if context_enc is None:
+                    context_enc = encode(tok, context)
+                try:
+                    outcome = make_consistent_target(
+                        tok, context, context_enc, answer, span
+                    )
+                except SpanMismatchError:
+                    counts["skipped_span_mismatch"] += 1
+                    continue
+                counts[outcome.method] += 1
+                pairs.append((example, outcome))
+            yield context, pairs
 
-    written = write_fixed_dataset(sink, header or DatasetHeader(), outcomes())
+    written = write_fixed_dataset(sink, header or DatasetHeader(), groups())
     summary = {
         "total": total,
         "written": written,

@@ -103,6 +103,11 @@ def read_dataset(
     Per-record problems (missing fields, span/text mismatches) go to
     ``on_error`` and do not stop the stream; a malformed JSON line is
     fatal and raises DatasetError with its line number.
+
+    The stream yields one example per question, in file order. Every
+    example of one record shares a single ``context`` object;
+    ``fix_dataset`` and ``analyze_dataset`` rely on this to encode each
+    context once.
     """
     if span_convention not in ("inclusive", "exclusive"):
         raise ValueError(f"unknown span convention {span_convention!r}")
@@ -225,50 +230,56 @@ def _open_text_sink(sink: Union[str, Path, IO[str]]) -> tuple[IO[str], bool]:
 def write_fixed_dataset(
     sink: Union[str, Path, IO[str]],
     header: DatasetHeader,
-    pairs: Iterable[tuple[ExtractiveExample, "FixOutcome"]],
+    groups: Iterable[tuple[str, Iterable[tuple[ExtractiveExample, "FixOutcome"]]]],
 ) -> int:
-    """Write one record per example with its repair attached; return count.
+    """Write one record per (context, repaired qas) group; return the qa count.
 
-    Each qa gains ``target_token_ids``, ``fix_method`` and
-    ``context_token_span`` fields; the output stays readable by
-    ``read_dataset`` (the extras are ignored on read).
+    Qas keep their given order. Each qa gains ``target_token_ids``,
+    ``fix_method`` and ``context_token_span`` fields; a group without any
+    qa writes nothing. The output stays readable by ``read_dataset`` (the
+    extras are ignored on read).
     """
     out, owned = _open_text_sink(sink)
     count = 0
     try:
         out.write(json.dumps({"header": header.to_json_obj()}, ensure_ascii=False))
         out.write("\n")
-        for example, outcome in pairs:
-            qa = {
-                "qid": example.qid,
-                "question": example.question,
-                "answers": list(example.gold_answers),
-                "detected_answers": [
-                    {
-                        "text": text,
-                        "char_spans": [
-                            [span.start, span.end if span.inclusive_end else span.end - 1]
-                            for span in spans
-                        ],
-                    }
-                    for text, spans in example.detected
-                ],
-                "target_token_ids": list(outcome.target_ids),
-                "fix_method": outcome.method,
-                "context_token_span": (
-                    [outcome.context_span.start, outcome.context_span.end]
-                    if outcome.context_span is not None
-                    else None
-                ),
-            }
-            record = {"context": example.context, "qas": [qa]}
-            out.write(json.dumps(record, ensure_ascii=False))
+        for context, pairs in groups:
+            qas = [_fixed_qa(example, outcome) for example, outcome in pairs]
+            if not qas:
+                continue
+            out.write(json.dumps({"context": context, "qas": qas}, ensure_ascii=False))
             out.write("\n")
-            count += 1
+            count += len(qas)
     finally:
         if owned:
             out.close()
     return count
+
+
+def _fixed_qa(example: ExtractiveExample, outcome: "FixOutcome") -> dict:
+    return {
+        "qid": example.qid,
+        "question": example.question,
+        "answers": list(example.gold_answers),
+        "detected_answers": [
+            {
+                "text": text,
+                "char_spans": [
+                    [span.start, span.end if span.inclusive_end else span.end - 1]
+                    for span in spans
+                ],
+            }
+            for text, spans in example.detected
+        ],
+        "target_token_ids": list(outcome.target_ids),
+        "fix_method": outcome.method,
+        "context_token_span": (
+            [outcome.context_span.start, outcome.context_span.end]
+            if outcome.context_span is not None
+            else None
+        ),
+    }
 
 
 def read_predictions(source: Union[str, Path, IO[bytes], IO[str]]) -> PredictionSet:

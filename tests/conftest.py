@@ -6,7 +6,7 @@ import pytest
 from tokfix.bpe import load_tokenizer
 from tokfix.mrqa import read_dataset
 
-from helpers import make_tokenizer
+from helpers import MULTI_QA_RECORDS, make_tokenizer
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -53,3 +53,11 @@ def corpus_expectations(corpus_path):
             for qa in record["qas"]:
                 expected[qa["qid"]] = qa["expected"]
     return expected
+
+
+@pytest.fixture(scope="session")
+def multi_qa_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("multi_qa") / "multi_qa.jsonl"
+    lines = [{"header": {"dataset": "multi-qa"}}, *MULTI_QA_RECORDS]
+    path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    return path

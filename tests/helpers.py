@@ -1,4 +1,4 @@
-"""Shared test utilities: tokenizer builders and independent oracles.
+"""Shared test utilities: tokenizer builders, independent oracles and data.
 
 The oracles here deliberately use brute-force algorithms structured
 differently from the library code so agreement is meaningful.
@@ -137,3 +137,29 @@ def f1_oracle(pred_tokens: list[str], gold_tokens: list[str]) -> Fraction:
     precision = Fraction(overlap, len(pred_tokens))
     recall = Fraction(overlap, len(gold_tokens))
     return 2 * precision * recall / (precision + recall)
+
+
+def _qa(qid, answer=None, span=None):
+    return {
+        "qid": qid,
+        "question": "?",
+        "answers": [answer] if answer else [],
+        "detected_answers": (
+            [{"text": answer, "char_spans": [span]}] if answer else []
+        ),
+    }
+
+
+#: Several qas per record. m2 and m4 have no answer, so record two has no
+#: repairable qa; every other record has at least one.
+MULTI_QA_RECORDS = [
+    {
+        "context": "The ship was finished in 1912 after delays.",
+        "qas": [_qa("m1", "1912", [25, 28]), _qa("m2"), _qa("m3", "ship", [4, 7])],
+    },
+    {"context": "Nobody knew.", "qas": [_qa("m4")]},
+    {
+        "context": "A museum preserved the treaty.",
+        "qas": [_qa("m5", "treaty", [23, 28]), _qa("m6", "museum", [2, 7])],
+    },
+]

@@ -81,7 +81,7 @@ def test_round_trip_losslessness(corpus_tok):
                 break
             position = end
         else:
-            if position != enc.source_len_bytes:
+            if position != len(enc.source_bytes):
                 failures += 1
     elapsed = time.perf_counter() - started
     report(
@@ -138,8 +138,8 @@ def test_oracle_equivalence_token_slice():
         ]
         enc = encode(tok, " ".join(words))
         for _ in range(5):
-            start = rng.randrange(0, enc.source_len_bytes + 1)
-            end = rng.randrange(start, enc.source_len_bytes + 1)
+            start = rng.randrange(0, len(enc.source_bytes) + 1)
+            end = rng.randrange(start, len(enc.source_bytes) + 1)
             result = token_slice_for_span(enc, (start, end))
             kind, span = slice_oracle(enc, (start, end))
             got_span = (

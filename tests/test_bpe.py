@@ -108,13 +108,13 @@ class TestEncode:
         enc = encode(toy_tok, "abc")
         assert enc.ids == (toy_tok.vocab["abc"],)
         assert enc.offsets == ((0, 3),)
-        assert enc.source_len_bytes == 3
+        assert len(enc.source_bytes) == 3
 
     def test_empty_input(self, toy_tok):
         enc = encode(toy_tok, "")
         assert enc.ids == ()
         assert enc.offsets == ()
-        assert enc.source_len_bytes == 0
+        assert len(enc.source_bytes) == 0
 
     def test_number_splits_differently_alone_and_after_space(self, number_tok):
         standalone = encode(number_tok, "1912")
@@ -128,13 +128,13 @@ class TestEncode:
     def test_offsets_partition_source_bytes(self, corpus_tok):
         for text in ["héllo wörld", "a b", "tabs\tand\nnewlines", "🎉 1912!"]:
             enc = encode(corpus_tok, text)
-            assert enc.source_len_bytes == len(text.encode("utf-8"))
+            assert enc.source_bytes == text.encode("utf-8")
             position = 0
             for start, end in enc.offsets:
                 assert start == position
                 assert end > start
                 position = end
-            assert position == enc.source_len_bytes
+            assert position == len(enc.source_bytes)
 
     def test_offsets_recover_source_slices(self, corpus_tok):
         text = "The ship was finished in 1912 after delays."
@@ -230,4 +230,4 @@ class TestRoundTripProperty:
         for start, end in enc.offsets:
             assert start == position
             position = end
-        assert position == enc.source_len_bytes
+        assert position == len(enc.source_bytes)

@@ -8,6 +8,7 @@ from tokfix.cli import main
 from tokfix.mrqa import read_dataset
 
 from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
+from helpers import MULTI_QA_RECORDS
 
 DATA = Path(__file__).parent / "data"
 VOCAB = str(DATA / "fixture_vocab.json")
@@ -202,14 +203,38 @@ class TestFixCommand:
         with open(fixed, encoding="utf-8") as handle:
             next(handle)
             for line in handle:
-                record = json.loads(line)
-                qa = record["qas"][0]
-                if qa["qid"] == "n01":
-                    assert qa["target_token_ids"] == [vocab["Ġ1912"]]
-                    assert qa["fix_method"] == "expanded_slice"
-                    assert qa["context_token_span"] is not None
-                    return
+                for qa in json.loads(line)["qas"]:
+                    if qa["qid"] == "n01":
+                        assert qa["target_token_ids"] == [vocab["Ġ1912"]]
+                        assert qa["fix_method"] == "expanded_slice"
+                        assert qa["context_token_span"] is not None
+                        return
         pytest.fail("record n01 missing from the repaired dataset")
+
+    def test_one_record_per_input_record(self, capsys, tmp_path, multi_qa_path):
+        fixed = tmp_path / "fixed.jsonl"
+        code, out, _err = run(
+            capsys,
+            "fix", "--vocab", VOCAB, "--merges", MERGES,
+            "--dataset", str(multi_qa_path), "--output", str(fixed),
+        )
+        assert code == 0
+        summary = json.loads(out)["summary"]
+        assert summary["total"] == 6
+        assert summary["written"] == 4
+        assert summary["skipped_no_answer"] == 2
+
+        records = [json.loads(line) for line in fixed.read_text().splitlines()[1:]]
+        # unanswerable m2 and m4 are omitted; "Nobody knew." is left empty and dropped
+        assert [r["context"] for r in records] == [
+            MULTI_QA_RECORDS[0]["context"],
+            MULTI_QA_RECORDS[2]["context"],
+        ]
+        assert [[qa["qid"] for qa in r["qas"]] for r in records] == [
+            ["m1", "m3"],
+            ["m5", "m6"],
+        ]
+        assert all(qa["fix_method"] != "unresolved" for r in records for qa in r["qas"])
 
     def test_gzip_output(self, capsys, tmp_path):
         fixed = tmp_path / "fixed.jsonl.gz"
@@ -260,6 +285,21 @@ class TestEvaluateCommand:
         assert sig["metric"] == "f1"
         assert 0.0 < sig["p_value"] <= 1.0
         assert sig["statistic"] > 0  # the first file scores higher
+
+    def test_two_prediction_files_on_zero_questions_is_data_error(
+        self, capsys, eval_files, tmp_path
+    ):
+        _gold, perfect, worse = eval_files
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text(json.dumps({"header": {"dataset": "empty"}}) + "\n")
+        code, out, err = run(
+            capsys, "evaluate", "--dataset", str(empty),
+            "--predictions", perfect, "--predictions", worse,
+        )
+        assert code == 2
+        assert out == ""
+        assert "data error" in err
+        assert "Traceback" not in err
 
     def test_identical_prediction_files_give_p_one(self, capsys, eval_files):
         gold, perfect, _worse = eval_files

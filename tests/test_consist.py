@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tokfix import consist
 from tokfix.align import CharSpan, find_subsequence
 from tokfix.bpe import decode_bytes, encode, ids_to_pieces
 from tokfix.consist import (
@@ -23,7 +24,7 @@ from tokfix.consist import (
 from tokfix.mrqa import ExtractiveExample, SpanMismatchError, read_dataset
 
 from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
-from helpers import naive_find, random_toy_tokenizer
+from helpers import MULTI_QA_RECORDS, naive_find, random_toy_tokenizer
 
 
 def example(qid, context, answer, span=None, gold=None):
@@ -35,6 +36,26 @@ def example(qid, context, answer, span=None, gold=None):
         gold_answers=tuple(gold) if gold is not None else ((answer,) if answer else ()),
         detected=detected,
     )
+
+
+def record_context_encodes(monkeypatch):
+    """Rebind ``consist.encode`` to log every encode of a record context."""
+    contexts = {record["context"] for record in MULTI_QA_RECORDS}
+    encoded = []
+    original = consist.encode
+
+    def logging_encode(tok, text):
+        if text in contexts:
+            encoded.append(text)
+        return original(tok, text)
+
+    monkeypatch.setattr(consist, "encode", logging_encode)
+    return encoded
+
+
+#: MULTI_QA_RECORDS contexts with an answerable question, each to be encoded
+#: once; the record whose only question has no answer is never encoded
+ANSWERABLE_CONTEXTS = [MULTI_QA_RECORDS[0]["context"], MULTI_QA_RECORDS[2]["context"]]
 
 
 class TestAnswerVariants:
@@ -239,6 +260,15 @@ class TestAnalyzeDataset:
         assert first.inconsistent == 1
         assert any_.consistent_prefix_only == 1
 
+    def test_each_record_context_is_encoded_once(
+        self, corpus_tok, multi_qa_path, monkeypatch
+    ):
+        encoded = record_context_encodes(monkeypatch)
+        _, stream = read_dataset(multi_qa_path)
+        stats = analyze_dataset(corpus_tok, stream)
+        assert stats.total == 4
+        assert encoded == ANSWERABLE_CONTEXTS
+
     def test_unknown_policy_rejected(self, corpus_tok):
         with pytest.raises(ValueError, match="policy"):
             analyze_dataset(corpus_tok, [], answer_policy="all")
@@ -344,3 +374,24 @@ class TestFixDataset:
         summary = fix_dataset(corpus_tok, [empty], out)
         assert summary["skipped_no_answer"] == 1
         assert summary["written"] == 0
+
+    def test_each_record_context_is_encoded_once(
+        self, corpus_tok, multi_qa_path, monkeypatch
+    ):
+        encoded = record_context_encodes(monkeypatch)
+        _, stream = read_dataset(multi_qa_path)
+        summary = fix_dataset(corpus_tok, stream, io.StringIO())
+        assert summary["written"] == 4
+        assert encoded == ANSWERABLE_CONTEXTS
+
+    def test_records_with_equal_context_text_stay_apart(self, corpus_tok, tmp_path):
+        record = MULTI_QA_RECORDS[2]
+        path = tmp_path / "twice.jsonl"
+        lines = [{"header": {}}, record, record]
+        path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+        _, stream = read_dataset(path)
+        out = io.StringIO()
+        summary = fix_dataset(corpus_tok, stream, out)
+        assert summary["written"] == 4
+        written = [json.loads(line) for line in out.getvalue().splitlines()[1:]]
+        assert [[qa["qid"] for qa in r["qas"]] for r in written] == [["m5", "m6"]] * 2

@@ -1,12 +1,13 @@
 import gzip
 import io
+import itertools
 import json
 import tracemalloc
 
 import pytest
 
 from tokfix.align import CharSpan, TokenSpan
-from tokfix.consist import ALREADY_CONSISTENT, FixOutcome
+from tokfix.consist import ALREADY_CONSISTENT, UNRESOLVED, FixOutcome
 from tokfix.mrqa import (
     DatasetError,
     DatasetHeader,
@@ -57,6 +58,12 @@ class TestReadDataset:
         assert first.question == "When did it open?"
         assert first.gold_answers == ("1912",)
         assert first.detected == (("1912", (CharSpan(21, 24, inclusive_end=True),)),)
+
+    def test_examples_of_one_record_share_one_context_object(self):
+        _, stream = read_dataset(io.BytesIO(dataset_bytes(THREE_QUESTION_RECORDS)))
+        q1, q2, q3 = stream
+        assert q1.context is q2.context
+        assert q3.context is not q1.context
 
     def test_empty_file_is_missing_header(self):
         with pytest.raises(DatasetError, match="missing header"):
@@ -204,29 +211,53 @@ class TestWriteFixedDataset:
         _, stream = read_dataset(io.BytesIO(dataset_bytes(THREE_QUESTION_RECORDS)))
         originals = list(stream)
         out_path = tmp_path / "fixed.jsonl"
+        groups = [
+            (context, [(e, self.outcome()) for e in group])
+            for context, group in itertools.groupby(originals, key=lambda e: e.context)
+        ]
         count = write_fixed_dataset(
             out_path,
             DatasetHeader(dataset="test-set", extra={"dataset": "test-set"}),
-            [(e, self.outcome()) for e in originals],
+            groups,
         )
         assert count == 3
+        assert len(out_path.read_text().splitlines()) == 1 + len(THREE_QUESTION_RECORDS)
         header, stream = read_dataset(out_path)
         assert header.dataset == "test-set"
         assert list(stream) == originals
 
     def test_written_records_carry_fix_fields(self, tmp_path):
         _, stream = read_dataset(io.BytesIO(dataset_bytes(THREE_QUESTION_RECORDS)))
-        example = next(stream)
+        q1, q2, q3 = stream
         out = io.StringIO()
-        write_fixed_dataset(
-            out, DatasetHeader(), [(example, self.outcome(ids=(7,), span=TokenSpan(3, 4)))]
+        count = write_fixed_dataset(
+            out,
+            DatasetHeader(),
+            [
+                (
+                    q1.context,
+                    [
+                        (q2, self.outcome(ids=(7,), span=TokenSpan(3, 4))),
+                        (q1, self.outcome(ids=(9,), method=UNRESOLVED, span=None)),
+                    ],
+                ),
+                (q3.context, []),
+            ],
         )
+        assert count == 2
         lines = out.getvalue().splitlines()
+        assert len(lines) == 2  # the empty group writes no record
         record = json.loads(lines[1])
-        qa_obj = record["qas"][0]
-        assert qa_obj["target_token_ids"] == [7]
-        assert qa_obj["fix_method"] == ALREADY_CONSISTENT
-        assert qa_obj["context_token_span"] == [3, 4]
+        assert record["context"] == q1.context
+        first, second = record["qas"]
+        assert first["qid"] == "q2"
+        assert first["target_token_ids"] == [7]
+        assert first["fix_method"] == ALREADY_CONSISTENT
+        assert first["context_token_span"] == [3, 4]
+        assert second["qid"] == "q1"
+        assert second["target_token_ids"] == [9]
+        assert second["fix_method"] == UNRESOLVED
+        assert second["context_token_span"] is None
 
     def test_empty_stream_writes_header_only(self, tmp_path):
         out_path = tmp_path / "empty.jsonl"
