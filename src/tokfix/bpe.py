@@ -65,17 +65,16 @@ class Tokenizer:
 
     Fields mirror the published GPT-2/BART asset layout: a token->id
     vocabulary, its exact inverse, the ranked merge list (lower index
-    merges first), the byte->unit mapping, and the segmentation pattern.
-    Instances are safe to share across threads; ``encode``/``decode`` are
-    pure. The only internal state is a write-once memo of per-segment
-    merge results, keyed by segment text.
+    merges first) and the byte->unit mapping; segmentation always uses
+    ``SEGMENT_PATTERN``. Instances are safe to share across threads;
+    ``encode``/``decode`` are pure. The only internal state is a
+    write-once memo of per-segment merge results, keyed by segment text.
     """
 
     vocab: dict[str, int]
     inverse_vocab: dict[int, str]
     merges: tuple[tuple[str, str], ...]
     byte_map: dict[int, str]
-    pattern: str = SEGMENT_PATTERN
 
     @cached_property
     def merge_ranks(self) -> dict[tuple[str, str], int]:
@@ -90,7 +89,7 @@ class Tokenizer:
 
     @cached_property
     def _segmenter(self) -> "regex.Pattern[str]":
-        return regex.compile(self.pattern)
+        return regex.compile(SEGMENT_PATTERN)
 
     @cached_property
     def _segment_cache(self) -> dict[str, tuple[str, ...]]:

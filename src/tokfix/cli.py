@@ -58,22 +58,15 @@ def build_parser() -> _Parser:
             "--dataset",
             action="append",
             required=True,
-            help="MRQA-format dataset path (repeatable)",
+            help="MRQA-format dataset path, plain or gzipped (repeatable)",
         )
         p.add_argument("--output", help=output_help)
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--gzip", choices=("auto", "yes", "no"), default="auto")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="accepted for interface stability; processing is sequential",
-        )
 
     p_analyze = sub.add_parser("analyze", help="report consistency rates")
     add_tokenizer_flags(p_analyze)
     add_io_flags(p_analyze, "write the stats report here instead of stdout")
+    p_analyze.add_argument("--format", choices=("json", "tsv"), default="json")
+    p_analyze.add_argument("--seed", type=int, default=42, help="sampling seed")
     p_analyze.add_argument("--sample", type=int, default=None, metavar="N")
     p_analyze.add_argument("--answer-policy", choices=("first", "any"), default="first")
     p_analyze.set_defaults(func=cmd_analyze)
@@ -81,6 +74,7 @@ def build_parser() -> _Parser:
     p_fix = sub.add_parser("fix", help="write a repaired dataset")
     add_tokenizer_flags(p_fix)
     add_io_flags(p_fix, "path for the repaired dataset (.gz for gzip); required")
+    p_fix.add_argument("--format", choices=("json", "tsv"), default="json")
     p_fix.set_defaults(func=cmd_fix)
 
     p_eval = sub.add_parser("evaluate", help="score prediction files")
@@ -91,6 +85,8 @@ def build_parser() -> _Parser:
         help="predictions JSON path (repeatable, at most 2)",
     )
     add_io_flags(p_eval, "write the metrics report here instead of stdout")
+    p_eval.add_argument("--format", choices=("json", "tsv"), default="json")
+    p_eval.add_argument("--seed", type=int, default=42, help="significance test seed")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_inspect = sub.add_parser("inspect", help="trace one example end to end")
@@ -102,27 +98,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _gzip_flag(value: str) -> bool | None:
-    return {"auto": None, "yes": True, "no": False}[value]
-
-
 def _config_dict(args: argparse.Namespace) -> dict:
-    config = {
-        "command": args.command,
-        "seed": getattr(args, "seed", None),
-        "format": getattr(args, "format", None),
-        "datasets": list(getattr(args, "dataset", []) or []),
-    }
-    for key in ("vocab", "merges", "sample", "answer_policy", "workers", "qid"):
+    config = {"command": args.command, "datasets": args.dataset}
+    for key in ("format", "seed", "vocab", "merges", "sample", "answer_policy", "predictions"):
         if hasattr(args, key):
             config[key] = getattr(args, key)
-    if hasattr(args, "predictions"):
-        config["predictions"] = list(args.predictions)
     return config
 
 
 def _emit(args: argparse.Namespace, payload: str, *, to_output: bool = True) -> None:
-    if to_output and getattr(args, "output", None):
+    if to_output and args.output:
         Path(args.output).write_text(payload, encoding="utf-8")
     else:
         sys.stdout.write(payload)
@@ -145,13 +130,7 @@ def _load_tokenizer(args: argparse.Namespace):
     return load_tokenizer(args.vocab, args.merges)
 
 
-def _validate_workers(args: argparse.Namespace) -> None:
-    if getattr(args, "workers", 1) < 1:
-        raise UsageError("--workers must be >= 1")
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _validate_workers(args)
     tok = _load_tokenizer(args)
     stats_out = []
     for path in args.dataset:
@@ -161,9 +140,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             _issues[0] += 1
             logger.warning("%s", message)
 
-        header, stream = read_dataset(
-            path, gzipped=_gzip_flag(args.gzip), on_error=count_issue
-        )
+        header, stream = read_dataset(path, on_error=count_issue)
         stats = analyze_dataset(
             tok,
             stream,
@@ -191,7 +168,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_fix(args: argparse.Namespace) -> int:
-    _validate_workers(args)
     if len(args.dataset) != 1:
         raise UsageError("fix takes exactly one --dataset")
     if not args.output:
@@ -203,9 +179,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
         issues[0] += 1
         logger.warning("%s", message)
 
-    header, stream = read_dataset(
-        args.dataset[0], gzipped=_gzip_flag(args.gzip), on_error=count_issue
-    )
+    header, stream = read_dataset(args.dataset[0], on_error=count_issue)
     summary = fix_dataset(tok, stream, args.output, header=header)
     summary["span_issues"] = issues[0]
 
@@ -229,13 +203,12 @@ def cmd_fix(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _validate_workers(args)
     if not 1 <= len(args.predictions) <= 2:
         raise UsageError("evaluate takes one or two --predictions files")
     if len(args.dataset) != 1:
         raise UsageError("evaluate takes exactly one --dataset")
 
-    _, stream = read_dataset(args.dataset[0], gzipped=_gzip_flag(args.gzip))
+    _, stream = read_dataset(args.dataset[0])
     examples = list(stream)
     if len(args.predictions) == 2 and not examples:
         raise DatasetError("dataset has no questions to compare two prediction files on")
@@ -244,10 +217,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     per_example_scores = []
     for path in args.predictions:
         preds = read_predictions(path)
-        report = evaluate(preds, examples, keep_per_example=True)
-        per_example_scores.append(report.per_example or [])
+        report = evaluate(preds, examples)
+        per_example_scores.append(report.per_example)
         entry = {"predictions": path}
-        entry.update(report.to_dict(include_per_example=False))
+        entry.update(report.to_dict())
         reports.append(entry)
 
     body: dict = {"metrics": reports}
@@ -295,7 +268,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     tok = _load_tokenizer(args)
     found = None
     for path in args.dataset:
-        _, stream = read_dataset(path, gzipped=_gzip_flag(args.gzip))
+        _, stream = read_dataset(path)
         for example in stream:
             if example.qid == args.qid:
                 found = example

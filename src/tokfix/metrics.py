@@ -84,10 +84,10 @@ class MetricsReport:
     hallucination_rate_normalized: float = 0.0
     hallucinated_qids: list[str] = field(default_factory=list)
     unknown_qids: list[str] = field(default_factory=list)
-    per_example: list[tuple[str, int, float]] | None = None
+    per_example: list[tuple[str, int, float]] = field(default_factory=list)
 
-    def to_dict(self, *, include_per_example: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "em": round(self.em, 4),
             "f1": round(self.f1, 4),
             "n": self.n,
@@ -99,26 +99,16 @@ class MetricsReport:
             "hallucinated_qids": list(self.hallucinated_qids),
             "unknown_qids": list(self.unknown_qids),
         }
-        if include_per_example and self.per_example is not None:
-            out["per_example"] = [
-                {"qid": qid, "em": em, "f1": round(score, 6)}
-                for qid, em, score in self.per_example
-            ]
-        return out
 
 
-def evaluate(
-    preds: PredictionSet,
-    examples: Iterable[ExtractiveExample],
-    *,
-    keep_per_example: bool = True,
-) -> MetricsReport:
+def evaluate(preds: PredictionSet, examples: Iterable[ExtractiveExample]) -> MetricsReport:
     """Score predictions against gold questions.
 
     Every gold question counts toward the denominators; a missing
     prediction scores 0 on EM and F1. Out-of-context rates are computed
     over predicted answers only. Predictions whose qid matches no gold
-    question are reported and excluded.
+    question are reported and excluded. ``per_example`` holds one
+    ``(qid, em, f1)`` triple per gold question, in input order.
     """
     per_example: list[tuple[str, int, float]] = []
     em_sum = 0.0
@@ -167,7 +157,7 @@ def evaluate(
         ),
         hallucinated_qids=hallucinated,
         unknown_qids=unknown,
-        per_example=per_example if keep_per_example else None,
+        per_example=per_example,
     )
 
 

@@ -8,10 +8,13 @@ record. Predictions are a single JSON object mapping qid to answer text.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import io
 import json
 import logging
+import os
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Union
@@ -72,105 +75,110 @@ def spans_match(snippet: str, answer: str) -> bool:
     return snippet == answer or snippet.rstrip() == answer.rstrip()
 
 
-def _open_binary(source: ByteSource) -> tuple[IO[bytes], bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "rb"), True
-    return source, False
+def _numbered_lines(source: ByteSource) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, text)`` pairs, gunzipping a gzip-magic source.
 
-
-def _decompress_if_gzip(stream: IO[bytes], gzipped: bool | None) -> IO[bytes]:
-    if gzipped is None:
-        buffered = stream if isinstance(stream, io.BufferedReader) else io.BufferedReader(stream)  # type: ignore[arg-type]
-        gzipped = buffered.peek(2)[:2] == b"\x1f\x8b"
-        stream = buffered
-    if gzipped:
-        return gzip.GzipFile(fileobj=stream, mode="rb")  # type: ignore[return-value]
-    return stream
+    A file opened here is closed when the generator finishes or is
+    closed; a caller's stream is left to the caller. Bytes that are not
+    UTF-8 or not a complete gzip stream raise DatasetError.
+    """
+    lineno = 1
+    try:
+        with contextlib.ExitStack() as stack:
+            if isinstance(source, (str, Path)):
+                source = stack.enter_context(open(source, "rb"))
+            stream = source if isinstance(source, io.BufferedReader) else io.BufferedReader(source)  # type: ignore[arg-type]
+            if stream.peek(2)[:2] == b"\x1f\x8b":
+                stream = stack.enter_context(gzip.GzipFile(fileobj=stream, mode="rb"))  # type: ignore[assignment]
+            for line in stream:
+                yield lineno, line.decode("utf-8")
+                lineno += 1
+    except (UnicodeDecodeError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise DatasetError(f"line {lineno}: unreadable bytes: {exc}") from None
 
 
 def read_dataset(
     source: ByteSource,
     *,
-    gzipped: bool | None = None,
-    span_convention: str = "inclusive",
     on_error: Callable[[str], None] | None = None,
 ) -> tuple[DatasetHeader, Iterator[ExtractiveExample]]:
     """Open a dataset and return its header plus a lazy example stream.
 
-    ``gzipped=None`` autodetects compression from the magic bytes.
-    ``span_convention`` states how ``char_spans`` end indices are meant:
-    ``"inclusive"`` (the MRQA release convention) or ``"exclusive"``.
-    Per-record problems (missing fields, span/text mismatches) go to
-    ``on_error`` and do not stop the stream; a malformed JSON line is
-    fatal and raises DatasetError with its line number.
+    Compression is detected from the gzip magic bytes, and ``char_spans``
+    end indices are inclusive, as in the MRQA release. Per-record
+    problems (missing or wrong-typed fields, span/text mismatches) go to
+    ``on_error`` and skip what they affect without stopping the stream;
+    a malformed JSON line or undecodable bytes are fatal and raise
+    DatasetError with the line number.
 
     The stream yields one example per question, in file order. Every
     example of one record shares a single ``context`` object;
     ``fix_dataset`` and ``analyze_dataset`` rely on this to encode each
     context once.
     """
-    if span_convention not in ("inclusive", "exclusive"):
-        raise ValueError(f"unknown span convention {span_convention!r}")
     report = on_error if on_error is not None else logger.warning
+    lines = _numbered_lines(source)
+    try:
+        _, first_line = next(lines, (1, ""))
+        header = _parse_header(first_line)
+    except DatasetError:
+        lines.close()
+        raise
+    return header, _examples(lines, report)
 
-    raw, owned = _open_binary(source)
-    stream = _decompress_if_gzip(raw, gzipped)
-    text = io.TextIOWrapper(stream, encoding="utf-8")
 
-    header_line = text.readline()
-    if not header_line.strip():
-        if owned:
-            text.close()
+def _parse_header(line: str) -> DatasetHeader:
+    if not line.strip():
         raise DatasetError("missing header: dataset file is empty")
     try:
-        header_obj = json.loads(header_line)
+        header_obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        if owned:
-            text.close()
         raise DatasetError(f"line 1: malformed JSON header: {exc}") from None
     if not isinstance(header_obj, dict) or "header" not in header_obj:
-        if owned:
-            text.close()
         raise DatasetError('line 1: expected {"header": {...}}')
     header_fields = header_obj["header"] or {}
-    header = DatasetHeader(
+    if not isinstance(header_fields, dict):
+        raise DatasetError('line 1: "header" is not an object')
+    return DatasetHeader(
         dataset=str(header_fields.get("dataset", "")),
         extra=dict(header_fields),
     )
 
-    def examples() -> Iterator[ExtractiveExample]:
-        inclusive = span_convention == "inclusive"
-        try:
-            for lineno, line in enumerate(text, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DatasetError(f"line {lineno}: malformed JSON: {exc}") from None
-                context = record.get("context")
-                qas = record.get("qas")
-                if not isinstance(context, str) or not isinstance(qas, list):
-                    report(f"line {lineno}: record lacks context/qas; skipped")
-                    continue
-                for qa in qas:
-                    example = _parse_qa(context, qa, lineno, inclusive, report)
-                    if example is not None:
-                        yield example
-        finally:
-            if owned:
-                text.close()
 
-    return header, examples()
+def _examples(
+    lines: Iterator[tuple[int, str]], report: Callable[[str], None]
+) -> Iterator[ExtractiveExample]:
+    with contextlib.closing(lines):
+        for lineno, line in lines:
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"line {lineno}: malformed JSON: {exc}") from None
+            if not isinstance(record, dict):
+                report(f"line {lineno}: record is not an object; skipped")
+                continue
+            context = record.get("context")
+            qas = record.get("qas")
+            if not isinstance(context, str) or not isinstance(qas, list):
+                report(f"line {lineno}: record lacks context/qas; skipped")
+                continue
+            for qa in qas:
+                example = _parse_qa(context, qa, lineno, report)
+                if example is not None:
+                    yield example
 
 
 def _parse_qa(
     context: str,
-    qa: dict,
+    qa: object,
     lineno: int,
-    inclusive: bool,
     report: Callable[[str], None],
 ) -> ExtractiveExample | None:
+    if not isinstance(qa, dict):
+        report(f"line {lineno}: qa is not an object; skipped")
+        return None
     qid = qa.get("qid")
     question = qa.get("question")
     if not qid or not isinstance(qid, str):
@@ -179,34 +187,47 @@ def _parse_qa(
     if not isinstance(question, str):
         report(f"line {lineno}: qid {qid}: missing question; skipped")
         return None
+    answers = qa.get("answers", [])
+    if not isinstance(answers, list):
+        report(f"line {lineno}: qid {qid}: answers is not a list; skipped")
+        return None
+    detected_answers = qa.get("detected_answers", [])
+    if not isinstance(detected_answers, list) or not all(
+        isinstance(det, dict) for det in detected_answers
+    ):
+        report(f"line {lineno}: qid {qid}: detected_answers is not a list of objects; skipped")
+        return None
 
-    gold = tuple(a for a in qa.get("answers", []) if isinstance(a, str))
+    gold = tuple(a for a in answers if isinstance(a, str))
 
     detected: list[tuple[str, tuple[CharSpan, ...]]] = []
-    for det in qa.get("detected_answers", []):
+    for det in detected_answers:
         text_ = det.get("text")
         if not isinstance(text_, str):
             report(f"line {lineno}: qid {qid}: detected answer without text")
             continue
+        pairs = det.get("char_spans", [])
+        if not isinstance(pairs, list):
+            report(f"line {lineno}: qid {qid}: unreadable char spans {pairs!r}")
+            pairs = []
         spans: list[CharSpan] = []
-        for pair in det.get("char_spans", []):
+        for pair in pairs:
             try:
                 start, end = int(pair[0]), int(pair[1])
-            except (TypeError, ValueError, IndexError):
+            except (TypeError, ValueError, LookupError, OverflowError):
                 report(f"line {lineno}: qid {qid}: unreadable char span {pair!r}")
                 continue
-            stop = end + 1 if inclusive else end
-            if not (0 <= start <= stop <= len(context)):
+            if not (0 <= start <= end + 1 <= len(context)):
                 report(f"line {lineno}: qid {qid}: span {pair!r} out of range")
                 continue
-            snippet = context[start:stop]
+            snippet = context[start : end + 1]
             if not spans_match(snippet, text_):
                 report(
                     f"line {lineno}: qid {qid}: span {pair!r} points at "
                     f"{snippet!r}, not {text_!r}"
                 )
                 continue
-            spans.append(CharSpan(start, end, inclusive_end=inclusive))
+            spans.append(CharSpan(start, end, inclusive_end=True))
         detected.append((text_, tuple(spans)))
 
     return ExtractiveExample(
@@ -216,15 +237,6 @@ def _parse_qa(
         gold_answers=gold,
         detected=tuple(detected),
     )
-
-
-def _open_text_sink(sink: Union[str, Path, IO[str]]) -> tuple[IO[str], bool]:
-    if isinstance(sink, (str, Path)):
-        path = Path(sink)
-        if path.suffix == ".gz":
-            return io.TextIOWrapper(gzip.open(path, "wb"), encoding="utf-8"), True
-        return open(path, "w", encoding="utf-8"), True
-    return sink, False
 
 
 def write_fixed_dataset(
@@ -237,23 +249,44 @@ def write_fixed_dataset(
     Qas keep their given order. Each qa gains ``target_token_ids``,
     ``fix_method`` and ``context_token_span`` fields; a group without any
     qa writes nothing. The output stays readable by ``read_dataset`` (the
-    extras are ignored on read).
+    extras are ignored on read). A path sink is gzipped when it ends in
+    ``.gz``; it is written to a temporary file beside it that replaces it
+    only once every record is written, so an error while ``groups`` is
+    consumed leaves no partial output.
     """
-    out, owned = _open_text_sink(sink)
-    count = 0
+    if not isinstance(sink, (str, Path)):
+        return _write_records(sink, header, groups)
+    path = Path(sink)
+    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
-        out.write(json.dumps({"header": header.to_json_obj()}, ensure_ascii=False))
+        with contextlib.ExitStack() as stack:
+            stream: IO[bytes] = stack.enter_context(open(tmp, "wb"))
+            if path.suffix == ".gz":
+                stream = stack.enter_context(gzip.GzipFile(str(path), "wb", fileobj=stream))  # type: ignore[arg-type]
+            out = stack.enter_context(io.TextIOWrapper(stream, encoding="utf-8"))
+            count = _write_records(out, header, groups)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return count
+
+
+def _write_records(
+    out: IO[str],
+    header: DatasetHeader,
+    groups: Iterable[tuple[str, Iterable[tuple[ExtractiveExample, "FixOutcome"]]]],
+) -> int:
+    out.write(json.dumps({"header": header.to_json_obj()}, ensure_ascii=False))
+    out.write("\n")
+    count = 0
+    for context, pairs in groups:
+        qas = [_fixed_qa(example, outcome) for example, outcome in pairs]
+        if not qas:
+            continue
+        out.write(json.dumps({"context": context, "qas": qas}, ensure_ascii=False))
         out.write("\n")
-        for context, pairs in groups:
-            qas = [_fixed_qa(example, outcome) for example, outcome in pairs]
-            if not qas:
-                continue
-            out.write(json.dumps({"context": context, "qas": qas}, ensure_ascii=False))
-            out.write("\n")
-            count += len(qas)
-    finally:
-        if owned:
-            out.close()
+        count += len(qas)
     return count
 
 
@@ -284,12 +317,12 @@ def _fixed_qa(example: ExtractiveExample, outcome: "FixOutcome") -> dict:
 
 def read_predictions(source: Union[str, Path, IO[bytes], IO[str]]) -> PredictionSet:
     """Parse a qid -> answer-text JSON object; duplicates and non-strings fail."""
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_text(encoding="utf-8")
-    else:
-        data = source.read()
-        if isinstance(data, bytes):
+    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+    if isinstance(data, bytes):
+        try:
             data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"predictions are not UTF-8: {exc}") from None
 
     def reject_duplicates(pairs: list[tuple[str, object]]) -> dict:
         obj: dict = {}

@@ -165,14 +165,51 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "data error" in err
 
-    def test_workers_zero_is_usage_error(self, capsys):
-        code, _out, err = run(
+    def test_wrong_typed_fields_are_skipped_not_fatal(self, capsys, tmp_path):
+        bad_qas = [
+            "x",
+            {"qid": "b1", "question": "?", "answers": "xy"},
+            {"qid": "b2", "question": "?", "detected_answers": {"text": "x"}},
+            {"qid": "b3", "question": "?", "detected_answers": ["x"]},
+        ]
+        lines = [
+            {"header": {"dataset": "typed"}},
+            ["x"],
+            {"context": "x y", "qas": bad_qas},
+            *MULTI_QA_RECORDS,
+        ]
+        dataset = tmp_path / "typed.jsonl"
+        dataset.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+        code, out, err = run(
             capsys,
-            "analyze", "--vocab", VOCAB, "--merges", MERGES,
-            "--dataset", CORPUS, "--workers", "0",
+            "analyze", "--vocab", VOCAB, "--merges", MERGES, "--dataset", str(dataset),
         )
-        assert code == 1
-        assert "workers" in err
+        assert code == 0
+        assert "Traceback" not in err
+        (stats,) = json.loads(out)["stats"]
+        assert stats["span_issues"] == 5  # one per bad record or qa
+
+    @pytest.mark.parametrize("corruption", ["invalid-utf8", "truncated-gzip"])
+    def test_undecodable_bytes_are_data_error(self, capsys, tmp_path, corruption):
+        data = Path(CORPUS).read_bytes()
+        dataset = tmp_path / "corrupt.jsonl"
+        if corruption == "invalid-utf8":
+            lines = data.splitlines(keepends=True)
+            lines[3] = b'{"context": "\xff\xfe", "qas": []}\n'
+            dataset.write_bytes(b"".join(lines))
+        else:
+            packed = gzip.compress(data)
+            dataset.write_bytes(packed[: len(packed) // 2])
+        code, out, err = run(
+            capsys,
+            "analyze", "--vocab", VOCAB, "--merges", MERGES, "--dataset", str(dataset),
+        )
+        assert code == 2
+        assert out == ""
+        assert "data error" in err
+        assert "Traceback" not in err
+        if corruption == "invalid-utf8":
+            assert "line 4" in err
 
 
 class TestFixCommand:
@@ -247,6 +284,22 @@ class TestFixCommand:
         assert fixed.read_bytes()[:2] == b"\x1f\x8b"
         with gzip.open(fixed, "rt", encoding="utf-8") as handle:
             assert json.loads(handle.readline())["header"]["dataset"] == "repair-fixture"
+
+    def test_data_error_leaves_no_output_file(self, capsys, tmp_path):
+        lines = Path(CORPUS).read_text(encoding="utf-8").splitlines(keepends=True)
+        dataset = tmp_path / "broken.jsonl"
+        dataset.write_text("".join(lines[:-1]) + "{broken\n" + lines[-1], encoding="utf-8")
+        fixed = tmp_path / "out" / "fixed.jsonl.gz"
+        fixed.parent.mkdir()
+        code, out, err = run(
+            capsys,
+            "fix", "--vocab", VOCAB, "--merges", MERGES,
+            "--dataset", str(dataset), "--output", str(fixed),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"line {len(lines)}" in err
+        assert list(fixed.parent.iterdir()) == []
 
     def test_missing_output_is_usage_error(self, capsys):
         code, _out, err = run(
@@ -355,6 +408,31 @@ class TestEvaluateCommand:
         lines = out.splitlines()
         assert lines[0].startswith("predictions\t")
         assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--vocab", VOCAB, "--merges", MERGES, "--workers", "2"],
+        ["fix", "--vocab", VOCAB, "--merges", MERGES, "--output", "x.jsonl", "--workers", "2"],
+        ["evaluate", "--predictions", "p.json", "--workers", "2"],
+        ["inspect", "--vocab", VOCAB, "--merges", MERGES, "--qid", "n01", "--workers", "2"],
+        ["analyze", "--vocab", VOCAB, "--merges", MERGES, "--gzip", "yes"],
+        ["fix", "--vocab", VOCAB, "--merges", MERGES, "--output", "x.jsonl", "--seed", "1"],
+        ["inspect", "--vocab", VOCAB, "--merges", MERGES, "--qid", "n01", "--seed", "1"],
+        ["inspect", "--vocab", VOCAB, "--merges", MERGES, "--qid", "n01", "--format", "json"],
+    ],
+    ids=lambda argv: " ".join([argv[0], *argv[-2:]]),
+)
+def test_removed_flags_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--dataset", CORPUS)
+    assert code == 1
+    assert out == ""
+    assert "usage error" in err
+    assert "unrecognized arguments" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestInspectCommand:

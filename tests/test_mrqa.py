@@ -46,6 +46,13 @@ THREE_QUESTION_RECORDS = [
     },
 ]
 
+GOOD_QA = qa("q1", "Which?", "a", [0, 0])
+
+
+def with_bad_qa(**fields):
+    """A record holding the valid qa q1 and a qa q2 with the given fields."""
+    return {"context": "ab", "qas": [GOOD_QA, {"qid": "q2", "question": "Which?", **fields}]}
+
 
 class TestReadDataset:
     def test_header_and_examples_in_file_order(self):
@@ -150,36 +157,43 @@ class TestReadDataset:
         _, stream = read_dataset(gz_path)
         assert len(list(stream)) == 3
 
-        _, stream = read_dataset(io.BytesIO(gzip.compress(raw)), gzipped=True)
+        _, stream = read_dataset(io.BytesIO(gzip.compress(raw)))
         assert len(list(stream)) == 3
 
-        plain_path = tmp_path / "data.jsonl"
-        plain_path.write_bytes(raw)
-        _, stream = read_dataset(plain_path, gzipped=False)
-        assert len(list(stream)) == 3
-
-    def test_exclusive_span_convention(self):
-        records = [
-            {
-                "context": "The bridge opened.",
-                "qas": [
-                    {
-                        "qid": "q1",
-                        "question": "What?",
-                        "answers": ["bridge"],
-                        "detected_answers": [
-                            {"text": "bridge", "char_spans": [[4, 10]]}
-                        ],
-                    }
-                ],
-            }
-        ]
-        _, stream = read_dataset(
-            io.BytesIO(dataset_bytes(records)), span_convention="exclusive"
-        )
-        example = next(stream)
-        span = example.detected[0][1][0]
-        assert span == CharSpan(4, 10, inclusive_end=False)
+    @pytest.mark.parametrize(
+        "record, kept",
+        [
+            (["x"], []),
+            ({"context": "ab", "qas": ["x", GOOD_QA]}, ["q1"]),
+            (with_bad_qa(detected_answers={"text": "a"}), ["q1"]),
+            (with_bad_qa(detected_answers=["a"]), ["q1"]),
+            (with_bad_qa(answers="xy"), ["q1"]),
+            # unreadable spans are pruned, as out-of-range ones are; the qa stays
+            (with_bad_qa(detected_answers=[{"text": "a", "char_spans": 0}]), ["q1", "q2"]),
+            (
+                with_bad_qa(
+                    detected_answers=[{"text": "a", "char_spans": [{"0": 0}, [float("inf"), 0]]}]
+                ),
+                ["q1", "q2"],
+            ),
+        ],
+        ids=[
+            "record-not-object",
+            "qa-not-object",
+            "detected-not-list",
+            "detected-entry-not-object",
+            "answers-not-list",
+            "char-spans-not-list",
+            "char-span-not-pair",
+        ],
+    )
+    def test_wrong_typed_fields_are_reported_and_skipped(self, record, kept):
+        data = dataset_bytes([record, THREE_QUESTION_RECORDS[1]])
+        issues = []
+        _, stream = read_dataset(io.BytesIO(data), on_error=issues.append)
+        assert [e.qid for e in stream] == [*kept, "q3"]
+        assert issues
+        assert all(message.startswith("line 2:") for message in issues)
 
     def test_streaming_memory_stays_bounded(self, tmp_path):
         path = tmp_path / "big.jsonl"
@@ -294,6 +308,10 @@ class TestReadPredictions:
     def test_malformed_json(self):
         with pytest.raises(DatasetError, match="malformed"):
             read_predictions(io.StringIO("not json"))
+
+    def test_invalid_utf8_rejected(self):
+        with pytest.raises(DatasetError, match="UTF-8"):
+            read_predictions(io.BytesIO(b'{"q1": "\xff"}'))
 
     def test_non_object_rejected(self):
         with pytest.raises(DatasetError, match="object"):
