@@ -12,7 +12,6 @@ out-of-context detection and paired significance testing.
 __version__ = "0.1.0"
 
 from .align import (
-    AlignmentResult,
     CharSpan,
     TokenSpan,
     codepoint_span_to_byte_span,
@@ -63,7 +62,6 @@ from .mrqa import (
 )
 
 __all__ = [
-    "AlignmentResult",
     "CharSpan",
     "ConsistencyStats",
     "ConsistencyVerdict",

@@ -13,21 +13,12 @@ from typing import Sequence
 
 from .bpe import Encoding
 
-EXACT = "exact"
-EXPANDED = "expanded"
-FAILED = "failed"
-
-
 @dataclass(frozen=True)
 class CharSpan:
-    """A codepoint span, inclusive- or exclusive-end per the flag."""
+    """A half-open codepoint range [start, end)."""
 
     start: int
     end: int
-    inclusive_end: bool = False
-
-    def exclusive(self) -> tuple[int, int]:
-        return (self.start, self.end + 1 if self.inclusive_end else self.end)
 
 
 @dataclass(frozen=True)
@@ -41,23 +32,9 @@ class TokenSpan:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
-    """Outcome of mapping a byte range onto token boundaries.
-
-    ``exact``: some token run covers precisely the requested bytes.
-    ``expanded``: the minimal covering run overshoots on a side; the
-    requested range is then a proper subset of the run's byte range.
-    ``failed``: empty encoding or empty request.
-    """
-
-    kind: str
-    span: TokenSpan | None = None
-
-
 def codepoint_span_to_byte_span(text: str, span: CharSpan) -> tuple[int, int]:
     """Convert a codepoint span into the half-open UTF-8 byte range."""
-    start, end = span.exclusive()
+    start, end = span.start, span.end
     if not (0 <= start <= end <= len(text)):
         raise ValueError(
             f"span {start}:{end} out of range for text of {len(text)} codepoints"
@@ -67,12 +44,14 @@ def codepoint_span_to_byte_span(text: str, span: CharSpan) -> tuple[int, int]:
     return (byte_start, byte_end)
 
 
-def token_slice_for_span(enc: Encoding, byte_span: tuple[int, int]) -> AlignmentResult:
+def token_slice_for_span(
+    enc: Encoding, byte_span: tuple[int, int]
+) -> tuple[TokenSpan, bool] | None:
     """Find the minimal token run covering a byte range of the source.
 
-    Returns kind ``exact`` when the run's byte range equals the request,
-    ``expanded`` when it overshoots, ``failed`` for an empty encoding or
-    an empty request.
+    Returns the run and whether its byte range equals the request (it
+    otherwise overshoots on a side), or None for an empty encoding or an
+    empty request.
     """
     start, end = byte_span
     source_len = len(enc.source_bytes)
@@ -81,13 +60,13 @@ def token_slice_for_span(enc: Encoding, byte_span: tuple[int, int]) -> Alignment
             f"byte span {start}:{end} out of range for source of {source_len} bytes"
         )
     if not enc.ids or start == end:
-        return AlignmentResult(kind=FAILED)
+        return None
 
     # offsets partition the source, so binary search on both edges
     lo = bisect_right(enc.offsets, start, key=lambda o: o[1])
     hi = bisect_left(enc.offsets, end, key=lambda o: o[0])
     exact = enc.offsets[lo][0] == start and enc.offsets[hi - 1][1] == end
-    return AlignmentResult(kind=EXACT if exact else EXPANDED, span=TokenSpan(lo, hi))
+    return TokenSpan(lo, hi), exact
 
 
 def find_subsequence(

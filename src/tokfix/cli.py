@@ -8,11 +8,12 @@ byte-identical across reruns with the same inputs, seed, and flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from .bpe import TokenizerError, decode_bytes, encode, ids_to_pieces, load_tokenizer
@@ -26,7 +27,7 @@ from .consist import (
     repair_answer_choice,
 )
 from .metrics import evaluate, paired_significance
-from .mrqa import DatasetError, read_dataset, read_predictions
+from .mrqa import DatasetError, read_dataset, read_predictions, replace_on_success
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,11 +107,15 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return config
 
 
-def _emit(args: argparse.Namespace, payload: str, *, to_output: bool = True) -> None:
-    if to_output and args.output:
-        Path(args.output).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+@contextlib.contextmanager
+def _report_writer(args: argparse.Namespace) -> Iterator[Callable[[str], object]]:
+    """Yield the report writer: stdout, or ``--output`` opened right away
+    through ``replace_on_success``, so a bad path fails before any work."""
+    if not args.output:
+        yield sys.stdout.write
+        return
+    with replace_on_success(args.output) as out:
+        yield lambda payload: out.write(payload.encode("utf-8"))
 
 
 def _render_report(args: argparse.Namespace, body: dict, tsv_rows) -> str:
@@ -131,39 +136,42 @@ def _load_tokenizer(args: argparse.Namespace):
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    tok = _load_tokenizer(args)
-    stats_out = []
-    for path in args.dataset:
-        issues = [0]
+    if args.sample is not None and args.sample < 1:
+        raise UsageError(f"--sample must be at least 1, not {args.sample}")
+    with _report_writer(args) as write:
+        tok = _load_tokenizer(args)
+        stats_out = []
+        for path in args.dataset:
+            issues = [0]
 
-        def count_issue(message: str, _issues=issues) -> None:
-            _issues[0] += 1
-            logger.warning("%s", message)
+            def count_issue(message: str, _issues=issues) -> None:
+                _issues[0] += 1
+                logger.warning("%s", message)
 
-        header, stream = read_dataset(path, on_error=count_issue)
-        stats = analyze_dataset(
-            tok,
-            stream,
-            sample_size=args.sample,
-            seed=args.seed,
-            answer_policy=args.answer_policy,
-        )
-        entry = {"dataset": header.dataset or Path(path).name, "path": path}
-        entry.update(stats.to_dict())
-        entry["span_issues"] = issues[0]
-        stats_out.append(entry)
+            header, stream = read_dataset(path, on_error=count_issue)
+            stats = analyze_dataset(
+                tok,
+                stream,
+                sample_size=args.sample,
+                seed=args.seed,
+                answer_policy=args.answer_policy,
+            )
+            entry = {"dataset": header.dataset or Path(path).name, "path": path}
+            entry.update(stats.to_dict())
+            entry["span_issues"] = issues[0]
+            stats_out.append(entry)
 
-    columns = [
-        "dataset",
-        "total",
-        "consistent_raw",
-        "consistent_prefix_only",
-        "inconsistent",
-        "pct_inconsistent_raw",
-        "pct_inconsistent_after_prefix",
-    ]
-    rows = [[entry[c] for c in columns] for entry in stats_out]
-    _emit(args, _render_report(args, {"stats": stats_out}, (columns, rows)))
+        columns = [
+            "dataset",
+            "total",
+            "consistent_raw",
+            "consistent_prefix_only",
+            "inconsistent",
+            "pct_inconsistent_raw",
+            "pct_inconsistent_after_prefix",
+        ]
+        rows = [[entry[c] for c in columns] for entry in stats_out]
+        write(_render_report(args, {"stats": stats_out}, (columns, rows)))
     return EXIT_OK
 
 
@@ -198,7 +206,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
         ]
     )
     # the summary always goes to stdout; --output holds the repaired data
-    _emit(args, _render_report(args, {"summary": summary}, (columns, [row])), to_output=False)
+    sys.stdout.write(_render_report(args, {"summary": summary}, (columns, [row])))
     return EXIT_OK
 
 
@@ -208,115 +216,116 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if len(args.dataset) != 1:
         raise UsageError("evaluate takes exactly one --dataset")
 
-    _, stream = read_dataset(args.dataset[0])
-    examples = list(stream)
-    if len(args.predictions) == 2 and not examples:
-        raise DatasetError("dataset has no questions to compare two prediction files on")
+    with _report_writer(args) as write:
+        _, stream = read_dataset(args.dataset[0])
+        examples = list(stream)
+        if len(args.predictions) == 2 and not examples:
+            raise DatasetError("dataset has no questions to compare two prediction files on")
 
-    reports = []
-    per_example_scores = []
-    for path in args.predictions:
-        preds = read_predictions(path)
-        report = evaluate(preds, examples)
-        per_example_scores.append(report.per_example)
-        entry = {"predictions": path}
-        entry.update(report.to_dict())
-        reports.append(entry)
+        reports = []
+        per_example_scores = []
+        for path in args.predictions:
+            preds = read_predictions(path)
+            report = evaluate(preds, examples)
+            per_example_scores.append(report.per_example)
+            entry = {"predictions": path}
+            entry.update(report.to_dict())
+            reports.append(entry)
 
-    body: dict = {"metrics": reports}
-    significance = None
-    if len(args.predictions) == 2:
-        f1_a = [score for _, _, score in per_example_scores[0]]
-        f1_b = [score for _, _, score in per_example_scores[1]]
-        result = paired_significance(f1_a, f1_b, seed=args.seed)
-        significance = {
-            "metric": "f1",
-            "p_value": result.p_value,
-            "statistic": result.statistic,
-            "resamples": result.resamples,
-            "seed": result.seed,
-            "method": result.method,
-        }
-        body["significance"] = significance
-    else:
-        body["per_example"] = [
-            {"qid": qid, "em": em, "f1": round(score, 6)}
-            for qid, em, score in per_example_scores[0]
+        body: dict = {"metrics": reports}
+        significance = None
+        if len(args.predictions) == 2:
+            f1_a = [score for _, _, score in per_example_scores[0]]
+            f1_b = [score for _, _, score in per_example_scores[1]]
+            result = paired_significance(f1_a, f1_b, seed=args.seed)
+            significance = {
+                "metric": "f1",
+                "p_value": result.p_value,
+                "statistic": result.statistic,
+                "resamples": result.resamples,
+                "seed": result.seed,
+                "method": result.method,
+            }
+            body["significance"] = significance
+        else:
+            body["per_example"] = [
+                {"qid": qid, "em": em, "f1": round(score, 6)}
+                for qid, em, score in per_example_scores[0]
+            ]
+
+        columns = [
+            "predictions",
+            "n",
+            "n_predicted",
+            "em",
+            "f1",
+            "hallucination_rate",
+            "hallucination_rate_normalized",
+            "p_value",
+            "statistic",
         ]
-
-    columns = [
-        "predictions",
-        "n",
-        "n_predicted",
-        "em",
-        "f1",
-        "hallucination_rate",
-        "hallucination_rate_normalized",
-        "p_value",
-        "statistic",
-    ]
-    rows = [
-        [entry[c] for c in columns[:7]]
-        + ([significance["p_value"], significance["statistic"]] if significance else ["", ""])
-        for entry in reports
-    ]
-    _emit(args, _render_report(args, body, (columns, rows)))
+        rows = [
+            [entry[c] for c in columns[:7]]
+            + ([significance["p_value"], significance["statistic"]] if significance else ["", ""])
+            for entry in reports
+        ]
+        write(_render_report(args, body, (columns, rows)))
     return EXIT_OK
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    tok = _load_tokenizer(args)
-    found = None
-    for path in args.dataset:
-        _, stream = read_dataset(path)
-        for example in stream:
-            if example.qid == args.qid:
-                found = example
+    with _report_writer(args) as write:
+        tok = _load_tokenizer(args)
+        found = None
+        for path in args.dataset:
+            _, stream = read_dataset(path)
+            for example in stream:
+                if example.qid == args.qid:
+                    found = example
+                    break
+            if found:
                 break
-        if found:
-            break
-    if found is None:
-        raise DatasetError(f"qid {args.qid!r} not found in the given dataset(s)")
+        if found is None:
+            raise DatasetError(f"qid {args.qid!r} not found in the given dataset(s)")
 
-    choice = repair_answer_choice(found)
-    if choice is None:
-        raise DatasetError(f"qid {args.qid!r} has no usable answer")
-    answer, span = choice
+        choice = repair_answer_choice(found)
+        if choice is None:
+            raise DatasetError(f"qid {args.qid!r} has no usable answer")
+        answer, span = choice
 
-    context_enc = encode(tok, found.context)
-    raw, prefixed = answer_variants(tok, answer)
-    verdict = check_consistency(tok, context_enc, answer)
-    outcome = make_consistent_target(tok, found.context, context_enc, answer, span)
+        context_enc = encode(tok, found.context)
+        raw, prefixed = answer_variants(tok, answer)
+        verdict = check_consistency(tok, context_enc, answer)
+        outcome = make_consistent_target(tok, found.context, context_enc, answer, span)
 
-    out = []
-    out.append(f"qid:               {found.qid}")
-    out.append(f"question:          {found.question}")
-    out.append(f"answer:            {answer!r}")
-    if span is not None:
-        kind = "inclusive" if span.inclusive_end else "exclusive"
-        out.append(f"gold char span:    [{span.start}, {span.end}] ({kind})")
-    out.append(f"context tokens:    {len(context_enc.ids)}")
-    out.append(f"standalone pieces: {ids_to_pieces(tok, raw)} ids {list(raw)}")
-    out.append(f"prefixed pieces:   {ids_to_pieces(tok, prefixed)} ids {list(prefixed)}")
-    where = (
-        f" at tokens [{verdict.location.start}, {verdict.location.end})"
-        if verdict.location
-        else ""
-    )
-    out.append(f"verdict:           {verdict.status}{where}")
-    out.append(f"fix method:        {outcome.method}")
-    out.append(
-        f"target pieces:     {ids_to_pieces(tok, outcome.target_ids)} "
-        f"ids {list(outcome.target_ids)}"
-    )
-    if outcome.context_span is not None:
-        cs = outcome.context_span
-        offsets = list(context_enc.offsets[cs.start : cs.end])
-        decoded = decode_bytes(tok, outcome.target_ids).decode("utf-8", "replace")
-        out.append(f"context span:      tokens [{cs.start}, {cs.end}) offsets {offsets}")
-        out.append(f"decoded target:    {decoded!r}")
-    out.append(f"note:              {outcome.note}")
-    _emit(args, "\n".join(out) + "\n")
+        out = []
+        out.append(f"qid:               {found.qid}")
+        out.append(f"question:          {found.question}")
+        out.append(f"answer:            {answer!r}")
+        if span is not None:
+            out.append(f"gold char span:    [{span.start}, {span.end})")
+        out.append(f"context tokens:    {len(context_enc.ids)}")
+        out.append(f"standalone pieces: {ids_to_pieces(tok, raw)} ids {list(raw)}")
+        out.append(f"prefixed pieces:   {ids_to_pieces(tok, prefixed)} ids {list(prefixed)}")
+        where = (
+            f" at tokens [{verdict.location.start}, {verdict.location.end})"
+            if verdict.location
+            else ""
+        )
+        out.append(f"verdict:           {verdict.status}{where}")
+        out.append(f"fix method:        {outcome.method}")
+        out.append(
+            f"target pieces:     {ids_to_pieces(tok, outcome.target_ids)} "
+            f"ids {list(outcome.target_ids)}"
+        )
+        if outcome.context_span is not None:
+            cs = outcome.context_span
+            offsets = list(context_enc.offsets[cs.start : cs.end])
+            decoded = decode_bytes(tok, outcome.target_ids).decode("utf-8", "replace")
+            out.append(f"context span:      tokens [{cs.start}, {cs.end}) offsets {offsets}")
+            out.append(f"decoded target:    {decoded!r}")
+        out.append(f"note:              {outcome.note}")
+        write("\n".join(out) + "\n")
     return EXIT_OK
 
 

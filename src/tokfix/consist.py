@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Union
 
 from .align import (
-    EXACT,
-    EXPANDED,
     CharSpan,
     TokenSpan,
     codepoint_span_to_byte_span,
@@ -63,7 +61,6 @@ class ConsistencyVerdict:
     """
 
     status: str
-    standalone_ids: tuple[int, ...]
     location: TokenSpan | None = None
 
 
@@ -91,7 +88,6 @@ class ConsistencyStats:
     consistent_raw: int = 0
     consistent_prefix_only: int = 0
     inconsistent: int = 0
-    verdicts: list[tuple[str, str]] | None = None
 
     @property
     def pct_inconsistent_raw(self) -> float:
@@ -107,7 +103,7 @@ class ConsistencyStats:
             return 0.0
         return 100.0 * self.inconsistent / self.total
 
-    def add(self, status: str, qid: str = "") -> None:
+    def add(self, status: str) -> None:
         self.total += 1
         if status == CONSISTENT_RAW:
             self.consistent_raw += 1
@@ -115,8 +111,6 @@ class ConsistencyStats:
             self.consistent_prefix_only += 1
         else:
             self.inconsistent += 1
-        if self.verdicts is not None:
-            self.verdicts.append((qid, status))
 
     def to_dict(self) -> dict:
         return {
@@ -151,11 +145,11 @@ def check_consistency(
     raw, prefixed = answer_variants(tok, answer)
     location = find_subsequence(context_enc.ids, raw)
     if location is not None:
-        return ConsistencyVerdict(CONSISTENT_RAW, raw, location)
+        return ConsistencyVerdict(CONSISTENT_RAW, location)
     location = find_subsequence(context_enc.ids, prefixed)
     if location is not None:
-        return ConsistencyVerdict(CONSISTENT_PREFIX_SPACE, raw, location)
-    return ConsistencyVerdict(INCONSISTENT, raw, None)
+        return ConsistencyVerdict(CONSISTENT_PREFIX_SPACE, location)
+    return ConsistencyVerdict(INCONSISTENT)
 
 
 def _decoded_matches(tok: Tokenizer, ids: tuple[int, ...], answer: str) -> bool:
@@ -191,7 +185,7 @@ def make_consistent_target(
 
     byte_span: tuple[int, int] | None = None
     if gold_span is not None:
-        start, stop = gold_span.exclusive()
+        start, stop = gold_span.start, gold_span.end
         if not (0 <= start <= stop <= len(context)):
             raise SpanMismatchError(
                 f"gold span {start}:{stop} out of range for context"
@@ -212,12 +206,11 @@ def make_consistent_target(
                 note="raw standalone ids found in context",
             )
     else:
-        result = token_slice_for_span(context_enc, byte_span)
-        if result.kind in (EXACT, EXPANDED):
-            span = result.span
-            assert span is not None
+        found = token_slice_for_span(context_enc, byte_span)
+        if found is not None:
+            span, exact = found
             slice_ids = ctx_ids[span.start : span.end]
-            if result.kind == EXACT:
+            if exact:
                 if slice_ids == raw:
                     return FixOutcome(
                         target_ids=raw,
@@ -257,13 +250,6 @@ def make_consistent_target(
     )
 
 
-def answers_for_analysis(example: ExtractiveExample) -> list[str]:
-    """Gold answer texts for consistency counting, detected texts as backup."""
-    if example.gold_answers:
-        return [a for a in example.gold_answers if a]
-    return [text for text, _ in example.detected if text]
-
-
 def analyze_dataset(
     tok: Tokenizer,
     examples: Iterable[ExtractiveExample],
@@ -271,7 +257,6 @@ def analyze_dataset(
     sample_size: int | None = None,
     seed: int = 42,
     answer_policy: str = "first",
-    keep_verdicts: bool = False,
 ) -> ConsistencyStats:
     """Tally consistency verdicts over a dataset, one per question.
 
@@ -289,10 +274,10 @@ def analyze_dataset(
     if sample_size is not None:
         examples = _reservoir_sample(examples, sample_size, seed)
 
-    stats = ConsistencyStats(verdicts=[] if keep_verdicts else None)
+    stats = ConsistencyStats()
     context: str | None = None
     for example in examples:
-        answers = answers_for_analysis(example)
+        answers = example.answer_texts()
         if not answers:
             continue
         if answer_policy == "first":
@@ -307,7 +292,7 @@ def analyze_dataset(
                 best = verdict.status
             if best == CONSISTENT_RAW:
                 break
-        stats.add(best, example.qid)
+        stats.add(best)
     return stats
 
 

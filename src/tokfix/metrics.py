@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mrqa import ExtractiveExample, PredictionSet
+from .mrqa import DatasetError, ExtractiveExample, PredictionSet
 
 logger = logging.getLogger(__name__)
 
@@ -108,7 +108,8 @@ def evaluate(preds: PredictionSet, examples: Iterable[ExtractiveExample]) -> Met
     prediction scores 0 on EM and F1. Out-of-context rates are computed
     over predicted answers only. Predictions whose qid matches no gold
     question are reported and excluded. ``per_example`` holds one
-    ``(qid, em, f1)`` triple per gold question, in input order.
+    ``(qid, em, f1)`` triple per gold question, in input order. A qid
+    that occurs twice in ``examples`` raises DatasetError.
     """
     per_example: list[tuple[str, int, float]] = []
     em_sum = 0.0
@@ -121,11 +122,11 @@ def evaluate(preds: PredictionSet, examples: Iterable[ExtractiveExample]) -> Met
     seen_qids = set()
 
     for example in examples:
+        if example.qid in seen_qids:
+            raise DatasetError(f"duplicate qid {example.qid!r} in dataset")
         n += 1
         seen_qids.add(example.qid)
-        golds = [a for a in example.gold_answers if a] or [
-            t for t, _ in example.detected if t
-        ]
+        golds = example.answer_texts()
         pred = preds.get(example.qid)
         if pred is None:
             per_example.append((example.qid, 0, 0.0))

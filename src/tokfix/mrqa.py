@@ -42,16 +42,16 @@ class SpanMismatchError(DatasetError):
 
 @dataclass(frozen=True)
 class DatasetHeader:
-    """First record of a dataset file; unknown fields pass through."""
+    """The ``header`` object of a dataset file, as read; it is written back as is."""
 
-    dataset: str = ""
-    extra: dict = field(default_factory=dict)
+    fields: dict = field(default_factory=dict)
+
+    @property
+    def dataset(self) -> str:
+        return str(self.fields.get("dataset", ""))
 
     def to_json_obj(self) -> dict:
-        obj = dict(self.extra)
-        if self.dataset:
-            obj.setdefault("dataset", self.dataset)
-        return obj
+        return dict(self.fields)
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,8 @@ class ExtractiveExample:
     """One (context, question) pair with gold answers and detected spans.
 
     ``detected`` pairs each in-context answer text with its validated
-    character spans; spans that fail validation are pruned by the reader
-    and reported through its error channel.
+    character spans, half-open; spans that fail validation are pruned by
+    the reader and reported through its error channel.
     """
 
     qid: str
@@ -68,6 +68,10 @@ class ExtractiveExample:
     question: str
     gold_answers: tuple[str, ...] = ()
     detected: tuple[tuple[str, tuple[CharSpan, ...]], ...] = ()
+
+    def answer_texts(self) -> list[str]:
+        """The non-empty gold texts, or else the non-empty detected texts."""
+        return [a for a in self.gold_answers if a] or [t for t, _ in self.detected if t]
 
 
 def spans_match(snippet: str, answer: str) -> bool:
@@ -139,10 +143,7 @@ def _parse_header(line: str) -> DatasetHeader:
     header_fields = header_obj["header"] or {}
     if not isinstance(header_fields, dict):
         raise DatasetError('line 1: "header" is not an object')
-    return DatasetHeader(
-        dataset=str(header_fields.get("dataset", "")),
-        extra=dict(header_fields),
-    )
+    return DatasetHeader(header_fields)
 
 
 def _examples(
@@ -213,21 +214,22 @@ def _parse_qa(
         spans: list[CharSpan] = []
         for pair in pairs:
             try:
-                start, end = int(pair[0]), int(pair[1])
+                # MRQA ends are inclusive; CharSpan ends are not
+                start, end = int(pair[0]), int(pair[1]) + 1
             except (TypeError, ValueError, LookupError, OverflowError):
                 report(f"line {lineno}: qid {qid}: unreadable char span {pair!r}")
                 continue
-            if not (0 <= start <= end + 1 <= len(context)):
+            if not (0 <= start <= end <= len(context)):
                 report(f"line {lineno}: qid {qid}: span {pair!r} out of range")
                 continue
-            snippet = context[start : end + 1]
+            snippet = context[start:end]
             if not spans_match(snippet, text_):
                 report(
                     f"line {lineno}: qid {qid}: span {pair!r} points at "
                     f"{snippet!r}, not {text_!r}"
                 )
                 continue
-            spans.append(CharSpan(start, end, inclusive_end=True))
+            spans.append(CharSpan(start, end))
         detected.append((text_, tuple(spans)))
 
     return ExtractiveExample(
@@ -250,26 +252,35 @@ def write_fixed_dataset(
     ``fix_method`` and ``context_token_span`` fields; a group without any
     qa writes nothing. The output stays readable by ``read_dataset`` (the
     extras are ignored on read). A path sink is gzipped when it ends in
-    ``.gz``; it is written to a temporary file beside it that replaces it
-    only once every record is written, so an error while ``groups`` is
-    consumed leaves no partial output.
+    ``.gz`` and written through ``replace_on_success``, so an error while
+    ``groups`` is consumed leaves no partial output.
     """
     if not isinstance(sink, (str, Path)):
         return _write_records(sink, header, groups)
     path = Path(sink)
+    with replace_on_success(path) as stream, contextlib.ExitStack() as stack:
+        if path.suffix == ".gz":
+            stream = stack.enter_context(gzip.GzipFile(str(path), "wb", fileobj=stream))  # type: ignore[assignment]
+        out = stack.enter_context(io.TextIOWrapper(stream, encoding="utf-8"))
+        return _write_records(out, header, groups)
+
+
+@contextlib.contextmanager
+def replace_on_success(path: Union[str, Path]) -> Iterator[IO[bytes]]:
+    """Yield a binary stream on a temporary file beside ``path``.
+
+    The file replaces ``path`` when the block exits cleanly and is
+    removed when it raises, so ``path`` never holds partial output.
+    """
+    path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
-        with contextlib.ExitStack() as stack:
-            stream: IO[bytes] = stack.enter_context(open(tmp, "wb"))
-            if path.suffix == ".gz":
-                stream = stack.enter_context(gzip.GzipFile(str(path), "wb", fileobj=stream))  # type: ignore[arg-type]
-            out = stack.enter_context(io.TextIOWrapper(stream, encoding="utf-8"))
-            count = _write_records(out, header, groups)
+        with open(tmp, "wb") as stream:
+            yield stream
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return count
 
 
 def _write_records(
@@ -298,10 +309,7 @@ def _fixed_qa(example: ExtractiveExample, outcome: "FixOutcome") -> dict:
         "detected_answers": [
             {
                 "text": text,
-                "char_spans": [
-                    [span.start, span.end if span.inclusive_end else span.end - 1]
-                    for span in spans
-                ],
+                "char_spans": [[span.start, span.end - 1] for span in spans],
             }
             for text, spans in example.detected
         ],

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from tokfix.align import TokenSpan
-from tokfix.bpe import Encoding, Tokenizer, byte_to_unit, load_tokenizer
+from tokfix.bpe import Encoding, Tokenizer, byte_to_unit, decode_bytes, load_tokenizer
 
 
 def build_vocab(merges: list[tuple[str, str]], extra_tokens: tuple[str, ...] = ()) -> dict[str, int]:
@@ -98,6 +98,29 @@ def slice_oracle(enc: Encoding, byte_span: tuple[int, int]):
                     best = (i, j)
     assert best is not None
     return ("expanded", best)
+
+
+def as_oracle_result(found) -> tuple:
+    """A ``token_slice_for_span`` result in ``slice_oracle``'s form."""
+    if found is None:
+        return ("failed", None)
+    span, exact = found
+    return ("exact" if exact else "expanded", (span.start, span.end))
+
+
+def has_faithful_slice(tok: Tokenizer, enc: Encoding, answer: str) -> bool:
+    """Brute force: does any run of context ids decode to the answer
+    modulo edge whitespace?"""
+    n = len(enc.ids)
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            try:
+                decoded = decode_bytes(tok, enc.ids[i:j]).decode("utf-8")
+            except UnicodeDecodeError:
+                continue
+            if decoded == answer or decoded.strip() == answer:
+                return True
+    return False
 
 
 def random_toy_tokenizer(rng: random.Random, alphabet: str = "abc") -> Tokenizer:

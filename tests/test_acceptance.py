@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from tokfix.align import find_subsequence, token_slice_for_span
+from tokfix.align import CharSpan, find_subsequence, token_slice_for_span
 from tokfix.bpe import decode, decode_bytes, encode, load_tokenizer
-from tokfix.consist import UNRESOLVED, analyze_dataset, fix_dataset
+from tokfix.consist import UNRESOLVED, analyze_dataset, fix_dataset, make_consistent_target
 from tokfix.metrics import (
     evaluate,
     hallucination_check,
@@ -25,7 +25,9 @@ from tokfix.mrqa import read_dataset
 
 from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
 from helpers import (
+    as_oracle_result,
     bpe_oracle_ids,
+    has_faithful_slice,
     naive_find,
     random_letter_text,
     random_toy_tokenizer,
@@ -140,18 +142,44 @@ def test_oracle_equivalence_token_slice():
         for _ in range(5):
             start = rng.randrange(0, len(enc.source_bytes) + 1)
             end = rng.randrange(start, len(enc.source_bytes) + 1)
-            result = token_slice_for_span(enc, (start, end))
-            kind, span = slice_oracle(enc, (start, end))
-            got_span = (
-                (result.span.start, result.span.end) if result.span else None
-            )
-            if result.kind != kind or got_span != span:
+            result = as_oracle_result(token_slice_for_span(enc, (start, end)))
+            if result != slice_oracle(enc, (start, end)):
                 disagreements += 1
             cases += 1
     report(
         "oracle equivalence: token_slice_for_span",
         disagreements == 0,
         f"{cases} cases",
+    )
+
+
+def test_repair_guarantee_against_brute_force_oracle():
+    """``unresolved`` only when no context slice decodes to the answer."""
+    rng = random.Random(4404)
+    cases = unresolved = misses = 0
+    while cases < 10_000:
+        tok = random_toy_tokenizer(rng, alphabet="abcĠ")  # merges may fuse spaces
+        context = " ".join(
+            random_letter_text(rng, max_len=5) for _ in range(rng.randrange(1, 6))
+        )
+        enc = encode(tok, context)
+        for _ in range(8):
+            start = rng.randrange(len(context))
+            piece = context[start : rng.randrange(start + 1, len(context) + 1)]
+            answer = piece.strip()
+            if not answer:
+                continue
+            offset = start + len(piece) - len(piece.lstrip())
+            span = CharSpan(offset, offset + len(answer)) if rng.random() < 0.5 else None
+            outcome = make_consistent_target(tok, context, enc, answer, span)
+            cases += 1
+            if outcome.method == UNRESOLVED:
+                unresolved += 1
+                misses += has_faithful_slice(tok, enc, answer)
+    report(
+        "repair guarantee: brute-force oracle",
+        misses == 0 and unresolved > 0,
+        f"{misses} misses among {unresolved} unresolved of {cases} cases",
     )
 
 

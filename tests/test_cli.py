@@ -116,6 +116,53 @@ class TestAnalyzeCommand:
         assert out == ""
         assert json.loads(out_path.read_text())["stats"]
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_sample_below_one_is_usage_error(self, capsys, size):
+        # the vocab is missing, so exit 1 rather than 3 shows the check
+        # runs before the tokenizer loads
+        code, out, err = run(
+            capsys,
+            "analyze", "--vocab", "/nope/vocab.json", "--merges", MERGES,
+            "--dataset", CORPUS, "--sample", size,
+        )
+        assert code == 1
+        assert out == ""
+        assert "usage error: --sample must be at least 1" in err
+
+    def test_unwritable_output_fails_before_reading(self, capsys, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"header": {"dataset": "x"}}\n{broken\n')
+        code, out, err = run(
+            capsys,
+            "analyze", "--vocab", VOCAB, "--merges", MERGES, "--dataset", str(bad),
+            "--output", str(tmp_path / "missing" / "r.json"),
+        )
+        assert code == 3  # the malformed line would give 2 had it been read
+        assert out == ""
+        assert "i/o error" in err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    def test_empty_gold_text_falls_back_to_detected(self, capsys, tmp_path):
+        qa = {
+            "qid": "e1",
+            "question": "When?",
+            "answers": [""],
+            "detected_answers": [{"text": "1912", "char_spans": [[25, 28]]}],
+        }
+        lines = [
+            {"header": {"dataset": "empty-gold"}},
+            {"context": "The ship was finished in 1912 after delays.", "qas": [qa]},
+        ]
+        dataset = tmp_path / "empty_gold.jsonl"
+        dataset.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+        code, out, _err = run(
+            capsys,
+            "analyze", "--vocab", VOCAB, "--merges", MERGES, "--dataset", str(dataset),
+        )
+        assert code == 0
+        (stats,) = json.loads(out)["stats"]
+        assert stats["total"] == 1  # judged on "1912", as evaluate and fix use it
+
     def test_empty_dataset_reports_zero_stats(self, capsys, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text('{"header": {"dataset": "none"}}\n')
@@ -376,6 +423,20 @@ class TestEvaluateCommand:
         (metrics,) = json.loads(out)["metrics"]
         assert metrics["unknown_qids"] == ["ghost"]
 
+    def test_repeated_qid_is_data_error(self, capsys, tmp_path):
+        qa = {"qid": "q", "question": "When?", "answers": ["1912"]}
+        lines = [{"header": {}}, {"context": "It opened in 1912.", "qas": [qa, qa]}]
+        gold = tmp_path / "repeated.jsonl"
+        gold.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+        preds = tmp_path / "preds.json"
+        preds.write_text(json.dumps({"q": "1912"}))
+        code, out, err = run(
+            capsys, "evaluate", "--dataset", str(gold), "--predictions", str(preds)
+        )
+        assert code == 2
+        assert out == ""
+        assert "data error: duplicate qid 'q' in dataset" in err
+
     def test_three_prediction_files_rejected(self, capsys, eval_files, tmp_path):
         gold, perfect, worse = eval_files
         code, _out, err = run(
@@ -433,6 +494,24 @@ def test_removed_flags_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
     assert "unrecognized arguments" in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "evaluate", "inspect"])
+def test_report_output_leaves_no_temporary_file(capsys, tmp_path, eval_files, command):
+    gold, perfect, _worse = eval_files
+    argv = {
+        "analyze": ["--vocab", VOCAB, "--merges", MERGES, "--dataset", CORPUS],
+        "evaluate": ["--dataset", gold, "--predictions", perfect],
+        "inspect": ["--vocab", VOCAB, "--merges", MERGES, "--dataset", CORPUS, "--qid", "n01"],
+    }[command]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    report = out_dir / "report.txt"
+    code, out, _err = run(capsys, command, *argv, "--output", str(report))
+    assert code == 0
+    assert out == ""
+    assert list(out_dir.iterdir()) == [report]
+    assert report.read_text(encoding="utf-8")
 
 
 class TestInspectCommand:

@@ -15,6 +15,7 @@ from tokfix.consist import (
     INCONSISTENT,
     SUBSEQUENCE_SEARCH,
     UNRESOLVED,
+    _reservoir_sample,
     analyze_dataset,
     answer_variants,
     check_consistency,
@@ -122,7 +123,7 @@ class TestMakeConsistentTarget:
     def test_space_fused_number_repairs_to_single_token(self, number_tok):
         context = "The ship was finished in 1912 after delays."
         enc = encode(number_tok, context)
-        span = CharSpan(25, 28, inclusive_end=True)
+        span = CharSpan(25, 29)
         outcome = make_consistent_target(number_tok, context, enc, "1912", span)
         assert outcome.method == EXPANDED_SLICE
         assert ids_to_pieces(number_tok, outcome.target_ids) == ["Ġ1912"]
@@ -133,7 +134,7 @@ class TestMakeConsistentTarget:
         context = "1912"
         enc = encode(number_tok, context)
         outcome = make_consistent_target(
-            number_tok, context, enc, "1912", CharSpan(0, 3, inclusive_end=True)
+            number_tok, context, enc, "1912", CharSpan(0, 4)
         )
         assert outcome.method == ALREADY_CONSISTENT
         assert outcome.context_span.start == 0
@@ -143,7 +144,7 @@ class TestMakeConsistentTarget:
         context = "The hull was laid in 1912, they say."
         enc = encode(corpus_tok, context)
         start = context.index("912")
-        span = CharSpan(start, start + 2, inclusive_end=True)
+        span = CharSpan(start, start + 3)
         outcome = make_consistent_target(corpus_tok, context, enc, "912", span)
         assert outcome.method == UNRESOLVED
         assert outcome.context_span is None
@@ -154,7 +155,7 @@ class TestMakeConsistentTarget:
         enc = encode(number_tok, context)
         with pytest.raises(SpanMismatchError, match="points at"):
             make_consistent_target(
-                number_tok, context, enc, "xyz", CharSpan(0, 2, inclusive_end=True)
+                number_tok, context, enc, "xyz", CharSpan(0, 3)
             )
 
     def test_no_span_searches_prefixed_variant_first(self, corpus_tok):
@@ -168,7 +169,7 @@ class TestMakeConsistentTarget:
         context = "The bridge was old, but the bridge held."
         enc = encode(corpus_tok, context)
         second = context.index("bridge", context.index("bridge") + 1)
-        span = CharSpan(second, second + len("bridge") - 1, inclusive_end=True)
+        span = CharSpan(second, second + len("bridge"))
         outcome = make_consistent_target(corpus_tok, context, enc, "bridge", span)
         assert outcome.method == EXPANDED_SLICE
         start_byte = enc.offsets[outcome.context_span.start][0]
@@ -189,7 +190,7 @@ class TestMakeConsistentTarget:
             occurrence = context.index(answer)
             with_span = rng.random() < 0.7
             span = (
-                CharSpan(occurrence, occurrence + len(answer) - 1, inclusive_end=True)
+                CharSpan(occurrence, occurrence + len(answer))
                 if with_span
                 else None
             )
@@ -237,13 +238,10 @@ class TestAnalyzeDataset:
         assert stats.pct_inconsistent_raw == 0.0
         assert stats.pct_inconsistent_after_prefix == 0.0
 
-    def test_sampling_is_deterministic_for_fixed_seed(self, corpus_tok, corpus_path):
+    def test_sampling_is_deterministic_for_fixed_seed(self, corpus_path):
         def run(seed):
             _, stream = read_dataset(corpus_path, on_error=lambda _m: None)
-            stats = analyze_dataset(
-                corpus_tok, stream, sample_size=20, seed=seed, keep_verdicts=True
-            )
-            return stats.verdicts
+            return [example.qid for example in _reservoir_sample(stream, 20, seed)]
 
         assert run(7) == run(7)
         assert run(7) != run(8)  # different seed picks a different sample
@@ -359,9 +357,9 @@ class TestFixDataset:
             context="The anchor held.",
             question="?",
             gold_answers=("anchor",),
-            detected=(("anchor", (CharSpan(0, 2, inclusive_end=True),)),),
+            detected=(("anchor", (CharSpan(0, 3),)),),
         )
-        ok = example("ok", "The anchor held.", "anchor", CharSpan(4, 9, inclusive_end=True))
+        ok = example("ok", "The anchor held.", "anchor", CharSpan(4, 10))
         out = io.StringIO()
         summary = fix_dataset(corpus_tok, [bad, ok], out)
         assert summary["skipped_span_mismatch"] == 1

@@ -64,7 +64,7 @@ class TestReadDataset:
         assert first.context == "The bridge opened in 1912."
         assert first.question == "When did it open?"
         assert first.gold_answers == ("1912",)
-        assert first.detected == (("1912", (CharSpan(21, 24, inclusive_end=True),)),)
+        assert first.detected == (("1912", (CharSpan(21, 25),)),)
 
     def test_examples_of_one_record_share_one_context_object(self):
         _, stream = read_dataset(io.BytesIO(dataset_bytes(THREE_QUESTION_RECORDS)))
@@ -129,7 +129,7 @@ class TestReadDataset:
         )
         examples = list(stream)
         assert issues == []
-        assert examples[0].detected[0][1] == (CharSpan(4, 10, inclusive_end=True),)
+        assert examples[0].detected[0][1] == (CharSpan(4, 11),)
 
     def test_missing_qid_or_question_skips_that_qa(self):
         records = [
@@ -231,7 +231,7 @@ class TestWriteFixedDataset:
         ]
         count = write_fixed_dataset(
             out_path,
-            DatasetHeader(dataset="test-set", extra={"dataset": "test-set"}),
+            DatasetHeader({"dataset": "test-set"}),
             groups,
         )
         assert count == 3
@@ -275,7 +275,7 @@ class TestWriteFixedDataset:
 
     def test_empty_stream_writes_header_only(self, tmp_path):
         out_path = tmp_path / "empty.jsonl"
-        count = write_fixed_dataset(out_path, DatasetHeader(dataset="x"), [])
+        count = write_fixed_dataset(out_path, DatasetHeader({"dataset": "x"}), [])
         assert count == 0
         lines = out_path.read_text().splitlines()
         assert len(lines) == 1
@@ -283,7 +283,7 @@ class TestWriteFixedDataset:
 
     def test_gz_suffix_writes_gzip(self, tmp_path):
         out_path = tmp_path / "fixed.jsonl.gz"
-        write_fixed_dataset(out_path, DatasetHeader(dataset="x"), [])
+        write_fixed_dataset(out_path, DatasetHeader({"dataset": "x"}), [])
         assert out_path.read_bytes()[:2] == b"\x1f\x8b"
         header, stream = read_dataset(out_path)
         assert header.dataset == "x"
