@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
 
@@ -31,6 +33,9 @@ SEGMENT_PATTERN = (
 
 # Segment-level memo tables are cleared once they reach this many entries.
 _SEGMENT_CACHE_LIMIT = 1 << 17
+
+# Segments longer than this many characters are merged but not memoized.
+_SEGMENT_MEMO_MAX_CHARS = 256
 
 TextSource = Union[str, Path, IO[str]]
 
@@ -67,8 +72,11 @@ class Tokenizer:
     vocabulary, its exact inverse, the ranked merge list (lower index
     merges first) and the byte->unit mapping; segmentation always uses
     ``SEGMENT_PATTERN``. Instances are safe to share across threads;
-    ``encode``/``decode`` are pure. The only internal state is a
-    write-once memo of per-segment merge results, keyed by segment text.
+    ``encode``/``decode`` are pure. The only internal state is a memo of
+    per-segment merge results keyed by segment text: the token ids and
+    each token's length in bytes. Segments longer than
+    ``_SEGMENT_MEMO_MAX_CHARS`` characters are not memoized, so one huge
+    run of letters cannot pin memory.
     """
 
     vocab: dict[str, int]
@@ -92,7 +100,7 @@ class Tokenizer:
         return regex.compile(SEGMENT_PATTERN)
 
     @cached_property
-    def _segment_cache(self) -> dict[str, tuple[str, ...]]:
+    def _segment_cache(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
         return {}
 
 
@@ -200,71 +208,84 @@ def pretokenize(tok: Tokenizer, text: str) -> list[tuple[str, int]]:
     The concatenation of segments equals the input; start bytes are
     strictly increasing.
     """
-    segments: list[tuple[str, int]] = []
-    byte_pos = 0
-    char_pos = 0
-    for match in tok._segmenter.finditer(text):
-        if match.start() != char_pos:
-            raise RuntimeError(
-                f"segmentation pattern left a gap at codepoint {char_pos}"
-            )
-        seg = match.group()
-        segments.append((seg, byte_pos))
-        byte_pos += len(seg.encode("utf-8"))
-        char_pos = match.end()
-    if char_pos != len(text):
-        raise RuntimeError("segmentation pattern did not consume the full text")
-    return segments
+    segments = tok._segmenter.findall(text)
+    if sum(map(len, segments)) != len(text):
+        raise RuntimeError("segmentation pattern did not cover the full text")
+    sizes = [len(seg.encode("utf-8")) for seg in segments]
+    return list(zip(segments, accumulate(sizes, initial=0)))
 
 
-def _merge_segment(tok: Tokenizer, segment: str) -> tuple[str, ...]:
+def _merge_segment(tok: Tokenizer, segment: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Run the merge loop over one segment's byte units.
 
     Repeatedly applies the lowest-ranked applicable merge; when the same
     rank applies at several positions, the leftmost is merged first.
-    Results are memoized per segment text.
+    Returns the token ids and each token's length in bytes.
+
+    Candidate pairs sit in a min-heap keyed on (rank, left unit index)
+    over a linked list of units, so a segment of n bytes costs
+    O(n log n); an entry whose left unit is gone or whose units have
+    grown since it was pushed is stale and skipped.
     """
-    cached = tok._segment_cache.get(segment)
-    if cached is not None:
-        return cached
-
-    byte_map = tok.byte_map
-    units = [byte_map[b] for b in segment.encode("utf-8")]
+    units = [tok.byte_map[b] for b in segment.encode("utf-8")]
     ranks = tok.merge_ranks
-    while len(units) > 1:
-        best_rank: int | None = None
-        best_pos = -1
-        for i in range(len(units) - 1):
-            rank = ranks.get((units[i], units[i + 1]))
-            if rank is not None and (best_rank is None or rank < best_rank):
-                best_rank = rank
-                best_pos = i
-        if best_rank is None:
-            break
-        units[best_pos : best_pos + 2] = [units[best_pos] + units[best_pos + 1]]
+    n = len(units)
+    nxt = list(range(1, n + 1))
+    prv = list(range(-1, n - 1))
+    heap = []
+    for i in range(n - 1):
+        rank = ranks.get((units[i], units[i + 1]))
+        if rank is not None:
+            heap.append((rank, i, units[i], units[i + 1]))
+    heapify(heap)
+    while heap:
+        _, i, left, right = heappop(heap)
+        # a unit's text only grows, so equal text means unchanged; while
+        # units[i] is unchanged its right neighbour is still nxt[i]
+        j = nxt[i]
+        if units[i] != left or units[j] != right:
+            continue
+        merged = left + right
+        units[i] = merged
+        units[j] = ""
+        k = nxt[j]
+        nxt[i] = k
+        if k < n:
+            prv[k] = i
+            rank = ranks.get((merged, units[k]))
+            if rank is not None:
+                heappush(heap, (rank, i, merged, units[k]))
+        p = prv[i]
+        if p >= 0:
+            rank = ranks.get((units[p], merged))
+            if rank is not None:
+                heappush(heap, (rank, p, units[p], merged))
 
-    result = tuple(units)
-    cache = tok._segment_cache
-    if len(cache) >= _SEGMENT_CACHE_LIMIT:
-        cache.clear()
-    cache[segment] = result
-    return result
+    vocab = tok.vocab
+    kept = [unit for unit in units if unit]
+    # every unit character stands for exactly one source byte
+    return tuple(vocab[unit] for unit in kept), tuple(map(len, kept))
 
 
 def encode(tok: Tokenizer, text: str) -> Encoding:
     """Encode valid UTF-8 text into token ids with exact byte offsets."""
     ids: list[int] = []
-    offsets: list[tuple[int, int]] = []
-    vocab = tok.vocab
-    for segment, seg_start in pretokenize(tok, text):
-        pos = seg_start
-        for unit in _merge_segment(tok, segment):
-            ids.append(vocab[unit])
-            # every unit character stands for exactly one source byte
-            end = pos + len(unit)
-            offsets.append((pos, end))
-            pos = end
-    return Encoding(ids=tuple(ids), offsets=tuple(offsets), text=text)
+    sizes: list[int] = []
+    cache = tok._segment_cache
+    for segment, _ in pretokenize(tok, text):
+        merged = cache.get(segment)
+        if merged is None:
+            merged = _merge_segment(tok, segment)
+            if len(segment) <= _SEGMENT_MEMO_MAX_CHARS:
+                if len(cache) >= _SEGMENT_CACHE_LIMIT:
+                    cache.clear()
+                cache[segment] = merged
+        seg_ids, seg_sizes = merged
+        ids.extend(seg_ids)
+        sizes.extend(seg_sizes)
+    ends = list(accumulate(sizes))
+    offsets = tuple(zip([0, *ends], ends))
+    return Encoding(ids=tuple(ids), offsets=offsets, text=text)
 
 
 def decode_bytes(tok: Tokenizer, ids: Iterable[int]) -> bytes:

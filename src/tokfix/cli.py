@@ -27,7 +27,14 @@ from .consist import (
     repair_answer_choice,
 )
 from .metrics import evaluate, paired_significance
-from .mrqa import DatasetError, read_dataset, read_predictions, replace_on_success
+from .mrqa import (
+    DatasetError,
+    DatasetHeader,
+    ExtractiveExample,
+    read_dataset,
+    read_predictions,
+    replace_on_success,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,6 +135,33 @@ def _render_report(args: argparse.Namespace, body: dict, tsv_rows) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def _read_unique(
+    path: str, on_error: Callable[[str], None] | None = None
+) -> tuple[DatasetHeader, Iterator[ExtractiveExample]]:
+    """``read_dataset`` whose stream raises DatasetError on a repeated qid.
+
+    ``analyze`` and ``fix`` read through this; ``metrics.evaluate`` makes
+    the same check itself. It sits here rather than in the reader because
+    its set of seen qids grows with the question count, while
+    ``read_dataset`` keeps memory bounded by the largest record.
+    """
+    header, stream = read_dataset(path, on_error=on_error)
+
+    def unique() -> Iterator[ExtractiveExample]:
+        seen: set[str] = set()
+        with contextlib.closing(stream):
+            for number, example in enumerate(stream, 1):
+                if example.qid in seen:
+                    raise DatasetError(
+                        f"duplicate qid {example.qid!r} in dataset "
+                        f"(question {number} in file order)"
+                    )
+                seen.add(example.qid)
+                yield example
+
+    return header, unique()
+
+
 def _load_tokenizer(args: argparse.Namespace):
     for path in (args.vocab, args.merges):
         if not Path(path).exists():
@@ -148,7 +182,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 _issues[0] += 1
                 logger.warning("%s", message)
 
-            header, stream = read_dataset(path, on_error=count_issue)
+            header, stream = _read_unique(path, on_error=count_issue)
             stats = analyze_dataset(
                 tok,
                 stream,
@@ -187,7 +221,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
         issues[0] += 1
         logger.warning("%s", message)
 
-    header, stream = read_dataset(args.dataset[0], on_error=count_issue)
+    header, stream = _read_unique(args.dataset[0], on_error=count_issue)
     summary = fix_dataset(tok, stream, args.output, header=header)
     summary["span_issues"] = issues[0]
 

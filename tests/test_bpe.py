@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokfix.bpe import (
+    _SEGMENT_MEMO_MAX_CHARS,
     TokenizerError,
     byte_to_unit,
     decode,
@@ -217,6 +219,54 @@ class TestMergeSemantics:
         tok = make_tokenizer([("a", "a")])
         enc = encode(tok, "aaa")
         assert ids_to_pieces(tok, enc.ids) == ["aa", "a"]
+
+    def test_matches_oracle_on_long_and_tie_heavy_inputs(self):
+        # long runs with many equal-rank candidates are where a stale
+        # heap entry or a lost leftmost tie would show
+        rng = random.Random(2417)
+        cases = []
+        for _ in range(150):
+            alphabet = rng.choice(["abc", "ab", "a"])
+            tok = random_toy_tokenizer(rng, alphabet)
+            length = rng.randrange(50, 401)
+            cases.append((tok, "".join(rng.choice(alphabet) for _ in range(length))))
+        for merges in (
+            [("a", "a")],
+            [("a", "a"), ("aa", "aa")],
+            [("a", "a"), ("aa", "a")],
+            [("a", "b"), ("b", "a"), ("ab", "ab"), ("ba", "ba")],
+        ):
+            tok = make_tokenizer(merges)
+            for length in range(50, 401, 25):
+                cases += [(tok, "a" * length), (tok, ("ab" * length)[:length])]
+        for tok, text in cases:
+            assert list(encode(tok, text).ids) == bpe_oracle_ids(tok, text), (
+                tok.merges,
+                text,
+            )
+
+
+class TestScaling:
+    def test_16k_character_segment_encodes_well_under_a_second(self):
+        # merges a+a, aa+aa, ... fold 2**14 letters into one token, so
+        # the run is one segment and every level of the chain fires
+        merges = [("a" * 2**k, "a" * 2**k) for k in range(14)]
+        tok = make_tokenizer(merges)
+        text = "a" * 2**14
+        start = time.perf_counter()
+        enc = encode(tok, text)
+        elapsed = time.perf_counter() - start
+        assert ids_to_pieces(tok, enc.ids) == [text]
+        assert elapsed < 0.5
+
+    def test_long_segments_are_not_memoized(self):
+        tok = make_tokenizer([("a", "b")])
+        short = "ab" * 8
+        long = "ab" * (_SEGMENT_MEMO_MAX_CHARS // 2 + 1)
+        assert len(long) > _SEGMENT_MEMO_MAX_CHARS
+        encode(tok, f"{short} {long}")
+        assert short in tok._segment_cache
+        assert " " + long not in tok._segment_cache
 
 
 class TestRoundTripProperty:

@@ -66,6 +66,20 @@ def eval_files(tmp_path):
     return str(gold), str(perfect), str(worse)
 
 
+@pytest.fixture()
+def repeated_qid_path(tmp_path):
+    """Two records whose qas share qid ``q``."""
+    qa = {"qid": "q", "question": "When?", "answers": ["1912"]}
+    lines = [
+        {"header": {}},
+        {"context": "It opened in 1912.", "qas": [qa]},
+        {"context": "It closed in 1912.", "qas": [qa]},
+    ]
+    path = tmp_path / "repeated.jsonl"
+    path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    return str(path)
+
+
 class TestAnalyzeCommand:
     def test_json_report(self, capsys):
         code, out, _err = run(
@@ -82,6 +96,15 @@ class TestAnalyzeCommand:
         assert stats["pct_inconsistent_raw"] == pytest.approx(78.0)
         assert stats["pct_inconsistent_after_prefix"] == pytest.approx(10.0)
         assert stats["span_issues"] == 1  # the bundled case-mismatch span
+
+    def test_repeated_qid_is_data_error(self, capsys, repeated_qid_path):
+        code, out, err = run(
+            capsys,
+            "analyze", "--vocab", VOCAB, "--merges", MERGES, "--dataset", repeated_qid_path,
+        )
+        assert code == 2
+        assert out == ""
+        assert "data error: duplicate qid 'q' in dataset (question 2 in file order)" in err
 
     def test_tsv_report(self, capsys):
         code, out, _err = run(
@@ -348,6 +371,19 @@ class TestFixCommand:
         assert f"line {len(lines)}" in err
         assert list(fixed.parent.iterdir()) == []
 
+    def test_repeated_qid_is_data_error(self, capsys, tmp_path, repeated_qid_path):
+        fixed = tmp_path / "out" / "fixed.jsonl"
+        fixed.parent.mkdir()
+        code, out, err = run(
+            capsys,
+            "fix", "--vocab", VOCAB, "--merges", MERGES,
+            "--dataset", repeated_qid_path, "--output", str(fixed),
+        )
+        assert code == 2
+        assert out == ""
+        assert "data error: duplicate qid 'q' in dataset (question 2 in file order)" in err
+        assert list(fixed.parent.iterdir()) == []
+
     def test_missing_output_is_usage_error(self, capsys):
         code, _out, err = run(
             capsys, "fix", "--vocab", VOCAB, "--merges", MERGES, "--dataset", CORPUS
@@ -545,3 +581,23 @@ class TestInspectCommand:
         )
         assert code == 2
         assert "not found" in err
+
+    def test_repeated_qid_shows_first_occurrence(self, capsys, tmp_path):
+        # inspect stops at the first match, so a repeat is not an error here
+        lines = [{"header": {}}] + [
+            {
+                "context": "It opened in 1912.",
+                "qas": [{"qid": "q", "question": question, "answers": ["1912"]}],
+            }
+            for question in ("First?", "Second?")
+        ]
+        path = tmp_path / "repeated.jsonl"
+        path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+        code, out, _err = run(
+            capsys,
+            "inspect", "--vocab", VOCAB, "--merges", MERGES,
+            "--dataset", str(path), "--qid", "q",
+        )
+        assert code == 0
+        assert "question:          First?" in out
+        assert "Second?" not in out

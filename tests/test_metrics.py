@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from tokfix.metrics import (
     normalize_answer,
     paired_significance,
 )
-from tokfix.mrqa import ExtractiveExample
+from tokfix.mrqa import DatasetError, ExtractiveExample, read_dataset
 
 from helpers import f1_oracle
 
@@ -343,6 +345,18 @@ class TestEvaluate:
         assert report.n == 3
         assert report.n_predicted == 3
         assert report.em == 100.0
+
+    def test_repeated_qid_raises(self):
+        qa = {"qid": "q", "question": "When?", "answers": ["1912"]}
+        lines = [
+            {"header": {}},
+            {"context": "It opened in 1912.", "qas": [qa]},
+            {"context": "It closed in 1912.", "qas": [qa]},
+        ]
+        data = "".join(json.dumps(line) + "\n" for line in lines).encode()
+        _, stream = read_dataset(io.BytesIO(data))
+        with pytest.raises(DatasetError, match="duplicate qid 'q' in dataset"):
+            evaluate({"q": "1912"}, stream)
 
 
 def significance_oracle(scores_a, scores_b):
