@@ -313,10 +313,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         found = None
         for path in args.dataset:
             _, stream = read_dataset(path)
-            for example in stream:
-                if example.qid == args.qid:
-                    found = example
-                    break
+            with contextlib.closing(stream):
+                for example in stream:
+                    if example.qid == args.qid:
+                        found = example
+                        break
             if found:
                 break
         if found is None:

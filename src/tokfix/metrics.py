@@ -16,8 +16,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .mrqa import DatasetError, ExtractiveExample, PredictionSet
 
 logger = logging.getLogger(__name__)
@@ -36,13 +34,42 @@ def normalize_answer(s: str) -> str:
 
 def exact_match(pred: str, golds: Sequence[str]) -> int:
     """1 iff the normalized prediction equals any normalized gold."""
-    norm_pred = normalize_answer(pred)
-    return int(any(norm_pred == normalize_answer(g) for g in golds))
+    return _exact_match_normalized(
+        normalize_answer(pred), [normalize_answer(g) for g in golds]
+    )
 
 
-def _f1_single(pred: str, gold: str) -> float:
-    pred_tokens = normalize_answer(pred).split()
-    gold_tokens = normalize_answer(gold).split()
+def f1(pred: str, golds: Sequence[str]) -> float:
+    """Token-multiset F1 in [0, 1], max over gold answers (0 with none)."""
+    return _f1_normalized(normalize_answer(pred), [normalize_answer(g) for g in golds])
+
+
+def hallucination_check(pred: str, context: str) -> bool:
+    """True when the trimmed prediction is not a case-sensitive substring
+    of the context (an out-of-context answer)."""
+    return pred.strip() not in context
+
+
+def hallucination_check_normalized(pred: str, context: str) -> bool:
+    """Diagnostic variant of the out-of-context test on normalized strings."""
+    return _out_of_context_normalized(normalize_answer(pred), normalize_answer(context))
+
+
+# The rules below take strings already passed through ``normalize_answer``,
+# so ``evaluate`` normalizes each prediction, gold and context once and the
+# public functions above stay thin wrappers over the same rules.
+
+
+def _exact_match_normalized(norm_pred: str, norm_golds: Sequence[str]) -> int:
+    return int(norm_pred in norm_golds)
+
+
+def _f1_normalized(norm_pred: str, norm_golds: Sequence[str]) -> float:
+    pred_tokens = norm_pred.split()
+    return max((_f1_tokens(pred_tokens, g.split()) for g in norm_golds), default=0.0)
+
+
+def _f1_tokens(pred_tokens: list[str], gold_tokens: list[str]) -> float:
     if not pred_tokens and not gold_tokens:
         return 1.0
     common = Counter(pred_tokens) & Counter(gold_tokens)
@@ -54,22 +81,8 @@ def _f1_single(pred: str, gold: str) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def f1(pred: str, golds: Sequence[str]) -> float:
-    """Token-multiset F1 in [0, 1], max over gold answers."""
-    if not golds:
-        return 0.0
-    return max(_f1_single(pred, g) for g in golds)
-
-
-def hallucination_check(pred: str, context: str) -> bool:
-    """True when the trimmed prediction is not a case-sensitive substring
-    of the context (an out-of-context answer)."""
-    return pred.strip() not in context
-
-
-def hallucination_check_normalized(pred: str, context: str) -> bool:
-    """Diagnostic variant of the out-of-context test on normalized strings."""
-    return normalize_answer(pred) not in normalize_answer(context)
+def _out_of_context_normalized(norm_pred: str, norm_context: str) -> bool:
+    return norm_pred not in norm_context
 
 
 @dataclass
@@ -120,27 +133,35 @@ def evaluate(preds: PredictionSet, examples: Iterable[ExtractiveExample]) -> Met
     halluc_norm = 0
     hallucinated: list[str] = []
     seen_qids = set()
+    # examples of one record share a context object: normalize it once,
+    # and only when one of its questions has a prediction
+    context = norm_context = None
 
     for example in examples:
         if example.qid in seen_qids:
             raise DatasetError(f"duplicate qid {example.qid!r} in dataset")
         n += 1
         seen_qids.add(example.qid)
-        golds = example.answer_texts()
+        if example.context is not context:
+            context, norm_context = example.context, None
         pred = preds.get(example.qid)
         if pred is None:
             per_example.append((example.qid, 0, 0.0))
             continue
         n_predicted += 1
-        em_i = exact_match(pred, golds) if golds else 0
-        f1_i = f1(pred, golds) if golds else 0.0
+        norm_pred = normalize_answer(pred)
+        norm_golds = [normalize_answer(g) for g in example.answer_texts()]
+        em_i = _exact_match_normalized(norm_pred, norm_golds)
+        f1_i = _f1_normalized(norm_pred, norm_golds)
         em_sum += em_i
         f1_sum += f1_i
         per_example.append((example.qid, em_i, f1_i))
-        if hallucination_check(pred, example.context):
+        if hallucination_check(pred, context):
             halluc += 1
             hallucinated.append(example.qid)
-        if hallucination_check_normalized(pred, example.context):
+        if norm_context is None:
+            norm_context = normalize_answer(context)
+        if _out_of_context_normalized(norm_pred, norm_context):
             halluc_norm += 1
 
     unknown = sorted(set(preds) - seen_qids)
@@ -173,6 +194,22 @@ class SignificanceResult:
     method: str = "monte_carlo"
 
 
+#: Bytes of float64 signs drawn per Monte Carlo chunk.
+_CHUNK_BYTES = 4 * 2**20
+
+
+def _chunk_rows(n: int) -> int:
+    """Sign rows per Monte Carlo chunk: about ``_CHUNK_BYTES`` of float64
+    signs, and always a multiple of 64 rows.
+
+    The draw is the same stream whatever the chunk shape, but a sum's last
+    bits can depend on the row's position within the matrix product, and a
+    p-value moves when a sum ties the observed one. Chunks of a multiple of
+    64 rows gave sums bitwise equal to the former fixed 2,048-row chunks.
+    """
+    return max(64, (_CHUNK_BYTES // (8 * n)) // 64 * 64)
+
+
 def paired_significance(
     scores_a: Sequence[float],
     scores_b: Sequence[float],
@@ -184,7 +221,9 @@ def paired_significance(
 
     When all 2**n sign assignments fit within the resample budget the test
     enumerates them exhaustively (p = hits / 2**n); otherwise it samples,
-    with p = (1 + hits) / (resamples + 1). Deterministic for a fixed seed.
+    with p = (1 + hits) / (resamples + 1), drawing the signs in chunks of
+    about 4 MiB so memory stays bounded whatever the number of pairs.
+    Deterministic for a fixed seed.
     """
     if len(scores_a) != len(scores_b):
         raise ValueError(
@@ -194,6 +233,8 @@ def paired_significance(
         raise ValueError("paired significance needs at least one pair")
     if resamples < 1:
         raise ValueError("resamples must be positive")
+
+    import numpy as np  # only this test needs numpy; keep it out of the CLI's start-up
 
     diffs = np.asarray(scores_a, dtype=float) - np.asarray(scores_b, dtype=float)
     n = len(diffs)
@@ -216,11 +257,14 @@ def paired_significance(
         )
 
     rng = np.random.default_rng(seed)
+    rows = _chunk_rows(n)
     hits = 0
     remaining = resamples
     while remaining > 0:
-        chunk = min(remaining, 2048)
-        signs = rng.integers(0, 2, size=(chunk, n)).astype(np.float64) * 2 - 1
+        chunk = min(remaining, rows)
+        signs = rng.integers(0, 2, size=(chunk, n)).astype(np.float64)
+        signs *= 2
+        signs -= 1
         sums = signs @ diffs
         hits += int(np.count_nonzero(np.abs(sums) >= threshold))
         remaining -= chunk

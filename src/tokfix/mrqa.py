@@ -118,7 +118,7 @@ def read_dataset(
     The stream yields one example per question, in file order. Every
     example of one record shares a single ``context`` object;
     ``fix_dataset`` and ``analyze_dataset`` rely on this to encode each
-    context once.
+    context once, and ``metrics.evaluate`` to normalize it once.
     """
     report = on_error if on_error is not None else logger.warning
     lines = _numbered_lines(source)

@@ -11,6 +11,8 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from tokfix.align import TokenSpan
 from tokfix.bpe import Encoding, Tokenizer, byte_to_unit, decode_bytes, load_tokenizer
 
@@ -160,6 +162,23 @@ def f1_oracle(pred_tokens: list[str], gold_tokens: list[str]) -> Fraction:
     precision = Fraction(overlap, len(pred_tokens))
     recall = Fraction(overlap, len(gold_tokens))
     return 2 * precision * recall / (precision + recall)
+
+
+def monte_carlo_p_2048_rows(scores_a, scores_b, *, resamples: int, seed: int) -> float:
+    """Monte Carlo sign-flip p-value drawn in fixed 2,048-row chunks, the
+    loop ``paired_significance`` used before it sized chunks by bytes."""
+    diffs = np.asarray(scores_a, dtype=float) - np.asarray(scores_b, dtype=float)
+    threshold = abs(float(diffs.sum()))
+    rng = np.random.default_rng(seed)
+    hits = 0
+    remaining = resamples
+    while remaining > 0:
+        chunk = min(remaining, 2048)
+        signs = rng.integers(0, 2, size=(chunk, len(diffs))).astype(np.float64) * 2 - 1
+        sums = signs @ diffs
+        hits += int(np.count_nonzero(np.abs(sums) >= threshold))
+        remaining -= chunk
+    return (1 + hits) / (resamples + 1)
 
 
 def _qa(qid, answer=None, span=None):

@@ -1,9 +1,14 @@
 import gzip
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tokfix
+from tokfix import cli
 from tokfix.cli import main
 from tokfix.mrqa import read_dataset
 
@@ -550,6 +555,43 @@ def test_report_output_leaves_no_temporary_file(capsys, tmp_path, eval_files, co
     assert report.read_text(encoding="utf-8")
 
 
+def test_numpy_is_loaded_only_by_the_significance_test(tmp_path, eval_files):
+    """Each step runs in one fresh interpreter and reports whether numpy
+    was imported by then; only the two-file ``evaluate`` should load it."""
+    gold, perfect, worse = eval_files
+    out = str(tmp_path / "report")
+    steps = {
+        "analyze": ["analyze", "--vocab", VOCAB, "--merges", MERGES, "--dataset", CORPUS],
+        "evaluate_one": ["evaluate", "--dataset", gold, "--predictions", perfect],
+        "evaluate_two": [
+            "evaluate", "--dataset", gold, "--predictions", perfect, "--predictions", worse,
+        ],
+    }
+    script = "\n".join(
+        [
+            "import json, sys",
+            "from tokfix.cli import main",
+            "loaded = {'import': 'numpy' in sys.modules}",
+            f"for name, argv in {steps!r}.items():",
+            f"    assert main(argv + ['--output', {out!r}]) == 0, name",
+            "    loaded[name] = 'numpy' in sys.modules",
+            "print(json.dumps(loaded))",
+        ]
+    )
+    src = str(Path(tokfix.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": False,
+        "analyze": False,
+        "evaluate_one": False,
+        "evaluate_two": True,
+    }
+
+
 class TestInspectCommand:
     def test_trace_for_fused_number(self, capsys):
         code, out, _err = run(
@@ -601,3 +643,22 @@ class TestInspectCommand:
         assert code == 0
         assert "question:          First?" in out
         assert "Second?" not in out
+
+    def test_stream_is_closed_at_the_first_match(self, capsys, monkeypatch):
+        streams = []
+        original = cli.read_dataset
+
+        def keep_stream(path, **kwargs):
+            header, stream = original(path, **kwargs)
+            streams.append(stream)
+            return header, stream
+
+        monkeypatch.setattr(cli, "read_dataset", keep_stream)
+        code, _out, _err = run(
+            capsys,
+            "inspect", "--vocab", VOCAB, "--merges", MERGES,
+            "--dataset", CORPUS, "--qid", "n01",
+        )
+        assert code == 0
+        (stream,) = streams
+        assert stream.gi_frame is None  # closed, not left suspended mid-file

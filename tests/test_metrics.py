@@ -2,10 +2,13 @@ import io
 import itertools
 import json
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from tokfix import metrics
 from tokfix.metrics import (
     evaluate,
     exact_match,
@@ -17,7 +20,7 @@ from tokfix.metrics import (
 )
 from tokfix.mrqa import DatasetError, ExtractiveExample, read_dataset
 
-from helpers import f1_oracle
+from helpers import f1_oracle, monte_carlo_p_2048_rows
 
 CTX_SNACK = (
     "It was the final year that Doritos, a longtime sponsor of the game, "
@@ -359,6 +362,63 @@ class TestEvaluate:
             evaluate({"q": "1912"}, stream)
 
 
+    def test_each_context_is_normalized_once_per_call(self, multi_qa_path, monkeypatch):
+        _, stream = read_dataset(multi_qa_path)
+        examples = list(stream)
+        contexts = list({id(e.context): e.context for e in examples}.values())
+        assert len(contexts) == 3
+        normalized = []
+        original = metrics.normalize_answer
+
+        def counting_normalize(text):
+            normalized.append(text)
+            return original(text)
+
+        monkeypatch.setattr(metrics, "normalize_answer", counting_normalize)
+        preds = {e.qid: "the ship" for e in examples}
+        for _ in range(2):
+            normalized.clear()
+            evaluate(preds, examples)
+            context_calls = Counter(
+                id(text) for text in normalized for c in contexts if text is c
+            )
+            assert context_calls == {id(c): 1 for c in contexts}
+
+    def test_report_matches_public_functions_per_question(self, multi_qa_path):
+        _, stream = read_dataset(multi_qa_path)
+        multi_qa = list(stream)
+        multi_preds = {
+            "m1": "1912",
+            "m2": "ship",
+            "m3": "The Ship",
+            "m4": "nobody",
+            "m6": "museum treaty",
+        }
+        for preds, examples in (
+            (hand_predictions(), hand_examples()),
+            (multi_preds, multi_qa),
+        ):
+            per_example = []
+            hallucinated = []
+            halluc_norm = 0
+            for e in examples:
+                pred = preds.get(e.qid)
+                if pred is None:
+                    per_example.append((e.qid, 0, 0.0))
+                    continue
+                golds = e.answer_texts()
+                per_example.append((e.qid, exact_match(pred, golds), f1(pred, golds)))
+                if hallucination_check(pred, e.context):
+                    hallucinated.append(e.qid)
+                halluc_norm += hallucination_check_normalized(pred, e.context)
+
+            report = evaluate(preds, examples)
+            assert report.per_example == per_example
+            assert report.hallucinated_qids == hallucinated
+            assert report.hallucination_rate == 100.0 * len(hallucinated) / len(preds)
+            assert report.hallucination_rate_normalized == 100.0 * halluc_norm / len(preds)
+
+
 def significance_oracle(scores_a, scores_b):
     """Exhaustive sign-flip enumeration over exactly 2**n assignments."""
     diffs = [a - b for a, b in zip(scores_a, scores_b)]
@@ -369,6 +429,21 @@ def significance_oracle(scores_a, scores_b):
         if total >= observed:
             hits += 1
     return hits / 2 ** len(diffs)
+
+
+F1_LIKE = (0.0, 1.0, 0.5, 1 / 3, 2 / 3)
+
+
+def f1_like_scores(n: int) -> tuple[list[float], list[float]]:
+    """Two systems' per-question F1 drawn from a few common values, so the
+    differences (0, ±1, ±1/2, ±1/3, ±2/3, ...) make resampled sums tie the
+    observed one exactly and a change in a sum's last bits moves the
+    p-value."""
+    rng = random.Random(0)
+    return (
+        [rng.choice(F1_LIKE) for _ in range(n)],
+        [rng.choice(F1_LIKE) for _ in range(n)],
+    )
 
 
 class TestPairedSignificance:
@@ -421,6 +496,24 @@ class TestPairedSignificance:
         # smoothing keeps p strictly positive
         assert 0.0 < result.p_value <= 1.0
         assert result.p_value >= 1.0 / 1001
+
+    @pytest.mark.parametrize("resamples", [1_000, 2_000, 9_999])
+    @pytest.mark.parametrize("n", [20, 500, 10_530])
+    def test_chunking_keeps_the_fixed_2048_row_p_value(self, n, resamples):
+        a, b = f1_like_scores(n)
+        result = paired_significance(a, b, resamples=resamples, seed=42)
+        assert result.method == "monte_carlo"
+        assert result.p_value == monte_carlo_p_2048_rows(a, b, resamples=resamples, seed=42)
+
+    def test_memory_stays_bounded_at_full_size(self):
+        a, b = f1_like_scores(10_530)
+        tracemalloc.start()
+        try:
+            paired_significance(a, b, resamples=10_000, seed=42)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
