@@ -28,9 +28,6 @@ class TokenSpan:
     start: int
     end: int
 
-    def __len__(self) -> int:
-        return self.end - self.start
-
 
 def codepoint_span_to_byte_span(text: str, span: CharSpan) -> tuple[int, int]:
     """Convert a codepoint span into the half-open UTF-8 byte range."""

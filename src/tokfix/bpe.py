@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Union
 
 import regex
 
@@ -119,9 +119,6 @@ class Encoding:
     @cached_property
     def source_bytes(self) -> bytes:
         return self.text.encode("utf-8")
-
-    def __len__(self) -> int:
-        return len(self.ids)
 
 
 def _read_text(source: TextSource) -> str:
@@ -291,14 +288,7 @@ def encode(tok: Tokenizer, text: str) -> Encoding:
 def decode_bytes(tok: Tokenizer, ids: Iterable[int]) -> bytes:
     """Concatenate unit strings for ids and invert the byte mapping."""
     unit_to_byte = tok.unit_to_byte
-    inverse = tok.inverse_vocab
-    out = bytearray()
-    for i in ids:
-        token = inverse.get(i)
-        if token is None:
-            raise KeyError(f"unknown token id {i}")
-        out.extend(unit_to_byte[c] for c in token)
-    return bytes(out)
+    return bytes(unit_to_byte[c] for token in ids_to_pieces(tok, ids) for c in token)
 
 
 def decode(tok: Tokenizer, ids: Iterable[int]) -> str:
@@ -311,8 +301,8 @@ def decode(tok: Tokenizer, ids: Iterable[int]) -> str:
     return decode_bytes(tok, ids).decode("utf-8")
 
 
-def ids_to_pieces(tok: Tokenizer, ids: Sequence[int]) -> list[str]:
-    """Return the unit-alphabet token strings for a sequence of ids."""
+def ids_to_pieces(tok: Tokenizer, ids: Iterable[int]) -> list[str]:
+    """Return the unit-alphabet token strings for ids; KeyError on an unknown id."""
     inverse = tok.inverse_vocab
     pieces = []
     for i in ids:

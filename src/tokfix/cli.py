@@ -27,14 +27,7 @@ from .consist import (
     repair_answer_choice,
 )
 from .metrics import evaluate, paired_significance
-from .mrqa import (
-    DatasetError,
-    DatasetHeader,
-    ExtractiveExample,
-    read_dataset,
-    read_predictions,
-    replace_on_success,
-)
+from .mrqa import DatasetError, read_dataset, read_predictions, replace_on_success
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,31 +128,15 @@ def _render_report(args: argparse.Namespace, body: dict, tsv_rows) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _read_unique(
-    path: str, on_error: Callable[[str], None] | None = None
-) -> tuple[DatasetHeader, Iterator[ExtractiveExample]]:
-    """``read_dataset`` whose stream raises DatasetError on a repeated qid.
+class _IssueCounter:
+    """``read_dataset``'s ``on_error``: logs each data issue and counts it."""
 
-    ``analyze`` and ``fix`` read through this; ``metrics.evaluate`` makes
-    the same check itself. It sits here rather than in the reader because
-    its set of seen qids grows with the question count, while
-    ``read_dataset`` keeps memory bounded by the largest record.
-    """
-    header, stream = read_dataset(path, on_error=on_error)
+    def __init__(self) -> None:
+        self.count = 0
 
-    def unique() -> Iterator[ExtractiveExample]:
-        seen: set[str] = set()
-        with contextlib.closing(stream):
-            for number, example in enumerate(stream, 1):
-                if example.qid in seen:
-                    raise DatasetError(
-                        f"duplicate qid {example.qid!r} in dataset "
-                        f"(question {number} in file order)"
-                    )
-                seen.add(example.qid)
-                yield example
-
-    return header, unique()
+    def __call__(self, message: str) -> None:
+        self.count += 1
+        logger.warning("%s", message)
 
 
 def _load_tokenizer(args: argparse.Namespace):
@@ -176,13 +153,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         tok = _load_tokenizer(args)
         stats_out = []
         for path in args.dataset:
-            issues = [0]
-
-            def count_issue(message: str, _issues=issues) -> None:
-                _issues[0] += 1
-                logger.warning("%s", message)
-
-            header, stream = _read_unique(path, on_error=count_issue)
+            issues = _IssueCounter()
+            header, stream = read_dataset(path, on_error=issues)
             stats = analyze_dataset(
                 tok,
                 stream,
@@ -190,9 +162,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 answer_policy=args.answer_policy,
             )
-            entry = {"dataset": header.dataset or Path(path).name, "path": path}
+            entry = {"dataset": str(header.get("dataset", "")) or Path(path).name, "path": path}
             entry.update(stats.to_dict())
-            entry["span_issues"] = issues[0]
+            entry["span_issues"] = issues.count
             stats_out.append(entry)
 
         columns = [
@@ -215,15 +187,10 @@ def cmd_fix(args: argparse.Namespace) -> int:
     if not args.output:
         raise UsageError("fix requires --output for the repaired dataset")
     tok = _load_tokenizer(args)
-    issues = [0]
-
-    def count_issue(message: str) -> None:
-        issues[0] += 1
-        logger.warning("%s", message)
-
-    header, stream = _read_unique(args.dataset[0], on_error=count_issue)
+    issues = _IssueCounter()
+    header, stream = read_dataset(args.dataset[0], on_error=issues)
     summary = fix_dataset(tok, stream, args.output, header=header)
-    summary["span_issues"] = issues[0]
+    summary["span_issues"] = issues.count
 
     columns = (
         ["total", "written"]
@@ -318,7 +285,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
                     if example.qid == args.qid:
                         found = example
                         break
-            if found:
+            if found is not None:
                 break
         if found is None:
             raise DatasetError(f"qid {args.qid!r} not found in the given dataset(s)")
@@ -344,7 +311,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         out.append(f"prefixed pieces:   {ids_to_pieces(tok, prefixed)} ids {list(prefixed)}")
         where = (
             f" at tokens [{verdict.location.start}, {verdict.location.end})"
-            if verdict.location
+            if verdict.location is not None
             else ""
         )
         out.append(f"verdict:           {verdict.status}{where}")

@@ -23,10 +23,10 @@ from .align import (
 )
 from .bpe import Encoding, Tokenizer, decode_bytes, encode
 from .mrqa import (
-    DatasetHeader,
     ExtractiveExample,
     SpanMismatchError,
     spans_match,
+    unique_qids,
     write_fixed_dataset,
 )
 
@@ -264,13 +264,15 @@ def analyze_dataset(
     ``"any"`` counts the most favorable verdict across all gold answers.
     ``sample_size`` takes a uniform reservoir sample, deterministic for a
     fixed seed and input order. Questions without any answer text are
-    skipped. A context is encoded again only when an example's
-    ``context`` is not the object the previous judged example used, so
-    the questions of one ``read_dataset`` record share one encoding.
+    skipped, and a repeated qid raises DatasetError. A context is encoded
+    again only when an example's ``context`` is not the object the
+    previous judged example used, so the questions of one
+    ``read_dataset`` record share one encoding.
     """
     if answer_policy not in ("first", "any"):
         raise ValueError(f"unknown answer policy {answer_policy!r}")
 
+    examples = unique_qids(examples)
     if sample_size is not None:
         examples = _reservoir_sample(examples, sample_size, seed)
 
@@ -350,7 +352,7 @@ def fix_dataset(
     examples: Iterable[ExtractiveExample],
     sink: Union[str, "IO[str]"],
     *,
-    header: DatasetHeader | None = None,
+    header: dict | None = None,
 ) -> dict:
     """Repair every example and write the fixed dataset; return a summary.
 
@@ -362,14 +364,15 @@ def fix_dataset(
     with such a context can merge. A record whose qas were all skipped
     is dropped. The summary's method counts plus the skip counts
     partition the input total; ``written`` counts the repaired qas. Span
-    mismatches are counted and skipped, never fatal.
+    mismatches are counted and skipped, never fatal; a repeated qid
+    raises DatasetError.
     """
     counts: Counter[str] = Counter()
     total = 0
 
     def groups() -> Iterator[tuple[str, list[tuple[ExtractiveExample, FixOutcome]]]]:
         nonlocal total
-        for record in _records(examples):
+        for record in _records(unique_qids(examples)):
             total += len(record)
             context = record[0].context
             context_enc: Encoding | None = None
@@ -393,7 +396,7 @@ def fix_dataset(
                 pairs.append((example, outcome))
             yield context, pairs
 
-    written = write_fixed_dataset(sink, header or DatasetHeader(), groups())
+    written = write_fixed_dataset(sink, header or {}, groups())
     summary = {
         "total": total,
         "written": written,

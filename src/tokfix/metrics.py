@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .mrqa import DatasetError, ExtractiveExample, PredictionSet
+from .mrqa import ExtractiveExample, unique_qids
 
 logger = logging.getLogger(__name__)
 
@@ -50,14 +50,9 @@ def hallucination_check(pred: str, context: str) -> bool:
     return pred.strip() not in context
 
 
-def hallucination_check_normalized(pred: str, context: str) -> bool:
-    """Diagnostic variant of the out-of-context test on normalized strings."""
-    return _out_of_context_normalized(normalize_answer(pred), normalize_answer(context))
-
-
 # The rules below take strings already passed through ``normalize_answer``,
-# so ``evaluate`` normalizes each prediction, gold and context once and the
-# public functions above stay thin wrappers over the same rules.
+# so ``evaluate`` normalizes each prediction, gold and context once and
+# ``exact_match`` and ``f1`` stay thin wrappers over the same rules.
 
 
 def _exact_match_normalized(norm_pred: str, norm_golds: Sequence[str]) -> int:
@@ -79,10 +74,6 @@ def _f1_tokens(pred_tokens: list[str], gold_tokens: list[str]) -> float:
     precision = overlap / len(pred_tokens)
     recall = overlap / len(gold_tokens)
     return 2 * precision * recall / (precision + recall)
-
-
-def _out_of_context_normalized(norm_pred: str, norm_context: str) -> bool:
-    return norm_pred not in norm_context
 
 
 @dataclass
@@ -114,7 +105,7 @@ class MetricsReport:
         }
 
 
-def evaluate(preds: PredictionSet, examples: Iterable[ExtractiveExample]) -> MetricsReport:
+def evaluate(preds: dict[str, str], examples: Iterable[ExtractiveExample]) -> MetricsReport:
     """Score predictions against gold questions.
 
     Every gold question counts toward the denominators; a missing
@@ -132,16 +123,13 @@ def evaluate(preds: PredictionSet, examples: Iterable[ExtractiveExample]) -> Met
     halluc = 0
     halluc_norm = 0
     hallucinated: list[str] = []
-    seen_qids = set()
+    predicted_qids = set()
     # examples of one record share a context object: normalize it once,
     # and only when one of its questions has a prediction
     context = norm_context = None
 
-    for example in examples:
-        if example.qid in seen_qids:
-            raise DatasetError(f"duplicate qid {example.qid!r} in dataset")
+    for example in unique_qids(examples):
         n += 1
-        seen_qids.add(example.qid)
         if example.context is not context:
             context, norm_context = example.context, None
         pred = preds.get(example.qid)
@@ -149,6 +137,7 @@ def evaluate(preds: PredictionSet, examples: Iterable[ExtractiveExample]) -> Met
             per_example.append((example.qid, 0, 0.0))
             continue
         n_predicted += 1
+        predicted_qids.add(example.qid)
         norm_pred = normalize_answer(pred)
         norm_golds = [normalize_answer(g) for g in example.answer_texts()]
         em_i = _exact_match_normalized(norm_pred, norm_golds)
@@ -161,10 +150,10 @@ def evaluate(preds: PredictionSet, examples: Iterable[ExtractiveExample]) -> Met
             hallucinated.append(example.qid)
         if norm_context is None:
             norm_context = normalize_answer(context)
-        if _out_of_context_normalized(norm_pred, norm_context):
+        if norm_pred not in norm_context:
             halluc_norm += 1
 
-    unknown = sorted(set(preds) - seen_qids)
+    unknown = sorted(set(preds) - predicted_qids)
     for qid in unknown:
         logger.warning("prediction for unknown qid %r ignored", qid)
 

@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Union
 
@@ -28,9 +28,6 @@ logger = logging.getLogger(__name__)
 
 ByteSource = Union[str, Path, IO[bytes]]
 
-#: Prediction files parse to a plain qid -> answer-text mapping.
-PredictionSet = dict[str, str]
-
 
 class DatasetError(Exception):
     """Fatal dataset problem: missing header, malformed JSON line, bad file."""
@@ -38,20 +35,6 @@ class DatasetError(Exception):
 
 class SpanMismatchError(DatasetError):
     """A gold character span does not point at its answer text."""
-
-
-@dataclass(frozen=True)
-class DatasetHeader:
-    """The ``header`` object of a dataset file, as read; it is written back as is."""
-
-    fields: dict = field(default_factory=dict)
-
-    @property
-    def dataset(self) -> str:
-        return str(self.fields.get("dataset", ""))
-
-    def to_json_obj(self) -> dict:
-        return dict(self.fields)
 
 
 @dataclass(frozen=True)
@@ -83,15 +66,19 @@ def _numbered_lines(source: ByteSource) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, text)`` pairs, gunzipping a gzip-magic source.
 
     A file opened here is closed when the generator finishes or is
-    closed; a caller's stream is left to the caller. Bytes that are not
-    UTF-8 or not a complete gzip stream raise DatasetError.
+    closed; a caller's stream is left to the caller, open. Bytes that are
+    not UTF-8 or not a complete gzip stream raise DatasetError.
     """
     lineno = 1
     try:
         with contextlib.ExitStack() as stack:
             if isinstance(source, (str, Path)):
                 source = stack.enter_context(open(source, "rb"))
-            stream = source if isinstance(source, io.BufferedReader) else io.BufferedReader(source)  # type: ignore[arg-type]
+            stream = source
+            if not isinstance(stream, io.BufferedReader):
+                stream = io.BufferedReader(source)  # type: ignore[arg-type]
+                # a detached wrapper no longer closes the stream it wraps
+                stack.callback(lambda wrapper=stream: wrapper.closed or wrapper.detach())
             if stream.peek(2)[:2] == b"\x1f\x8b":
                 stream = stack.enter_context(gzip.GzipFile(fileobj=stream, mode="rb"))  # type: ignore[assignment]
             for line in stream:
@@ -105,8 +92,8 @@ def read_dataset(
     source: ByteSource,
     *,
     on_error: Callable[[str], None] | None = None,
-) -> tuple[DatasetHeader, Iterator[ExtractiveExample]]:
-    """Open a dataset and return its header plus a lazy example stream.
+) -> tuple[dict, Iterator[ExtractiveExample]]:
+    """Open a dataset and return its header object plus a lazy example stream.
 
     Compression is detected from the gzip magic bytes, and ``char_spans``
     end indices are inclusive, as in the MRQA release. Per-record
@@ -131,7 +118,33 @@ def read_dataset(
     return header, _examples(lines, report)
 
 
-def _parse_header(line: str) -> DatasetHeader:
+def unique_qids(examples: Iterable[ExtractiveExample]) -> Iterator[ExtractiveExample]:
+    """Pass examples through; raise DatasetError on a qid seen before.
+
+    ``analyze_dataset``, ``fix_dataset`` and ``metrics.evaluate`` read
+    through this. It is not part of ``read_dataset`` because its set of
+    seen qids grows with the question count, while the reader's memory
+    stays bounded by the largest record. An input with a ``close`` method,
+    such as a ``read_dataset`` stream, is closed when this generator
+    finishes or is closed.
+    """
+    seen: set[str] = set()
+    try:
+        for number, example in enumerate(examples, 1):
+            if example.qid in seen:
+                raise DatasetError(
+                    f"duplicate qid {example.qid!r} in dataset "
+                    f"(question {number} in file order)"
+                )
+            seen.add(example.qid)
+            yield example
+    finally:
+        close = getattr(examples, "close", None)
+        if close is not None:
+            close()
+
+
+def _parse_header(line: str) -> dict:
     if not line.strip():
         raise DatasetError("missing header: dataset file is empty")
     try:
@@ -143,7 +156,7 @@ def _parse_header(line: str) -> DatasetHeader:
     header_fields = header_obj["header"] or {}
     if not isinstance(header_fields, dict):
         raise DatasetError('line 1: "header" is not an object')
-    return DatasetHeader(header_fields)
+    return header_fields
 
 
 def _examples(
@@ -213,12 +226,14 @@ def _parse_qa(
             pairs = []
         spans: list[CharSpan] = []
         for pair in pairs:
-            try:
-                # MRQA ends are inclusive; CharSpan ends are not
-                start, end = int(pair[0]), int(pair[1]) + 1
-            except (TypeError, ValueError, LookupError, OverflowError):
+            # two JSON integers; type() rather than isinstance() rejects bools
+            if not (
+                isinstance(pair, list) and len(pair) == 2 and all(type(i) is int for i in pair)
+            ):
                 report(f"line {lineno}: qid {qid}: unreadable char span {pair!r}")
                 continue
+            # MRQA ends are inclusive; CharSpan ends are not
+            start, end = pair[0], pair[1] + 1
             if not (0 <= start <= end <= len(context)):
                 report(f"line {lineno}: qid {qid}: span {pair!r} out of range")
                 continue
@@ -243,7 +258,7 @@ def _parse_qa(
 
 def write_fixed_dataset(
     sink: Union[str, Path, IO[str]],
-    header: DatasetHeader,
+    header: dict,
     groups: Iterable[tuple[str, Iterable[tuple[ExtractiveExample, "FixOutcome"]]]],
 ) -> int:
     """Write one record per (context, repaired qas) group; return the qa count.
@@ -285,10 +300,10 @@ def replace_on_success(path: Union[str, Path]) -> Iterator[IO[bytes]]:
 
 def _write_records(
     out: IO[str],
-    header: DatasetHeader,
+    header: dict,
     groups: Iterable[tuple[str, Iterable[tuple[ExtractiveExample, "FixOutcome"]]]],
 ) -> int:
-    out.write(json.dumps({"header": header.to_json_obj()}, ensure_ascii=False))
+    out.write(json.dumps({"header": header}, ensure_ascii=False))
     out.write("\n")
     count = 0
     for context, pairs in groups:
@@ -323,7 +338,7 @@ def _fixed_qa(example: ExtractiveExample, outcome: "FixOutcome") -> dict:
     }
 
 
-def read_predictions(source: Union[str, Path, IO[bytes], IO[str]]) -> PredictionSet:
+def read_predictions(source: Union[str, Path, IO[bytes], IO[str]]) -> dict[str, str]:
     """Parse a qid -> answer-text JSON object; duplicates and non-strings fail."""
     data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
     if isinstance(data, bytes):

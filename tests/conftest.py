@@ -6,7 +6,7 @@ import pytest
 from tokfix.bpe import load_tokenizer
 from tokfix.mrqa import read_dataset
 
-from helpers import MULTI_QA_RECORDS, make_tokenizer
+from helpers import MULTI_QA_RECORDS, NUMBER_MERGES, make_tokenizer
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -20,8 +20,7 @@ def toy_tok():
 @pytest.fixture(scope="session")
 def number_tok():
     """Splits bare "1912" into 19/12 but fuses " 1912" into one token."""
-    g = "Ġ"
-    return make_tokenizer([("1", "9"), ("1", "2"), (g, "19"), (g + "19", "12")])
+    return make_tokenizer(NUMBER_MERGES)
 
 
 @pytest.fixture(scope="session")

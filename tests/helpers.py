@@ -17,6 +17,10 @@ from tokfix.align import TokenSpan
 from tokfix.bpe import Encoding, Tokenizer, byte_to_unit, decode_bytes, load_tokenizer
 
 
+#: Splits bare "1912" into 19/12 but fuses " 1912" into one token.
+NUMBER_MERGES = [("1", "9"), ("1", "2"), ("Ġ", "19"), ("Ġ19", "12")]
+
+
 def build_vocab(merges: list[tuple[str, str]], extra_tokens: tuple[str, ...] = ()) -> dict[str, int]:
     units = [byte_to_unit()[b] for b in range(256)]
     vocab = {u: i for i, u in enumerate(units)}

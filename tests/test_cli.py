@@ -301,7 +301,7 @@ class TestFixCommand:
         assert report["summary"]["written"] == EXPECTED_TOTALS["total"]
 
         header, stream = read_dataset(fixed, on_error=lambda _m: None)
-        assert header.dataset == "repair-fixture"
+        assert header["dataset"] == "repair-fixture"
         assert len(list(stream)) == EXPECTED_TOTALS["total"]
 
     def test_repaired_record_for_fused_number(self, capsys, tmp_path):

@@ -22,7 +22,7 @@ from tokfix.consist import (
     fix_dataset,
     make_consistent_target,
 )
-from tokfix.mrqa import ExtractiveExample, SpanMismatchError, read_dataset
+from tokfix.mrqa import DatasetError, ExtractiveExample, SpanMismatchError, read_dataset
 
 from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
 from helpers import MULTI_QA_RECORDS, naive_find, random_toy_tokenizer
@@ -218,6 +218,21 @@ class TestMakeConsistentTarget:
         assert checked > 30  # the oracle actually exercised repairs
 
 
+def repeated_qid_stream(tmp_path):
+    """A read_dataset stream whose first two of three records hold qid ``q``."""
+    qa = {"qid": "q", "question": "When?", "answers": ["1912"]}
+    lines = [
+        {"header": {}},
+        {"context": "It opened in 1912.", "qas": [qa]},
+        {"context": "It closed in 1912.", "qas": [qa]},
+        {"context": "It reopened in 1913.", "qas": [{**qa, "qid": "r", "answers": ["1913"]}]},
+    ]
+    path = tmp_path / "repeated.jsonl"
+    path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    _, stream = read_dataset(path)
+    return stream
+
+
 class TestAnalyzeDataset:
     def test_corpus_totals_match_hand_tally(self, corpus_tok, corpus_examples):
         stats = analyze_dataset(corpus_tok, corpus_examples)
@@ -270,6 +285,13 @@ class TestAnalyzeDataset:
     def test_unknown_policy_rejected(self, corpus_tok):
         with pytest.raises(ValueError, match="policy"):
             analyze_dataset(corpus_tok, [], answer_policy="all")
+
+    @pytest.mark.parametrize("sample_size", [None, 1])
+    def test_repeated_qid_raises(self, corpus_tok, tmp_path, sample_size):
+        stream = repeated_qid_stream(tmp_path)
+        with pytest.raises(DatasetError, match=r"duplicate qid 'q' in dataset \(question 2 "):
+            analyze_dataset(corpus_tok, stream, sample_size=sample_size)
+        assert next(stream, None) is None  # closed before its third question
 
 
 class TestFixDataset:
@@ -384,12 +406,23 @@ class TestFixDataset:
 
     def test_records_with_equal_context_text_stay_apart(self, corpus_tok, tmp_path):
         record = MULTI_QA_RECORDS[2]
+        # the same context text again, under fresh qids (a repeated qid is an error)
+        again = {**record, "qas": [{**qa, "qid": qa["qid"] + "b"} for qa in record["qas"]]}
         path = tmp_path / "twice.jsonl"
-        lines = [{"header": {}}, record, record]
+        lines = [{"header": {}}, record, again]
         path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
         _, stream = read_dataset(path)
         out = io.StringIO()
         summary = fix_dataset(corpus_tok, stream, out)
         assert summary["written"] == 4
         written = [json.loads(line) for line in out.getvalue().splitlines()[1:]]
-        assert [[qa["qid"] for qa in r["qas"]] for r in written] == [["m5", "m6"]] * 2
+        assert [r["context"] for r in written] == [record["context"]] * 2
+        assert [[qa["qid"] for qa in r["qas"]] for r in written] == [["m5", "m6"], ["m5b", "m6b"]]
+
+    def test_repeated_qid_raises(self, corpus_tok, tmp_path):
+        stream = repeated_qid_stream(tmp_path)
+        out_path = tmp_path / "fixed.jsonl"
+        with pytest.raises(DatasetError, match=r"duplicate qid 'q' in dataset \(question 2 "):
+            fix_dataset(corpus_tok, stream, out_path)
+        assert next(stream, None) is None  # closed before its third question
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["repeated.jsonl"]

@@ -14,7 +14,6 @@ from tokfix.metrics import (
     exact_match,
     f1,
     hallucination_check,
-    hallucination_check_normalized,
     normalize_answer,
     paired_significance,
 )
@@ -281,7 +280,10 @@ class TestHallucinationCheck:
     def test_case_sensitive_but_normalized_variant_is_not(self):
         context = "Both sides signed The Treaty that winter."
         assert hallucination_check("the treaty", context) is True
-        assert hallucination_check_normalized("the treaty", context) is False
+        example = ExtractiveExample(qid="q", context=context, question="?", gold_answers=("x",))
+        report = evaluate({"q": "the treaty"}, [example])
+        assert report.hallucination_rate == 100.0
+        assert report.hallucination_rate_normalized == 0.0
 
     def test_random_context_slices_never_flagged(self):
         rng = random.Random(5150)
@@ -410,7 +412,7 @@ class TestEvaluate:
                 per_example.append((e.qid, exact_match(pred, golds), f1(pred, golds)))
                 if hallucination_check(pred, e.context):
                     hallucinated.append(e.qid)
-                halluc_norm += hallucination_check_normalized(pred, e.context)
+                halluc_norm += normalize_answer(pred) not in normalize_answer(e.context)
 
             report = evaluate(preds, examples)
             assert report.per_example == per_example

@@ -10,7 +10,6 @@ from tokfix.align import CharSpan, TokenSpan
 from tokfix.consist import ALREADY_CONSISTENT, UNRESOLVED, FixOutcome
 from tokfix.mrqa import (
     DatasetError,
-    DatasetHeader,
     read_dataset,
     read_predictions,
     write_fixed_dataset,
@@ -57,7 +56,7 @@ def with_bad_qa(**fields):
 class TestReadDataset:
     def test_header_and_examples_in_file_order(self):
         header, stream = read_dataset(io.BytesIO(dataset_bytes(THREE_QUESTION_RECORDS)))
-        assert header.dataset == "test-set"
+        assert header == {"dataset": "test-set"}
         examples = list(stream)
         assert [e.qid for e in examples] == ["q1", "q2", "q3"]
         first = examples[0]
@@ -216,6 +215,60 @@ class TestReadDataset:
         assert count == 30_000
         assert peak < file_size / 4
 
+    @pytest.mark.parametrize(
+        "pair",
+        ["12", [1, 2, 3], [True, 2], [1.9, 2.2], [1.0, 2]],
+        ids=["string", "three-ints", "bool", "floats", "integral-float"],
+    )
+    def test_char_span_must_be_two_integers(self, pair):
+        # int() of each pair's items gives [1, 2], which points at "bc"
+        record = {
+            "context": "abcdef",
+            "qas": [
+                {
+                    "qid": "q1",
+                    "question": "Which?",
+                    "answers": ["bc"],
+                    "detected_answers": [{"text": "bc", "char_spans": [pair, pair, [1, 2]]}],
+                }
+            ],
+        }
+        issues = []
+        _, stream = read_dataset(io.BytesIO(dataset_bytes([record])), on_error=issues.append)
+        (example,) = stream
+        assert example.detected == (("bc", (CharSpan(1, 3),)),)
+        assert len(issues) == 2
+        assert all("unreadable char span" in message for message in issues)
+
+    @pytest.mark.parametrize("gzipped", [False, True], ids=["plain", "gzip"])
+    def test_caller_stream_is_left_open(self, gzipped):
+        data = dataset_bytes(THREE_QUESTION_RECORDS)
+        if gzipped:
+            data = gzip.compress(data)
+
+        src = io.BytesIO(data)
+        _, stream = read_dataset(src)
+        assert len(list(stream)) == 3
+        assert src.closed is False
+
+        src = io.BytesIO(data)
+        _, stream = read_dataset(src)
+        next(stream)
+        stream.close()
+        assert src.closed is False
+
+        src = io.BytesIO(b"not a header\n")
+        with pytest.raises(DatasetError, match="header"):
+            read_dataset(src)
+        assert src.closed is False
+
+        # a caller may also close its stream first
+        src = io.BytesIO(data)
+        _, stream = read_dataset(src)
+        next(stream)
+        src.close()
+        stream.close()
+
 
 class TestWriteFixedDataset:
     def outcome(self, ids=(1, 2), method=ALREADY_CONSISTENT, span=TokenSpan(0, 2)):
@@ -229,15 +282,11 @@ class TestWriteFixedDataset:
             (context, [(e, self.outcome()) for e in group])
             for context, group in itertools.groupby(originals, key=lambda e: e.context)
         ]
-        count = write_fixed_dataset(
-            out_path,
-            DatasetHeader({"dataset": "test-set"}),
-            groups,
-        )
+        count = write_fixed_dataset(out_path, {"dataset": "test-set"}, groups)
         assert count == 3
         assert len(out_path.read_text().splitlines()) == 1 + len(THREE_QUESTION_RECORDS)
         header, stream = read_dataset(out_path)
-        assert header.dataset == "test-set"
+        assert header == {"dataset": "test-set"}
         assert list(stream) == originals
 
     def test_written_records_carry_fix_fields(self, tmp_path):
@@ -246,7 +295,7 @@ class TestWriteFixedDataset:
         out = io.StringIO()
         count = write_fixed_dataset(
             out,
-            DatasetHeader(),
+            {},
             [
                 (
                     q1.context,
@@ -275,7 +324,7 @@ class TestWriteFixedDataset:
 
     def test_empty_stream_writes_header_only(self, tmp_path):
         out_path = tmp_path / "empty.jsonl"
-        count = write_fixed_dataset(out_path, DatasetHeader({"dataset": "x"}), [])
+        count = write_fixed_dataset(out_path, {"dataset": "x"}, [])
         assert count == 0
         lines = out_path.read_text().splitlines()
         assert len(lines) == 1
@@ -283,10 +332,10 @@ class TestWriteFixedDataset:
 
     def test_gz_suffix_writes_gzip(self, tmp_path):
         out_path = tmp_path / "fixed.jsonl.gz"
-        write_fixed_dataset(out_path, DatasetHeader({"dataset": "x"}), [])
+        write_fixed_dataset(out_path, {"dataset": "x"}, [])
         assert out_path.read_bytes()[:2] == b"\x1f\x8b"
         header, stream = read_dataset(out_path)
-        assert header.dataset == "x"
+        assert header == {"dataset": "x"}
         assert list(stream) == []
 
 
