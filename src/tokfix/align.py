@@ -7,11 +7,19 @@ that realize a byte range or an id subsequence.
 
 from __future__ import annotations
 
+import codecs
+import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 from .bpe import Encoding
+
+_decode_utf32 = (
+    codecs.utf_32_le_decode if sys.byteorder == "little" else codecs.utf_32_be_decode
+)
+
 
 @dataclass(frozen=True)
 class CharSpan:
@@ -71,17 +79,19 @@ def find_subsequence(
 ) -> TokenSpan | None:
     """Return the leftmost contiguous match of needle in haystack, if any.
 
-    An empty needle matches at position 0.
+    An empty needle matches at position 0. Ids must lie in
+    ``range(0x110000)``, as ``load_tokenizer`` guarantees: each id becomes
+    one code point, so ``str.find`` searches in time linear in the
+    haystack.
     """
     m = len(needle)
-    if m == 0:
-        return TokenSpan(0, 0)
-    n = len(haystack)
-    if m > n:
+    if m > len(haystack):
         return None
-    target = tuple(needle)
-    first = target[0]
-    for i in range(n - m + 1):
-        if haystack[i] == first and tuple(haystack[i : i + m]) == target:
-            return TokenSpan(i, i + m)
-    return None
+    start = _id_string(haystack).find(_id_string(needle))
+    return None if start < 0 else TokenSpan(start, start + m)
+
+
+def _id_string(ids: Sequence[int]) -> str:
+    """One code point per id, lone surrogates included (``array("I")``
+    holds each id in 4 native-order bytes, read back as UTF-32)."""
+    return _decode_utf32(array("I", ids), "surrogatepass")[0]

@@ -150,9 +150,9 @@ def load_tokenizer(vocab_source: TextSource, merges_source: TextSource) -> Token
     """Load and validate a tokenizer from vocab.json / merges.txt sources.
 
     Sources may be file paths or open text/binary streams. Raises
-    TokenizerError on malformed JSON, non-integer or duplicate ids,
-    missing single-byte units, or a merge whose concatenation is not in
-    the vocabulary.
+    TokenizerError on malformed JSON, ids that are not integers in
+    ``range(0x110000)``, duplicate ids, missing single-byte units, or a
+    merge whose concatenation is not in the vocabulary.
     """
     try:
         raw = json.loads(_read_text(vocab_source))
@@ -163,7 +163,8 @@ def load_tokenizer(vocab_source: TextSource, merges_source: TextSource) -> Token
 
     vocab: dict[str, int] = {}
     for token, idx in raw.items():
-        if isinstance(idx, bool) or not isinstance(idx, int) or idx < 0:
+        # align.find_subsequence maps each id to one code point
+        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < 0x110000:
             raise TokenizerError(f"token {token!r} has invalid id {idx!r}")
         vocab[token] = idx
 

@@ -21,13 +21,14 @@ from .mrqa import ExtractiveExample, unique_qids
 logger = logging.getLogger(__name__)
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
-_PUNCT = set(string.punctuation)
+#: The 32 ASCII characters of ``string.punctuation``, as in the SQuAD v1.1
+#: script; curly quotes, dashes and other non-ASCII marks are kept.
+_PUNCT = re.compile("[" + re.escape(string.punctuation) + "]")
 
 
 def normalize_answer(s: str) -> str:
     """Lowercase, strip punctuation and articles, collapse whitespace."""
-    s = s.lower()
-    s = "".join(ch for ch in s if ch not in _PUNCT)
+    s = _PUNCT.sub("", s.lower())
     s = _ARTICLES.sub(" ", s)
     return " ".join(s.split())
 
@@ -211,7 +212,8 @@ def paired_significance(
     When all 2**n sign assignments fit within the resample budget the test
     enumerates them exhaustively (p = hits / 2**n); otherwise it samples,
     with p = (1 + hits) / (resamples + 1), drawing the signs in chunks of
-    about 4 MiB so memory stays bounded whatever the number of pairs.
+    about 4 MiB into one reused buffer, so memory stays bounded whatever
+    the number of pairs.
     Deterministic for a fixed seed.
     """
     if len(scores_a) != len(scores_b):
@@ -246,13 +248,14 @@ def paired_significance(
         )
 
     rng = np.random.default_rng(seed)
-    rows = _chunk_rows(n)
+    rows = min(_chunk_rows(n), resamples)
+    buffer = np.empty((rows, n), dtype=np.float64)
     hits = 0
     remaining = resamples
     while remaining > 0:
         chunk = min(remaining, rows)
-        signs = rng.integers(0, 2, size=(chunk, n)).astype(np.float64)
-        signs *= 2
+        signs = buffer[:chunk]
+        np.multiply(rng.integers(0, 2, size=(chunk, n)), 2, out=signs, casting="unsafe")
         signs -= 1
         sums = signs @ diffs
         hits += int(np.count_nonzero(np.abs(sums) >= threshold))

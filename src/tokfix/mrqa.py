@@ -106,7 +106,15 @@ def read_dataset(
     example of one record shares a single ``context`` object;
     ``fix_dataset`` and ``analyze_dataset`` rely on this to encode each
     context once, and ``metrics.evaluate`` to normalize it once.
+
+    A text-mode stream raises TypeError and is left open: the gzip check
+    and the UTF-8 check need the raw bytes.
     """
+    if isinstance(source, io.TextIOBase):
+        raise TypeError(
+            "read_dataset needs a path or a binary stream "
+            f"(open the file in 'rb' mode), not {type(source).__name__}"
+        )
     report = on_error if on_error is not None else logger.warning
     lines = _numbered_lines(source)
     try:

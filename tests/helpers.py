@@ -9,6 +9,8 @@ from __future__ import annotations
 import io
 import json
 import random
+import re
+import string
 from fractions import Fraction
 
 import numpy as np
@@ -166,6 +168,16 @@ def f1_oracle(pred_tokens: list[str], gold_tokens: list[str]) -> Fraction:
     precision = Fraction(overlap, len(pred_tokens))
     recall = Fraction(overlap, len(gold_tokens))
     return 2 * precision * recall / (precision + recall)
+
+
+def normalize_answer_per_char(s: str) -> str:
+    """``metrics.normalize_answer`` as first written: punctuation is tested
+    one character at a time against ``set(string.punctuation)``."""
+    punct = set(string.punctuation)
+    s = s.lower()
+    s = "".join(ch for ch in s if ch not in punct)
+    s = re.sub(r"\b(a|an|the)\b", " ", s)
+    return " ".join(s.split())
 
 
 def monte_carlo_p_2048_rows(scores_a, scores_b, *, resamples: int, seed: int) -> float:

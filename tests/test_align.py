@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -127,3 +128,30 @@ class TestFindSubsequence:
             else:
                 needle = [rng.randrange(8) for _ in range(rng.randrange(0, 5))]
             assert find_subsequence(haystack, needle) == naive_find(haystack, needle)
+
+    def test_agrees_with_naive_double_loop_across_the_id_range(self):
+        # surrogates and ids above 0xFFFF each stay one code point
+        ids = [0, 1, 0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xFFFF, 0x10000, 0x10FFFF]
+        rng = random.Random(4021)
+        for _ in range(300):
+            haystack = [rng.choice(ids) for _ in range(rng.randrange(0, 24))]
+            if rng.random() < 0.5 and haystack:
+                i = rng.randrange(len(haystack))
+                needle = haystack[i : i + rng.randrange(1, 5)]
+            else:
+                needle = [rng.choice(ids) for _ in range(rng.randrange(0, 4))]
+            assert find_subsequence(haystack, needle) == naive_find(haystack, needle)
+
+
+class TestFindSubsequenceScaling:
+    def test_64k_adversarial_haystack_searched_well_under_a_second(self):
+        # every position matches the needle's first half of ids, so a
+        # scan that compares at each first-id hit costs O(n * m)
+        n = 2**16
+        haystack = [7] * n
+        needle = [7] * (n // 2) + [8]
+        start = time.perf_counter()
+        assert find_subsequence(haystack, needle) is None
+        assert find_subsequence(haystack + [8], needle) == TokenSpan(n // 2, n + 1)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5

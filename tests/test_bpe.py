@@ -86,6 +86,19 @@ class TestLoader:
         with pytest.raises(TokenizerError):
             load_tokenizer(*_sources(vocab, merges_text([])))
 
+    @pytest.mark.parametrize("bad_id", [0x110000, 2**40])
+    def test_ids_beyond_the_last_code_point_rejected(self, bad_id):
+        vocab = build_vocab([])
+        vocab["zz"] = bad_id
+        with pytest.raises(TokenizerError, match="invalid id"):
+            load_tokenizer(*_sources(vocab, merges_text([])))
+
+    def test_largest_code_point_id_accepted(self):
+        vocab = build_vocab([])
+        vocab["zz"] = 0x10FFFF
+        tok = load_tokenizer(*_sources(vocab, merges_text([])))
+        assert tok.inverse_vocab[0x10FFFF] == "zz"
+
     def test_malformed_merge_line(self):
         vocab = build_vocab([("a", "b")])
         with pytest.raises(TokenizerError, match="line 2"):

@@ -2,11 +2,14 @@ import io
 import itertools
 import json
 import random
+import string
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokfix import metrics
 from tokfix.metrics import (
@@ -19,7 +22,7 @@ from tokfix.metrics import (
 )
 from tokfix.mrqa import DatasetError, ExtractiveExample, read_dataset
 
-from helpers import f1_oracle, monte_carlo_p_2048_rows
+from helpers import f1_oracle, monte_carlo_p_2048_rows, normalize_answer_per_char
 
 CTX_SNACK = (
     "It was the final year that Doritos, a longtime sponsor of the game, "
@@ -196,6 +199,17 @@ def hand_predictions():
     }
 
 
+#: ASCII punctuation, whitespace, the letters of the articles in both cases,
+#: and characters whose lowercase form or class differs from ASCII's.
+_NORMALIZE_ALPHABET = (
+    string.punctuation
+    + string.whitespace
+    + "\u00a0\u2003\u2028"
+    + "aAnNtThHeE"
+    + "İẞΣς\u0301’“—"
+)
+
+
 class TestNormalize:
     @pytest.mark.parametrize(
         "raw,expected",
@@ -206,10 +220,22 @@ class TestNormalize:
             ("a an the", ""),
             ("An  Anchor,   the harbor", "anchor harbor"),
             ("U.S.", "us"),
+            # only ASCII punctuation goes; curly quotes and dashes stay
+            ("“The Doritos”—a snack’s", "“ doritos”— snack’s"),
         ],
     )
     def test_rules(self, raw, expected):
         assert normalize_answer(raw) == expected
+
+    @given(st.text())
+    @settings(max_examples=1000)
+    def test_agrees_with_the_per_character_rule(self, text):
+        assert normalize_answer(text) == normalize_answer_per_char(text)
+
+    @given(st.text(alphabet=_NORMALIZE_ALPHABET))
+    @settings(max_examples=1000)
+    def test_agrees_with_the_per_character_rule_near_its_edges(self, text):
+        assert normalize_answer(text) == normalize_answer_per_char(text)
 
 
 class TestExactMatch:

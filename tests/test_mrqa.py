@@ -270,6 +270,22 @@ class TestReadDataset:
         stream.close()
 
 
+    @pytest.mark.parametrize("kind", ["open-text", "stringio"])
+    def test_text_stream_raises_type_error_and_stays_open(self, kind, tmp_path):
+        data = dataset_bytes(THREE_QUESTION_RECORDS)
+        if kind == "open-text":
+            path = tmp_path / "data.jsonl"
+            path.write_bytes(data)
+            src = open(path, encoding="utf-8")
+        else:
+            src = io.StringIO(data.decode("utf-8"))
+        with src:
+            with pytest.raises(TypeError, match="binary stream"):
+                read_dataset(src)
+            assert src.closed is False
+            assert src.read() == data.decode("utf-8")
+
+
 class TestWriteFixedDataset:
     def outcome(self, ids=(1, 2), method=ALREADY_CONSISTENT, span=TokenSpan(0, 2)):
         return FixOutcome(target_ids=tuple(ids), method=method, context_span=span)
