@@ -7,18 +7,11 @@ that realize a byte range or an id subsequence.
 
 from __future__ import annotations
 
-import codecs
-import sys
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 from .bpe import Encoding
-
-_decode_utf32 = (
-    codecs.utf_32_le_decode if sys.byteorder == "little" else codecs.utf_32_be_decode
-)
 
 
 @dataclass(frozen=True)
@@ -87,11 +80,5 @@ def find_subsequence(
     m = len(needle)
     if m > len(haystack):
         return None
-    start = _id_string(haystack).find(_id_string(needle))
+    start = "".join(map(chr, haystack)).find("".join(map(chr, needle)))
     return None if start < 0 else TokenSpan(start, start + m)
-
-
-def _id_string(ids: Sequence[int]) -> str:
-    """One code point per id, lone surrogates included (``array("I")``
-    holds each id in 4 native-order bytes, read back as UTF-32)."""
-    return _decode_utf32(array("I", ids), "surrogatepass")[0]

@@ -1,9 +1,7 @@
 import json
-import os
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
 
 from tokfix.bpe import load_tokenizer
 from tokfix.mrqa import read_dataset
@@ -11,11 +9,6 @@ from tokfix.mrqa import read_dataset
 from helpers import MULTI_QA_RECORDS, NUMBER_MERGES, make_tokenizer
 
 DATA_DIR = Path(__file__).parent / "data"
-
-# CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
-# failure prints the blob that replays it locally
-settings.register_profile("ci", derandomize=True, print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")
