@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import Sequence
 
 from .bpe import Encoding
@@ -30,6 +32,22 @@ class TokenSpan:
     end: int
 
 
+_CHECKPOINT_EVERY = 1024
+
+
+@lru_cache(maxsize=1)
+def _checkpoint_bytes(text: str) -> tuple[int, ...]:
+    """UTF-8 byte offset of every ``_CHECKPOINT_EVERY``-th code point.
+
+    The questions of one context convert their spans one after another,
+    so caching the latest text makes each conversion encode at most
+    ``_CHECKPOINT_EVERY - 1`` code points instead of the whole prefix.
+    """
+    step = _CHECKPOINT_EVERY
+    sizes = (len(text[i : i + step].encode("utf-8")) for i in range(0, len(text), step))
+    return tuple(accumulate(sizes, initial=0))
+
+
 def codepoint_span_to_byte_span(text: str, span: CharSpan) -> tuple[int, int]:
     """Convert a codepoint span into the half-open UTF-8 byte range."""
     start, end = span.start, span.end
@@ -37,7 +55,8 @@ def codepoint_span_to_byte_span(text: str, span: CharSpan) -> tuple[int, int]:
         raise ValueError(
             f"span {start}:{end} out of range for text of {len(text)} codepoints"
         )
-    byte_start = len(text[:start].encode("utf-8"))
+    index, past = divmod(start, _CHECKPOINT_EVERY)
+    byte_start = _checkpoint_bytes(text)[index] + len(text[start - past : start].encode("utf-8"))
     byte_end = byte_start + len(text[start:end].encode("utf-8"))
     return (byte_start, byte_end)
 
@@ -52,7 +71,7 @@ def token_slice_for_span(
     empty request.
     """
     start, end = byte_span
-    source_len = len(enc.source_bytes)
+    source_len = enc.offsets[-1][1] if enc.offsets else 0
     if not (0 <= start <= end <= source_len):
         raise ValueError(
             f"byte span {start}:{end} out of range for source of {source_len} bytes"

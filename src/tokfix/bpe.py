@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from pathlib import Path
@@ -44,24 +44,16 @@ class TokenizerError(ValueError):
     """Raised when vocab/merges sources violate the tokenizer contract."""
 
 
-@lru_cache(maxsize=1)
-def byte_to_unit() -> dict[int, str]:
-    """Map every byte value 0..255 to a printable unit character.
-
-    Bytes 33-126, 161-172 and 174-255 map to their own codepoints; the
-    remaining 68 bytes map, in ascending byte order, to codepoints 256,
-    257, ... In particular the space byte 0x20 maps to "Ġ" (U+0120).
-    """
-    self_mapped = (
-        list(range(33, 127)) + list(range(161, 173)) + list(range(174, 256))
-    )
-    mapping = {b: chr(b) for b in self_mapped}
-    fill = 256
-    for b in range(256):
-        if b not in mapping:
-            mapping[b] = chr(fill)
-            fill += 1
-    return mapping
+#: Every byte value 0..255 mapped to a printable unit character. Bytes
+#: 33-126, 161-172 and 174-255 map to their own codepoints; the remaining
+#: 68 bytes map, in ascending byte order, to codepoints 256, 257, ... In
+#: particular the space byte 0x20 maps to "Ġ" (U+0120).
+BYTE_TO_UNIT = {b: chr(b) for b in [*range(33, 127), *range(161, 173), *range(174, 256)]}
+BYTE_TO_UNIT.update(
+    (b, chr(256 + i)) for i, b in enumerate([b for b in range(256) if b not in BYTE_TO_UNIT])
+)
+_UNIT_TO_BYTE = {unit: b for b, unit in BYTE_TO_UNIT.items()}
+_SEGMENTER = regex.compile(SEGMENT_PATTERN)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,20 +61,19 @@ class Tokenizer:
     """Immutable byte-level BPE model.
 
     Fields mirror the published GPT-2/BART asset layout: a token->id
-    vocabulary, its exact inverse, the ranked merge list (lower index
-    merges first) and the byte->unit mapping; segmentation always uses
-    ``SEGMENT_PATTERN``. Instances are safe to share across threads;
-    ``encode``/``decode`` are pure. The only internal state is a memo of
-    per-segment merge results keyed by segment text: the token ids and
-    each token's length in bytes. Segments longer than
-    ``_SEGMENT_MEMO_MAX_CHARS`` characters are not memoized, so one huge
-    run of letters cannot pin memory.
+    vocabulary, its exact inverse and the ranked merge list (lower index
+    merges first). Every tokenizer shares the byte->unit mapping
+    ``BYTE_TO_UNIT`` and segments text with ``SEGMENT_PATTERN``.
+    Instances are safe to share across threads; ``encode``/``decode`` are
+    pure. The only internal state is a memo of per-segment merge results
+    keyed by segment text: the token ids and each token's length in
+    bytes. Segments longer than ``_SEGMENT_MEMO_MAX_CHARS`` characters
+    are not memoized, so one huge run of letters cannot pin memory.
     """
 
     vocab: dict[str, int]
     inverse_vocab: dict[int, str]
     merges: tuple[tuple[str, str], ...]
-    byte_map: dict[int, str]
 
     @cached_property
     def merge_ranks(self) -> dict[tuple[str, str], int]:
@@ -90,14 +81,6 @@ class Tokenizer:
         for i, pair in enumerate(self.merges):
             ranks.setdefault(pair, i)
         return ranks
-
-    @cached_property
-    def unit_to_byte(self) -> dict[str, int]:
-        return {unit: b for b, unit in self.byte_map.items()}
-
-    @cached_property
-    def _segmenter(self) -> "regex.Pattern[str]":
-        return regex.compile(SEGMENT_PATTERN)
 
     @cached_property
     def _segment_cache(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -108,17 +91,13 @@ class Tokenizer:
 class Encoding:
     """Token ids plus one half-open byte range per id into the UTF-8 source.
 
-    Offsets are sorted, non-overlapping, and partition
-    ``[0, len(source_bytes))`` exactly: byte-level BPE drops nothing.
+    Offsets are sorted, non-overlapping, and partition the source's bytes
+    exactly (byte-level BPE drops nothing), so the last offset's end is
+    the source's length in bytes.
     """
 
     ids: tuple[int, ...]
     offsets: tuple[tuple[int, int], ...]
-    text: str
-
-    @cached_property
-    def source_bytes(self) -> bytes:
-        return self.text.encode("utf-8")
 
 
 def _read_text(source: TextSource) -> str:
@@ -176,8 +155,7 @@ def load_tokenizer(vocab_source: TextSource, merges_source: TextSource) -> Token
             )
         inverse[idx] = token
 
-    byte_map = byte_to_unit()
-    missing = [b for b in range(256) if byte_map[b] not in vocab]
+    missing = [b for b in range(256) if BYTE_TO_UNIT[b] not in vocab]
     if missing:
         raise TokenizerError(
             f"vocab lacks {len(missing)} single-byte units "
@@ -192,12 +170,7 @@ def load_tokenizer(vocab_source: TextSource, merges_source: TextSource) -> Token
                 "which is not in the vocabulary"
             )
 
-    return Tokenizer(
-        vocab=vocab,
-        inverse_vocab=inverse,
-        merges=tuple(merges),
-        byte_map=byte_map,
-    )
+    return Tokenizer(vocab=vocab, inverse_vocab=inverse, merges=tuple(merges))
 
 
 def pretokenize(tok: Tokenizer, text: str) -> list[tuple[str, int]]:
@@ -206,7 +179,7 @@ def pretokenize(tok: Tokenizer, text: str) -> list[tuple[str, int]]:
     The concatenation of segments equals the input; start bytes are
     strictly increasing.
     """
-    segments = tok._segmenter.findall(text)
+    segments = _SEGMENTER.findall(text)
     if sum(map(len, segments)) != len(text):
         raise RuntimeError("segmentation pattern did not cover the full text")
     sizes = [len(seg.encode("utf-8")) for seg in segments]
@@ -225,7 +198,7 @@ def _merge_segment(tok: Tokenizer, segment: str) -> tuple[tuple[int, ...], tuple
     O(n log n); an entry whose left unit is gone or whose units have
     grown since it was pushed is stale and skipped.
     """
-    units = [tok.byte_map[b] for b in segment.encode("utf-8")]
+    units = [BYTE_TO_UNIT[b] for b in segment.encode("utf-8")]
     ranks = tok.merge_ranks
     n = len(units)
     nxt = list(range(1, n + 1))
@@ -283,13 +256,12 @@ def encode(tok: Tokenizer, text: str) -> Encoding:
         sizes.extend(seg_sizes)
     ends = list(accumulate(sizes))
     offsets = tuple(zip([0, *ends], ends))
-    return Encoding(ids=tuple(ids), offsets=offsets, text=text)
+    return Encoding(ids=tuple(ids), offsets=offsets)
 
 
 def decode_bytes(tok: Tokenizer, ids: Iterable[int]) -> bytes:
     """Concatenate unit strings for ids and invert the byte mapping."""
-    unit_to_byte = tok.unit_to_byte
-    return bytes(unit_to_byte[c] for token in ids_to_pieces(tok, ids) for c in token)
+    return bytes(_UNIT_TO_BYTE[c] for token in ids_to_pieces(tok, ids) for c in token)
 
 
 def decode(tok: Tokenizer, ids: Iterable[int]) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import logging
 import sys
@@ -118,11 +119,14 @@ def _report_writer(args: argparse.Namespace) -> Iterator[Callable[[str], object]
         yield lambda payload: out.write(payload.encode("utf-8"))
 
 
-def _render_report(args: argparse.Namespace, body: dict, tsv_rows) -> str:
+def _render_report(
+    args: argparse.Namespace, body: dict, columns: Sequence[str], rows: list[dict]
+) -> str:
+    """The JSON report, or with ``--format tsv`` one line per row holding
+    its values for ``columns`` (blank where a row lacks one)."""
     if args.format == "tsv":
-        header, rows = tsv_rows
-        lines = ["\t".join(header)]
-        lines += ["\t".join(str(cell) for cell in row) for row in rows]
+        lines = ["\t".join(columns)]
+        lines += ["\t".join(str(row.get(column, "")) for column in columns) for row in rows]
         return "\n".join(lines) + "\n"
     report = {"tool_version": __version__, "config": _config_dict(args), **body}
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -139,18 +143,11 @@ class _IssueCounter:
         logger.warning("%s", message)
 
 
-def _load_tokenizer(args: argparse.Namespace):
-    for path in (args.vocab, args.merges):
-        if not Path(path).exists():
-            raise FileNotFoundError(f"no such file: {path}")
-    return load_tokenizer(args.vocab, args.merges)
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.sample is not None and args.sample < 1:
         raise UsageError(f"--sample must be at least 1, not {args.sample}")
     with _report_writer(args) as write:
-        tok = _load_tokenizer(args)
+        tok = load_tokenizer(args.vocab, args.merges)
         stats_out = []
         for path in args.dataset:
             issues = _IssueCounter()
@@ -176,8 +173,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "pct_inconsistent_raw",
             "pct_inconsistent_after_prefix",
         ]
-        rows = [[entry[c] for c in columns] for entry in stats_out]
-        write(_render_report(args, {"stats": stats_out}, (columns, rows)))
+        write(_render_report(args, {"stats": stats_out}, columns, stats_out))
     return EXIT_OK
 
 
@@ -186,28 +182,17 @@ def cmd_fix(args: argparse.Namespace) -> int:
         raise UsageError("fix takes exactly one --dataset")
     if not args.output:
         raise UsageError("fix requires --output for the repaired dataset")
-    tok = _load_tokenizer(args)
+    tok = load_tokenizer(args.vocab, args.merges)
     issues = _IssueCounter()
     header, stream = read_dataset(args.dataset[0], on_error=issues)
     summary = fix_dataset(tok, stream, args.output, header=header)
     summary["span_issues"] = issues.count
 
-    columns = (
-        ["total", "written"]
-        + list(FIX_METHODS)
-        + ["skipped_no_answer", "skipped_span_mismatch", "span_issues"]
-    )
-    row = (
-        [summary["total"], summary["written"]]
-        + [summary["counts"][m] for m in FIX_METHODS]
-        + [
-            summary["skipped_no_answer"],
-            summary["skipped_span_mismatch"],
-            summary["span_issues"],
-        ]
-    )
+    columns = ["total", "written", *FIX_METHODS]
+    columns += ["skipped_no_answer", "skipped_span_mismatch", "span_issues"]
+    row = {**summary, **summary["counts"]}
     # the summary always goes to stdout; --output holds the repaired data
-    sys.stdout.write(_render_report(args, {"summary": summary}, (columns, [row])))
+    sys.stdout.write(_render_report(args, {"summary": summary}, columns, [row]))
     return EXIT_OK
 
 
@@ -239,14 +224,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f1_a = [score for _, _, score in per_example_scores[0]]
             f1_b = [score for _, _, score in per_example_scores[1]]
             result = paired_significance(f1_a, f1_b, seed=args.seed)
-            significance = {
-                "metric": "f1",
-                "p_value": result.p_value,
-                "statistic": result.statistic,
-                "resamples": result.resamples,
-                "seed": result.seed,
-                "method": result.method,
-            }
+            significance = {"metric": "f1", **dataclasses.asdict(result)}
             body["significance"] = significance
         else:
             body["per_example"] = [
@@ -265,18 +243,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "p_value",
             "statistic",
         ]
-        rows = [
-            [entry[c] for c in columns[:7]]
-            + ([significance["p_value"], significance["statistic"]] if significance else ["", ""])
-            for entry in reports
-        ]
-        write(_render_report(args, body, (columns, rows)))
+        rows = [{**entry, **(significance or {})} for entry in reports]
+        write(_render_report(args, body, columns, rows))
     return EXIT_OK
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     with _report_writer(args) as write:
-        tok = _load_tokenizer(args)
+        tok = load_tokenizer(args.vocab, args.merges)
         found = None
         for path in args.dataset:
             _, stream = read_dataset(path)

@@ -82,12 +82,15 @@ class FixOutcome:
 
 @dataclass
 class ConsistencyStats:
-    """Dataset-level consistency tallies; counts partition ``total``."""
+    """Dataset-level consistency tallies; the three counts partition ``total``."""
 
-    total: int = 0
     consistent_raw: int = 0
     consistent_prefix_only: int = 0
     inconsistent: int = 0
+
+    @property
+    def total(self) -> int:
+        return self.consistent_raw + self.consistent_prefix_only + self.inconsistent
 
     @property
     def pct_inconsistent_raw(self) -> float:
@@ -104,7 +107,6 @@ class ConsistencyStats:
         return 100.0 * self.inconsistent / self.total
 
     def add(self, status: str) -> None:
-        self.total += 1
         if status == CONSISTENT_RAW:
             self.consistent_raw += 1
         elif status == CONSISTENT_PREFIX_SPACE:
@@ -368,12 +370,9 @@ def fix_dataset(
     raises DatasetError.
     """
     counts: Counter[str] = Counter()
-    total = 0
 
     def groups() -> Iterator[tuple[str, list[tuple[ExtractiveExample, FixOutcome]]]]:
-        nonlocal total
         for record in _records(unique_qids(examples)):
-            total += len(record)
             context = record[0].context
             context_enc: Encoding | None = None
             pairs: list[tuple[ExtractiveExample, FixOutcome]] = []
@@ -398,7 +397,7 @@ def fix_dataset(
 
     written = write_fixed_dataset(sink, header or {}, groups())
     summary = {
-        "total": total,
+        "total": sum(counts.values()),
         "written": written,
         "counts": {method: counts.get(method, 0) for method in FIX_METHODS},
         "skipped_no_answer": counts.get("skipped_no_answer", 0),

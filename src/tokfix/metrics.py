@@ -184,20 +184,12 @@ class SignificanceResult:
     method: str = "monte_carlo"
 
 
-#: Bytes of float64 signs drawn per Monte Carlo chunk.
-_CHUNK_BYTES = 4 * 2**20
-
-
-def _chunk_rows(n: int) -> int:
-    """Sign rows per Monte Carlo chunk: about ``_CHUNK_BYTES`` of float64
-    signs, and always a multiple of 64 rows.
-
-    The draw is the same stream whatever the chunk shape, but a sum's last
-    bits can depend on the row's position within the matrix product, and a
-    p-value moves when a sum ties the observed one. Chunks of a multiple of
-    64 rows gave sums bitwise equal to the former fixed 2,048-row chunks.
-    """
-    return max(64, (_CHUNK_BYTES // (8 * n)) // 64 * 64)
+#: Sign rows drawn per Monte Carlo chunk. The draw is the same stream
+#: whatever the chunk shape, but a sum's last bits can depend on the row's
+#: position within the matrix product, and a p-value moves when a sum ties
+#: the observed one. Chunks of a multiple of 64 rows gave sums bitwise
+#: equal to the former fixed 2,048-row chunks.
+_CHUNK_ROWS = 64
 
 
 def paired_significance(
@@ -211,10 +203,9 @@ def paired_significance(
 
     When all 2**n sign assignments fit within the resample budget the test
     enumerates them exhaustively (p = hits / 2**n); otherwise it samples,
-    with p = (1 + hits) / (resamples + 1), drawing the signs in chunks of
-    about 4 MiB into one reused buffer, so memory stays bounded whatever
-    the number of pairs.
-    Deterministic for a fixed seed.
+    with p = (1 + hits) / (resamples + 1), drawing 64 rows of signs at a
+    time into one reused buffer, so sampling memory grows as 64 x n
+    floats for n pairs. Deterministic for a fixed seed.
     """
     if len(scores_a) != len(scores_b):
         raise ValueError(
@@ -248,7 +239,7 @@ def paired_significance(
         )
 
     rng = np.random.default_rng(seed)
-    rows = min(_chunk_rows(n), resamples)
+    rows = min(_CHUNK_ROWS, resamples)
     buffer = np.empty((rows, n), dtype=np.float64)
     hits = 0
     remaining = resamples

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from tokfix.align import TokenSpan
-from tokfix.bpe import Encoding, Tokenizer, byte_to_unit, decode_bytes, load_tokenizer
+from tokfix.bpe import BYTE_TO_UNIT, Encoding, Tokenizer, decode_bytes, load_tokenizer
 
 
 #: Splits bare "1912" into 19/12 but fuses " 1912" into one token.
@@ -24,7 +24,7 @@ NUMBER_MERGES = [("1", "9"), ("1", "2"), ("Ġ", "19"), ("Ġ19", "12")]
 
 
 def build_vocab(merges: list[tuple[str, str]], extra_tokens: tuple[str, ...] = ()) -> dict[str, int]:
-    units = [byte_to_unit()[b] for b in range(256)]
+    units = [BYTE_TO_UNIT[b] for b in range(256)]
     vocab = {u: i for i, u in enumerate(units)}
     for left, right in merges:
         vocab.setdefault(left + right, len(vocab))
@@ -50,7 +50,7 @@ def bpe_oracle_units(tok: Tokenizer, segment: str) -> list[str]:
     Each step rescans the whole merge table in priority order, applies the
     first rule found anywhere (at its leftmost position), and starts over.
     """
-    units = [tok.byte_map[b] for b in segment.encode("utf-8")]
+    units = [BYTE_TO_UNIT[b] for b in segment.encode("utf-8")]
     while True:
         applied = False
         for left, right in tok.merges:

@@ -83,7 +83,7 @@ def test_round_trip_losslessness(corpus_tok):
                 break
             position = end
         else:
-            if position != len(enc.source_bytes):
+            if position != len(text.encode("utf-8")):
                 failures += 1
     elapsed = time.perf_counter() - started
     report(
@@ -138,10 +138,12 @@ def test_oracle_equivalence_token_slice():
             "".join(rng.choice("abc") for _ in range(rng.randrange(1, 6)))
             for _ in range(rng.randrange(1, 5))
         ]
-        enc = encode(tok, " ".join(words))
+        text = " ".join(words)
+        enc = encode(tok, text)
+        size = len(text.encode("utf-8"))
         for _ in range(5):
-            start = rng.randrange(0, len(enc.source_bytes) + 1)
-            end = rng.randrange(start, len(enc.source_bytes) + 1)
+            start = rng.randrange(0, size + 1)
+            end = rng.randrange(start, size + 1)
             result = as_oracle_result(token_slice_for_span(enc, (start, end)))
             if result != slice_oracle(enc, (start, end)):
                 disagreements += 1

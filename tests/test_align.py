@@ -15,9 +15,9 @@ from tokfix.bpe import encode
 from helpers import as_oracle_result, naive_find, random_toy_tokenizer, slice_oracle
 
 
-def covered_bytes(enc, span):
-    """The source bytes under a token span, read through the offsets."""
-    return enc.source_bytes[enc.offsets[span.start][0] : enc.offsets[span.end - 1][1]]
+def covered_bytes(text, enc, span):
+    """The bytes of text under a token span, read through the offsets."""
+    return text.encode("utf-8")[enc.offsets[span.start][0] : enc.offsets[span.end - 1][1]]
 
 
 class TestCharSpanConversion:
@@ -36,21 +36,49 @@ class TestCharSpanConversion:
     def test_inclusive_empty_span(self):
         assert codepoint_span_to_byte_span("abc", CharSpan(2, 2)) == (2, 2)
 
+    def test_every_start_of_a_mixed_width_text_matches_its_prefix_encoding(self):
+        # 1- to 4-byte code points over more than two 1,024-code-point checkpoints
+        rng = random.Random(5113)
+        text = "".join(rng.choice(["a", " ", "ö", "€", "🎉"]) for _ in range(2 * 1024 + 700))
+        for start in range(len(text) + 1):
+            end = min(len(text), start + 3)
+            byte_start = len(text[:start].encode("utf-8"))
+            byte_end = len(text[:end].encode("utf-8"))
+            assert codepoint_span_to_byte_span(text, CharSpan(start, end)) == (
+                byte_start,
+                byte_end,
+            ), start
+
+
+class TestCharSpanConversionScaling:
+    def test_2000_spans_over_a_1m_character_context_well_under_a_second(self):
+        # one record with many qas converts each gold span against the
+        # same long context; encoding every prefix costs O(q * n)
+        text = "wörd " * 200_000
+        rng = random.Random(77)
+        starts = [rng.randrange(len(text) - 4) for _ in range(2000)]
+        begin = time.perf_counter()
+        for start in starts:
+            codepoint_span_to_byte_span(text, CharSpan(start, start + 4))
+        elapsed = time.perf_counter() - begin
+        assert codepoint_span_to_byte_span(text, CharSpan(5, 9)) == (6, 11)
+        assert elapsed < 0.5
+
 
 class TestTokenSliceForSpan:
     def test_full_source_is_exact(self, number_tok):
         enc = encode(number_tok, "1912")
-        span, exact = token_slice_for_span(enc, (0, len(enc.source_bytes)))
+        span, exact = token_slice_for_span(enc, (0, 4))
         assert exact
         assert span == TokenSpan(0, len(enc.ids))
-        assert covered_bytes(enc, span) == b"1912"
+        assert covered_bytes("1912", enc, span) == b"1912"
 
     def test_answer_inside_space_fused_token_expands(self, number_tok):
         enc = encode(number_tok, " 1912")
         span, exact = token_slice_for_span(enc, (1, 5))  # the bytes of "1912"
         assert not exact
         assert span == TokenSpan(0, 1)
-        assert covered_bytes(enc, span) == b" 1912"
+        assert covered_bytes(" 1912", enc, span) == b" 1912"
 
     def test_empty_encoding_fails(self, number_tok):
         enc = encode(number_tok, "")
@@ -72,7 +100,7 @@ class TestTokenSliceForSpan:
         for start, end in [(0, 3), (0, len(raw)), (3, 10)]:
             span, exact = token_slice_for_span(enc, (start, end))
             if exact:
-                assert covered_bytes(enc, span) == raw[start:end]
+                assert covered_bytes(text, enc, span) == raw[start:end]
 
     def test_expanded_cover_is_minimal(self, corpus_tok):
         enc = encode(corpus_tok, "Ships waited in the harbor overnight.")
@@ -92,9 +120,10 @@ class TestTokenSliceForSpan:
                 for _ in range(rng.randrange(1, 5))
             )
             enc = encode(tok, text)
+            size = len(text.encode("utf-8"))
             for _ in range(4):
-                start = rng.randrange(0, len(enc.source_bytes) + 1)
-                end = rng.randrange(start, len(enc.source_bytes) + 1)
+                start = rng.randrange(0, size + 1)
+                end = rng.randrange(start, size + 1)
                 result = as_oracle_result(token_slice_for_span(enc, (start, end)))
                 assert result == slice_oracle(enc, (start, end)), (text, start, end)
 

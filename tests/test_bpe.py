@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from tokfix.bpe import (
     _SEGMENT_MEMO_MAX_CHARS,
+    BYTE_TO_UNIT,
     TokenizerError,
-    byte_to_unit,
     decode,
     decode_bytes,
     encode,
@@ -36,12 +36,12 @@ def _sources(vocab, merges_str):
 
 class TestByteMap:
     def test_bijection_over_all_bytes(self):
-        mapping = byte_to_unit()
+        mapping = BYTE_TO_UNIT
         assert sorted(mapping) == list(range(256))
         assert len(set(mapping.values())) == 256
 
     def test_printable_convention(self):
-        mapping = byte_to_unit()
+        mapping = BYTE_TO_UNIT
         assert mapping[ord("!")] == "!"
         assert mapping[0xFF] == "\xff"
         assert mapping[0x20] == "Ġ"  # the space byte renders as Ġ
@@ -56,7 +56,7 @@ class TestLoader:
         for left, right in toy_tok.merges:
             assert left + right in toy_tok.vocab
         for b in range(256):
-            assert toy_tok.byte_map[b] in toy_tok.vocab
+            assert BYTE_TO_UNIT[b] in toy_tok.vocab
 
     def test_merge_without_concatenation_in_vocab(self):
         vocab = build_vocab([])
@@ -71,7 +71,7 @@ class TestLoader:
 
     def test_missing_single_byte_unit_rejected(self):
         vocab = build_vocab([])
-        del vocab[byte_to_unit()[0x41]]
+        del vocab[BYTE_TO_UNIT[0x41]]
         with pytest.raises(TokenizerError, match="single-byte"):
             load_tokenizer(*_sources(vocab, merges_text([])))
 
@@ -123,13 +123,11 @@ class TestEncode:
         enc = encode(toy_tok, "abc")
         assert enc.ids == (toy_tok.vocab["abc"],)
         assert enc.offsets == ((0, 3),)
-        assert len(enc.source_bytes) == 3
 
     def test_empty_input(self, toy_tok):
         enc = encode(toy_tok, "")
         assert enc.ids == ()
         assert enc.offsets == ()
-        assert len(enc.source_bytes) == 0
 
     def test_number_splits_differently_alone_and_after_space(self, number_tok):
         standalone = encode(number_tok, "1912")
@@ -143,13 +141,12 @@ class TestEncode:
     def test_offsets_partition_source_bytes(self, corpus_tok):
         for text in ["héllo wörld", "a b", "tabs\tand\nnewlines", "🎉 1912!"]:
             enc = encode(corpus_tok, text)
-            assert enc.source_bytes == text.encode("utf-8")
             position = 0
             for start, end in enc.offsets:
                 assert start == position
                 assert end > start
                 position = end
-            assert position == len(enc.source_bytes)
+            assert position == len(text.encode("utf-8"))
 
     def test_offsets_recover_source_slices(self, corpus_tok):
         text = "The ship was finished in 1912 after delays."
@@ -293,4 +290,4 @@ class TestRoundTripProperty:
         for start, end in enc.offsets:
             assert start == position
             position = end
-        assert position == len(enc.source_bytes)
+        assert position == len(text.encode("utf-8"))

@@ -20,6 +20,11 @@ VOCAB = str(DATA / "fixture_vocab.json")
 MERGES = str(DATA / "fixture_merges.txt")
 CORPUS = str(DATA / "repair_corpus.jsonl")
 
+EVALUATE_TSV_HEADER = (
+    "predictions\tn\tn_predicted\tem\tf1\thallucination_rate"
+    "\thallucination_rate_normalized\tp_value\tstatistic"
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -119,10 +124,11 @@ class TestAnalyzeCommand:
             "--format", "tsv",
         )
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0].split("\t")[0] == "dataset"
-        assert lines[1].split("\t")[0] == "repair-fixture"
-        assert len(lines) == 2
+        assert out == (
+            "dataset\ttotal\tconsistent_raw\tconsistent_prefix_only\tinconsistent"
+            "\tpct_inconsistent_raw\tpct_inconsistent_after_prefix\n"
+            "repair-fixture\t50\t11\t34\t5\t78.0\t10.0\n"
+        )
 
     def test_reruns_are_byte_identical(self, capsys):
         args = (
@@ -229,6 +235,19 @@ class TestAnalyzeCommand:
         )
         assert code == 3
         assert "i/o error" in err
+
+    def test_nonexistent_merges_is_io_error_and_writes_nothing(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code, out, err = run(
+            capsys,
+            "analyze", "--vocab", VOCAB, "--merges", str(tmp_path / "merges.txt"),
+            "--dataset", CORPUS, "--output", str(report),
+        )
+        assert code == 3
+        assert out == ""
+        assert "i/o error" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_dataset_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -389,6 +408,21 @@ class TestFixCommand:
         assert "data error: duplicate qid 'q' in dataset (question 2 in file order)" in err
         assert list(fixed.parent.iterdir()) == []
 
+    def test_tsv_summary(self, capsys, tmp_path):
+        code, out, _err = run(
+            capsys,
+            "fix", "--vocab", VOCAB, "--merges", MERGES,
+            "--dataset", CORPUS, "--output", str(tmp_path / "fixed.jsonl"),
+            "--format", "tsv",
+        )
+        assert code == 0
+        assert out == (
+            "total\twritten\talready_consistent\texact_slice\texpanded_slice"
+            "\tsubsequence_search\tunresolved\tskipped_no_answer\tskipped_span_mismatch"
+            "\tspan_issues\n"
+            "50\t50\t10\t0\t34\t1\t5\t0\t0\t1\n"
+        )
+
     def test_missing_output_is_usage_error(self, capsys):
         code, _out, err = run(
             capsys, "fix", "--vocab", VOCAB, "--merges", MERGES, "--dataset", CORPUS
@@ -423,6 +457,7 @@ class TestEvaluateCommand:
         assert len(report["metrics"]) == 2
         assert "per_example" not in report
         sig = report["significance"]
+        assert sorted(sig) == ["method", "metric", "p_value", "resamples", "seed", "statistic"]
         assert sig["metric"] == "f1"
         assert 0.0 < sig["p_value"] <= 1.0
         assert sig["statistic"] > 0  # the first file scores higher
@@ -507,9 +542,22 @@ class TestEvaluateCommand:
             "--format", "tsv",
         )
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0].startswith("predictions\t")
-        assert len(lines) == 3
+        assert out == (
+            f"{EVALUATE_TSV_HEADER}\n"
+            f"{perfect}\t3\t3\t100.0\t100.0\t0.0\t0.0\t1.0\t0.3333333333333333\n"
+            f"{worse}\t3\t3\t66.6667\t66.6667\t33.3333\t33.3333\t1.0\t0.3333333333333333\n"
+        )
+
+    def test_tsv_with_one_file_leaves_significance_blank(self, capsys, eval_files):
+        gold, perfect, _worse = eval_files
+        code, out, _err = run(
+            capsys, "evaluate", "--dataset", gold, "--predictions", perfect, "--format", "tsv"
+        )
+        assert code == 0
+        assert out == (
+            f"{EVALUATE_TSV_HEADER}\n"
+            f"{perfect}\t3\t3\t100.0\t100.0\t0.0\t0.0\t\t\n"
+        )
 
 
 @pytest.mark.parametrize(
