@@ -12,7 +12,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Union
+from pathlib import Path
+from typing import Iterable, Iterator, Union
 
 from .align import (
     CharSpan,
@@ -23,8 +24,8 @@ from .align import (
 )
 from .bpe import Encoding, Tokenizer, decode_bytes, encode
 from .mrqa import (
+    DatasetError,
     ExtractiveExample,
-    SpanMismatchError,
     spans_match,
     unique_qids,
     write_fixed_dataset,
@@ -49,6 +50,10 @@ FIX_METHODS = (
     SUBSEQUENCE_SEARCH,
     UNRESOLVED,
 )
+
+
+class SpanMismatchError(DatasetError):
+    """A gold character span does not point at its answer text."""
 
 
 @dataclass(frozen=True)
@@ -175,9 +180,10 @@ def make_consistent_target(
     Ladder: (1) the raw standalone ids already sit at the gold span (or
     anywhere, without a span); (2) some token run covers the gold span's
     bytes exactly; (3) the minimal covering run decodes to the answer
-    modulo edge whitespace; (4) the prefix-space variant, then the raw
-    variant, occurs anywhere in the context ids; (5) unresolved fallback
-    to the raw standalone ids.
+    modulo edge whitespace; (4) the prefix-space variant, then (with a
+    span only: rung 1 searched it otherwise) the raw variant, occurs
+    anywhere in the context ids; (5) unresolved fallback to the raw
+    standalone ids.
 
     Raises SpanMismatchError when the context text at ``gold_span`` is not
     the answer (corrupt data).
@@ -234,7 +240,10 @@ def make_consistent_target(
                     note="minimal covering run matches modulo edge whitespace",
                 )
 
-    for ids, label in ((prefixed, "prefix-space variant"), (raw, "raw variant")):
+    variants = [(prefixed, "prefix-space variant")]
+    if byte_span is not None:
+        variants.append((raw, "raw variant"))
+    for ids, label in variants:
         location = find_subsequence(ctx_ids, ids)
         if location is not None:
             return FixOutcome(
@@ -349,10 +358,20 @@ def _records(
         yield record
 
 
+def _fix_fields(outcome: FixOutcome) -> dict:
+    """The fields a repaired qa carries after its MRQA fields."""
+    span = outcome.context_span
+    return {
+        "target_token_ids": list(outcome.target_ids),
+        "fix_method": outcome.method,
+        "context_token_span": [span.start, span.end] if span is not None else None,
+    }
+
+
 def fix_dataset(
     tok: Tokenizer,
     examples: Iterable[ExtractiveExample],
-    sink: Union[str, "IO[str]"],
+    path: Union[str, Path],
     *,
     header: dict | None = None,
 ) -> dict:
@@ -364,18 +383,20 @@ def fix_dataset(
     back as one record with their qas in input order. Python may share
     one object between equal empty or one-character strings, so records
     with such a context can merge. A record whose qas were all skipped
-    is dropped. The summary's method counts plus the skip counts
-    partition the input total; ``written`` counts the repaired qas. Span
+    is dropped. Each written qa gains ``target_token_ids``,
+    ``fix_method`` and ``context_token_span``. The summary's method
+    counts plus the skip counts partition the input total; ``written``
+    is the sum of the method counts, one per repaired qa. Span
     mismatches are counted and skipped, never fatal; a repeated qid
     raises DatasetError.
     """
     counts: Counter[str] = Counter()
 
-    def groups() -> Iterator[tuple[str, list[tuple[ExtractiveExample, FixOutcome]]]]:
+    def groups() -> Iterator[tuple[str, list[tuple[ExtractiveExample, dict]]]]:
         for record in _records(unique_qids(examples)):
             context = record[0].context
             context_enc: Encoding | None = None
-            pairs: list[tuple[ExtractiveExample, FixOutcome]] = []
+            pairs: list[tuple[ExtractiveExample, dict]] = []
             for example in record:
                 choice = repair_answer_choice(example)
                 if choice is None:
@@ -392,15 +413,15 @@ def fix_dataset(
                     counts["skipped_span_mismatch"] += 1
                     continue
                 counts[outcome.method] += 1
-                pairs.append((example, outcome))
+                pairs.append((example, _fix_fields(outcome)))
             yield context, pairs
 
-    written = write_fixed_dataset(sink, header or {}, groups())
-    summary = {
+    write_fixed_dataset(path, header or {}, groups())
+    method_counts = {method: counts.get(method, 0) for method in FIX_METHODS}
+    return {
         "total": sum(counts.values()),
-        "written": written,
-        "counts": {method: counts.get(method, 0) for method in FIX_METHODS},
+        "written": sum(method_counts.values()),
+        "counts": method_counts,
         "skipped_no_answer": counts.get("skipped_no_answer", 0),
         "skipped_span_mismatch": counts.get("skipped_span_mismatch", 0),
     }
-    return summary

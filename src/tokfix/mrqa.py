@@ -17,12 +17,9 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Union
+from typing import IO, Callable, Iterable, Iterator, Union
 
 from .align import CharSpan
-
-if TYPE_CHECKING:
-    from .consist import FixOutcome
 
 logger = logging.getLogger(__name__)
 
@@ -31,10 +28,6 @@ ByteSource = Union[str, Path, IO[bytes]]
 
 class DatasetError(Exception):
     """Fatal dataset problem: missing header, malformed JSON line, bad file."""
-
-
-class SpanMismatchError(DatasetError):
-    """A gold character span does not point at its answer text."""
 
 
 @dataclass(frozen=True)
@@ -265,27 +258,32 @@ def _parse_qa(
 
 
 def write_fixed_dataset(
-    sink: Union[str, Path, IO[str]],
+    path: Union[str, Path],
     header: dict,
-    groups: Iterable[tuple[str, Iterable[tuple[ExtractiveExample, "FixOutcome"]]]],
-) -> int:
-    """Write one record per (context, repaired qas) group; return the qa count.
+    records: Iterable[tuple[str, Iterable[tuple[ExtractiveExample, dict]]]],
+) -> None:
+    """Write one record per (context, qas) pair; a record without qas is dropped.
 
-    Qas keep their given order. Each qa gains ``target_token_ids``,
-    ``fix_method`` and ``context_token_span`` fields; a group without any
-    qa writes nothing. The output stays readable by ``read_dataset`` (the
-    extras are ignored on read). A path sink is gzipped when it ends in
-    ``.gz`` and written through ``replace_on_success``, so an error while
-    ``groups`` is consumed leaves no partial output.
+    Each qa is an ``(example, extra)`` pair: the example's MRQA fields
+    are written first, then the ``extra`` fields, and qas keep their
+    given order. The output stays readable by ``read_dataset``, which
+    ignores the extras. A path ending in ``.gz`` is gzipped with a zero
+    timestamp, so reruns to the same path give identical bytes. The file
+    is written through ``replace_on_success``, so an error while
+    ``records`` is consumed leaves no partial output.
     """
-    if not isinstance(sink, (str, Path)):
-        return _write_records(sink, header, groups)
-    path = Path(sink)
+    path = Path(path)
     with replace_on_success(path) as stream, contextlib.ExitStack() as stack:
         if path.suffix == ".gz":
-            stream = stack.enter_context(gzip.GzipFile(str(path), "wb", fileobj=stream))  # type: ignore[assignment]
+            stream = stack.enter_context(gzip.GzipFile(str(path), "wb", fileobj=stream, mtime=0))  # type: ignore[assignment]
         out = stack.enter_context(io.TextIOWrapper(stream, encoding="utf-8"))
-        return _write_records(out, header, groups)
+        out.write(json.dumps({"header": header}, ensure_ascii=False))
+        out.write("\n")
+        for context, pairs in records:
+            qas = [{**_mrqa_qa(example), **extra} for example, extra in pairs]
+            if qas:
+                out.write(json.dumps({"context": context, "qas": qas}, ensure_ascii=False))
+                out.write("\n")
 
 
 @contextlib.contextmanager
@@ -306,25 +304,7 @@ def replace_on_success(path: Union[str, Path]) -> Iterator[IO[bytes]]:
         raise
 
 
-def _write_records(
-    out: IO[str],
-    header: dict,
-    groups: Iterable[tuple[str, Iterable[tuple[ExtractiveExample, "FixOutcome"]]]],
-) -> int:
-    out.write(json.dumps({"header": header}, ensure_ascii=False))
-    out.write("\n")
-    count = 0
-    for context, pairs in groups:
-        qas = [_fixed_qa(example, outcome) for example, outcome in pairs]
-        if not qas:
-            continue
-        out.write(json.dumps({"context": context, "qas": qas}, ensure_ascii=False))
-        out.write("\n")
-        count += len(qas)
-    return count
-
-
-def _fixed_qa(example: ExtractiveExample, outcome: "FixOutcome") -> dict:
+def _mrqa_qa(example: ExtractiveExample) -> dict:
     return {
         "qid": example.qid,
         "question": example.question,
@@ -336,13 +316,6 @@ def _fixed_qa(example: ExtractiveExample, outcome: "FixOutcome") -> dict:
             }
             for text, spans in example.detected
         ],
-        "target_token_ids": list(outcome.target_ids),
-        "fix_method": outcome.method,
-        "context_token_span": (
-            [outcome.context_span.start, outcome.context_span.end]
-            if outcome.context_span is not None
-            else None
-        ),
     }
 
 

@@ -1,4 +1,3 @@
-import io
 import json
 import random
 
@@ -15,6 +14,7 @@ from tokfix.consist import (
     INCONSISTENT,
     SUBSEQUENCE_SEARCH,
     UNRESOLVED,
+    SpanMismatchError,
     _reservoir_sample,
     analyze_dataset,
     answer_variants,
@@ -22,10 +22,21 @@ from tokfix.consist import (
     fix_dataset,
     make_consistent_target,
 )
-from tokfix.mrqa import DatasetError, ExtractiveExample, SpanMismatchError, read_dataset
+from tokfix.mrqa import DatasetError, ExtractiveExample, read_dataset
 
 from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
 from helpers import MULTI_QA_RECORDS, naive_find, random_toy_tokenizer
+
+
+FIXED_QA_KEYS = [
+    "qid",
+    "question",
+    "answers",
+    "detected_answers",
+    "target_token_ids",
+    "fix_method",
+    "context_token_span",
+]
 
 
 def example(qid, context, answer, span=None, gold=None):
@@ -158,12 +169,26 @@ class TestMakeConsistentTarget:
                 number_tok, context, enc, "xyz", CharSpan(0, 3)
             )
 
-    def test_no_span_searches_prefixed_variant_first(self, corpus_tok):
+    def test_no_span_falls_back_to_prefixed_variant(self, corpus_tok):
         context = "The museum wing of the museum closed."
         enc = encode(corpus_tok, context)
         outcome = make_consistent_target(corpus_tok, context, enc, "museum", None)
         assert outcome.method == SUBSEQUENCE_SEARCH
         assert decode_bytes(corpus_tok, outcome.target_ids) == b" museum"
+
+    def test_no_span_searches_each_variant_once(self, corpus_tok, monkeypatch):
+        searched = []
+
+        def logging_find(haystack, needle):
+            searched.append(needle)
+            return find_subsequence(haystack, needle)
+
+        monkeypatch.setattr(consist, "find_subsequence", logging_find)
+        context = "The hull was laid in 1912, they say."
+        enc = encode(corpus_tok, context)
+        outcome = make_consistent_target(corpus_tok, context, enc, "912", None)
+        assert outcome.method == UNRESOLVED
+        assert searched == list(answer_variants(corpus_tok, "912"))
 
     def test_gold_span_beats_leftmost_occurrence(self, corpus_tok):
         context = "The bridge was old, but the bridge held."
@@ -322,6 +347,7 @@ class TestFixDataset:
                 record = json.loads(line)
                 context_ids = encode(corpus_tok, record["context"]).ids
                 for qa_obj in record["qas"]:
+                    assert list(qa_obj) == FIXED_QA_KEYS
                     target = tuple(qa_obj["target_token_ids"])
                     if qa_obj["fix_method"] == UNRESOLVED:
                         assert qa_obj["context_token_span"] is None
@@ -382,25 +408,23 @@ class TestFixDataset:
             detected=(("anchor", (CharSpan(0, 3),)),),
         )
         ok = example("ok", "The anchor held.", "anchor", CharSpan(4, 10))
-        out = io.StringIO()
-        summary = fix_dataset(corpus_tok, [bad, ok], out)
+        summary = fix_dataset(corpus_tok, [bad, ok], tmp_path / "fixed.jsonl")
         assert summary["skipped_span_mismatch"] == 1
         assert summary["written"] == 1
         assert summary["total"] == 2
 
-    def test_example_without_any_answer_is_skipped(self, corpus_tok):
+    def test_example_without_any_answer_is_skipped(self, corpus_tok, tmp_path):
         empty = ExtractiveExample(qid="none", context="x", question="?")
-        out = io.StringIO()
-        summary = fix_dataset(corpus_tok, [empty], out)
+        summary = fix_dataset(corpus_tok, [empty], tmp_path / "fixed.jsonl")
         assert summary["skipped_no_answer"] == 1
         assert summary["written"] == 0
 
     def test_each_record_context_is_encoded_once(
-        self, corpus_tok, multi_qa_path, monkeypatch
+        self, corpus_tok, multi_qa_path, monkeypatch, tmp_path
     ):
         encoded = record_context_encodes(monkeypatch)
         _, stream = read_dataset(multi_qa_path)
-        summary = fix_dataset(corpus_tok, stream, io.StringIO())
+        summary = fix_dataset(corpus_tok, stream, tmp_path / "fixed.jsonl")
         assert summary["written"] == 4
         assert encoded == ANSWERABLE_CONTEXTS
 
@@ -412,10 +436,10 @@ class TestFixDataset:
         lines = [{"header": {}}, record, again]
         path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
         _, stream = read_dataset(path)
-        out = io.StringIO()
-        summary = fix_dataset(corpus_tok, stream, out)
+        out_path = tmp_path / "fixed.jsonl"
+        summary = fix_dataset(corpus_tok, stream, out_path)
         assert summary["written"] == 4
-        written = [json.loads(line) for line in out.getvalue().splitlines()[1:]]
+        written = [json.loads(line) for line in out_path.read_text().splitlines()[1:]]
         assert [r["context"] for r in written] == [record["context"]] * 2
         assert [[qa["qid"] for qa in r["qas"]] for r in written] == [["m5", "m6"], ["m5b", "m6b"]]
 

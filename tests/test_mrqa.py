@@ -6,8 +6,7 @@ import tracemalloc
 
 import pytest
 
-from tokfix.align import CharSpan, TokenSpan
-from tokfix.consist import ALREADY_CONSISTENT, UNRESOLVED, FixOutcome
+from tokfix.align import CharSpan
 from tokfix.mrqa import (
     DatasetError,
     read_dataset,
@@ -287,19 +286,15 @@ class TestReadDataset:
 
 
 class TestWriteFixedDataset:
-    def outcome(self, ids=(1, 2), method=ALREADY_CONSISTENT, span=TokenSpan(0, 2)):
-        return FixOutcome(target_ids=tuple(ids), method=method, context_span=span)
-
     def test_round_trip_preserves_examples(self, tmp_path):
         _, stream = read_dataset(io.BytesIO(dataset_bytes(THREE_QUESTION_RECORDS)))
         originals = list(stream)
         out_path = tmp_path / "fixed.jsonl"
-        groups = [
-            (context, [(e, self.outcome()) for e in group])
+        records = [
+            (context, [(e, {"fix_method": "exact_slice"}) for e in group])
             for context, group in itertools.groupby(originals, key=lambda e: e.context)
         ]
-        count = write_fixed_dataset(out_path, {"dataset": "test-set"}, groups)
-        assert count == 3
+        write_fixed_dataset(out_path, {"dataset": "test-set"}, records)
         assert len(out_path.read_text().splitlines()) == 1 + len(THREE_QUESTION_RECORDS)
         header, stream = read_dataset(out_path)
         assert header == {"dataset": "test-set"}
@@ -308,40 +303,45 @@ class TestWriteFixedDataset:
     def test_written_records_carry_fix_fields(self, tmp_path):
         _, stream = read_dataset(io.BytesIO(dataset_bytes(THREE_QUESTION_RECORDS)))
         q1, q2, q3 = stream
-        out = io.StringIO()
-        count = write_fixed_dataset(
-            out,
+        out_path = tmp_path / "fixed.jsonl"
+        write_fixed_dataset(
+            out_path,
             {},
             [
                 (
                     q1.context,
                     [
-                        (q2, self.outcome(ids=(7,), span=TokenSpan(3, 4))),
-                        (q1, self.outcome(ids=(9,), method=UNRESOLVED, span=None)),
+                        (q2, {"target_token_ids": [7], "context_token_span": [3, 4]}),
+                        (q1, {"target_token_ids": [9], "context_token_span": None}),
                     ],
                 ),
                 (q3.context, []),
             ],
         )
-        assert count == 2
-        lines = out.getvalue().splitlines()
+        lines = out_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2  # the empty group writes no record
         record = json.loads(lines[1])
         assert record["context"] == q1.context
         first, second = record["qas"]
+        assert list(first) == [
+            "qid",
+            "question",
+            "answers",
+            "detected_answers",
+            "target_token_ids",
+            "context_token_span",
+        ]
         assert first["qid"] == "q2"
+        assert first["detected_answers"] == [{"text": "bridge", "char_spans": [[4, 9]]}]
         assert first["target_token_ids"] == [7]
-        assert first["fix_method"] == ALREADY_CONSISTENT
         assert first["context_token_span"] == [3, 4]
         assert second["qid"] == "q1"
         assert second["target_token_ids"] == [9]
-        assert second["fix_method"] == UNRESOLVED
         assert second["context_token_span"] is None
 
     def test_empty_stream_writes_header_only(self, tmp_path):
         out_path = tmp_path / "empty.jsonl"
-        count = write_fixed_dataset(out_path, {"dataset": "x"}, [])
-        assert count == 0
+        write_fixed_dataset(out_path, {"dataset": "x"}, [])
         lines = out_path.read_text().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"header": {"dataset": "x"}}
@@ -353,6 +353,16 @@ class TestWriteFixedDataset:
         header, stream = read_dataset(out_path)
         assert header == {"dataset": "x"}
         assert list(stream) == []
+
+    def test_gz_rerun_gives_identical_bytes(self, tmp_path):
+        _, stream = read_dataset(io.BytesIO(dataset_bytes(THREE_QUESTION_RECORDS)))
+        q1 = next(stream)
+        out_path = tmp_path / "fixed.jsonl.gz"
+        write_fixed_dataset(out_path, {"dataset": "x"}, [(q1.context, [(q1, {})])])
+        first = out_path.read_bytes()
+        assert first[4:8] == bytes(4)  # the gzip header's mtime field
+        write_fixed_dataset(out_path, {"dataset": "x"}, [(q1.context, [(q1, {})])])
+        assert out_path.read_bytes() == first
 
 
 class TestReadPredictions:
