@@ -86,18 +86,13 @@ def token_slice_for_span(
     return TokenSpan(lo, hi), exact
 
 
-def find_subsequence(
-    haystack: Sequence[int], needle: Sequence[int]
-) -> TokenSpan | None:
+def find_subsequence(haystack: str, needle: Sequence[int]) -> TokenSpan | None:
     """Return the leftmost contiguous match of needle in haystack, if any.
 
-    An empty needle matches at position 0. Ids must lie in
-    ``range(0x110000)``, as ``load_tokenizer`` guarantees: each id becomes
-    one code point, so ``str.find`` searches in time linear in the
-    haystack.
+    The haystack is a context's ``Encoding.id_string``, one code point
+    per id, so ``str.find`` searches in time linear in it; needle ids
+    must lie in ``range(0x110000)``, as ``load_tokenizer`` guarantees. An
+    empty needle matches at position 0.
     """
-    m = len(needle)
-    if m > len(haystack):
-        return None
-    start = "".join(map(chr, haystack)).find("".join(map(chr, needle)))
-    return None if start < 0 else TokenSpan(start, start + m)
+    start = haystack.find("".join(map(chr, needle)))
+    return None if start < 0 else TokenSpan(start, start + len(needle))

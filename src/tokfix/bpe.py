@@ -99,14 +99,19 @@ class Encoding:
     ids: tuple[int, ...]
     offsets: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def id_string(self) -> str:
+        """One code point per id: the haystack of ``align.find_subsequence``."""
+        return "".join(map(chr, self.ids))
 
-def _read_text(source: TextSource) -> str:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
-    data = source.read()
-    if isinstance(data, bytes):
-        return data.decode("utf-8")
-    return data
+
+def _read_text(source: TextSource, name: str) -> str:
+    try:
+        if isinstance(source, (str, Path)):
+            return Path(source).read_text(encoding="utf-8")
+        return source.read()
+    except UnicodeDecodeError as exc:
+        raise TokenizerError(f"{name} is not UTF-8: {exc}") from None
 
 
 def _parse_merges(text: str) -> list[tuple[str, str]]:
@@ -128,13 +133,14 @@ def _parse_merges(text: str) -> list[tuple[str, str]]:
 def load_tokenizer(vocab_source: TextSource, merges_source: TextSource) -> Tokenizer:
     """Load and validate a tokenizer from vocab.json / merges.txt sources.
 
-    Sources may be file paths or open text/binary streams. Raises
-    TokenizerError on malformed JSON, ids that are not integers in
-    ``range(0x110000)``, duplicate ids, missing single-byte units, or a
-    merge whose concatenation is not in the vocabulary.
+    Sources may be file paths or open text streams. Raises
+    TokenizerError on bytes that are not UTF-8, malformed JSON, ids
+    that are not integers in ``range(0x110000)``, duplicate ids, missing
+    single-byte units, or a merge whose concatenation is not in the
+    vocabulary.
     """
     try:
-        raw = json.loads(_read_text(vocab_source))
+        raw = json.loads(_read_text(vocab_source, "vocab"))
     except json.JSONDecodeError as exc:
         raise TokenizerError(f"vocab is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -142,7 +148,7 @@ def load_tokenizer(vocab_source: TextSource, merges_source: TextSource) -> Token
 
     vocab: dict[str, int] = {}
     for token, idx in raw.items():
-        # align.find_subsequence maps each id to one code point
+        # Encoding.id_string maps each id to one code point
         if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < 0x110000:
             raise TokenizerError(f"token {token!r} has invalid id {idx!r}")
         vocab[token] = idx
@@ -162,7 +168,7 @@ def load_tokenizer(vocab_source: TextSource, merges_source: TextSource) -> Token
             f"(first missing: byte {missing[0]!r}); cannot guarantee coverage"
         )
 
-    merges = _parse_merges(_read_text(merges_source))
+    merges = _parse_merges(_read_text(merges_source, "merges"))
     for left, right in merges:
         if left + right not in vocab:
             raise TokenizerError(

@@ -201,6 +201,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("evaluate takes one or two --predictions files")
     if len(args.dataset) != 1:
         raise UsageError("evaluate takes exactly one --dataset")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be at least 0, not {args.seed}")
 
     with _report_writer(args) as write:
         _, stream = read_dataset(args.dataset[0])

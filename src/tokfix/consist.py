@@ -150,10 +150,10 @@ def check_consistency(
     between ``consistent_prefix_space`` and ``inconsistent``.
     """
     raw, prefixed = answer_variants(tok, answer)
-    location = find_subsequence(context_enc.ids, raw)
+    location = find_subsequence(context_enc.id_string, raw)
     if location is not None:
         return ConsistencyVerdict(CONSISTENT_RAW, location)
-    location = find_subsequence(context_enc.ids, prefixed)
+    location = find_subsequence(context_enc.id_string, prefixed)
     if location is not None:
         return ConsistencyVerdict(CONSISTENT_PREFIX_SPACE, location)
     return ConsistencyVerdict(INCONSISTENT)
@@ -189,7 +189,6 @@ def make_consistent_target(
     the answer (corrupt data).
     """
     raw, prefixed = answer_variants(tok, answer)
-    ctx_ids = context_enc.ids
 
     byte_span: tuple[int, int] | None = None
     if gold_span is not None:
@@ -205,7 +204,7 @@ def make_consistent_target(
         byte_span = codepoint_span_to_byte_span(context, gold_span)
 
     if byte_span is None:
-        location = find_subsequence(ctx_ids, raw)
+        location = find_subsequence(context_enc.id_string, raw)
         if location is not None:
             return FixOutcome(
                 target_ids=raw,
@@ -217,7 +216,7 @@ def make_consistent_target(
         found = token_slice_for_span(context_enc, byte_span)
         if found is not None:
             span, exact = found
-            slice_ids = ctx_ids[span.start : span.end]
+            slice_ids = context_enc.ids[span.start : span.end]
             if exact:
                 if slice_ids == raw:
                     return FixOutcome(
@@ -244,7 +243,7 @@ def make_consistent_target(
     if byte_span is not None:
         variants.append((raw, "raw variant"))
     for ids, label in variants:
-        location = find_subsequence(ctx_ids, ids)
+        location = find_subsequence(context_enc.id_string, ids)
         if location is not None:
             return FixOutcome(
                 target_ids=ids,

@@ -14,6 +14,7 @@ import io
 import json
 import logging
 import os
+import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +24,8 @@ from .align import CharSpan
 
 logger = logging.getLogger(__name__)
 
-ByteSource = Union[str, Path, IO[bytes]]
+# a JSON escape of a UTF-16 surrogate; paired ones decode to one code point
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 class DatasetError(Exception):
@@ -55,23 +57,16 @@ def spans_match(snippet: str, answer: str) -> bool:
     return snippet == answer or snippet.rstrip() == answer.rstrip()
 
 
-def _numbered_lines(source: ByteSource) -> Iterator[tuple[int, str]]:
-    """Yield ``(line number, text)`` pairs, gunzipping a gzip-magic source.
+def _numbered_lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, text)`` pairs, gunzipping a gzip-magic file.
 
-    A file opened here is closed when the generator finishes or is
-    closed; a caller's stream is left to the caller, open. Bytes that are
-    not UTF-8 or not a complete gzip stream raise DatasetError.
+    The file is closed when the generator finishes or is closed. Bytes
+    that are not UTF-8 or not a complete gzip stream raise DatasetError.
     """
     lineno = 1
     try:
         with contextlib.ExitStack() as stack:
-            if isinstance(source, (str, Path)):
-                source = stack.enter_context(open(source, "rb"))
-            stream = source
-            if not isinstance(stream, io.BufferedReader):
-                stream = io.BufferedReader(source)  # type: ignore[arg-type]
-                # a detached wrapper no longer closes the stream it wraps
-                stack.callback(lambda wrapper=stream: wrapper.closed or wrapper.detach())
+            stream = stack.enter_context(open(path, "rb"))
             if stream.peek(2)[:2] == b"\x1f\x8b":
                 stream = stack.enter_context(gzip.GzipFile(fileobj=stream, mode="rb"))  # type: ignore[assignment]
             for line in stream:
@@ -81,8 +76,21 @@ def _numbered_lines(source: ByteSource) -> Iterator[tuple[int, str]]:
         raise DatasetError(f"line {lineno}: unreadable bytes: {exc}") from None
 
 
+def _loads(lineno: int, line: str, what: str) -> object:
+    """Parse one JSON line; malformed JSON or a lone surrogate raise DatasetError."""
+    try:
+        obj = json.loads(line)
+        if _SURROGATE_ESCAPE.search(line):
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"line {lineno}: malformed JSON{what}: {exc}") from None
+    except UnicodeEncodeError:
+        raise DatasetError(f"line {lineno}: unpaired surrogate escape in text") from None
+    return obj
+
+
 def read_dataset(
-    source: ByteSource,
+    path: Union[str, Path],
     *,
     on_error: Callable[[str], None] | None = None,
 ) -> tuple[dict, Iterator[ExtractiveExample]]:
@@ -92,24 +100,17 @@ def read_dataset(
     end indices are inclusive, as in the MRQA release. Per-record
     problems (missing or wrong-typed fields, span/text mismatches) go to
     ``on_error`` and skip what they affect without stopping the stream;
-    a malformed JSON line or undecodable bytes are fatal and raise
-    DatasetError with the line number.
+    a malformed JSON line, a JSON escape that decodes to a lone
+    surrogate, or undecodable bytes are fatal and raise DatasetError with
+    the line number.
 
     The stream yields one example per question, in file order. Every
     example of one record shares a single ``context`` object;
     ``fix_dataset`` and ``analyze_dataset`` rely on this to encode each
     context once, and ``metrics.evaluate`` to normalize it once.
-
-    A text-mode stream raises TypeError and is left open: the gzip check
-    and the UTF-8 check need the raw bytes.
     """
-    if isinstance(source, io.TextIOBase):
-        raise TypeError(
-            "read_dataset needs a path or a binary stream "
-            f"(open the file in 'rb' mode), not {type(source).__name__}"
-        )
     report = on_error if on_error is not None else logger.warning
-    lines = _numbered_lines(source)
+    lines = _numbered_lines(path)
     try:
         _, first_line = next(lines, (1, ""))
         header = _parse_header(first_line)
@@ -148,10 +149,7 @@ def unique_qids(examples: Iterable[ExtractiveExample]) -> Iterator[ExtractiveExa
 def _parse_header(line: str) -> dict:
     if not line.strip():
         raise DatasetError("missing header: dataset file is empty")
-    try:
-        header_obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"line 1: malformed JSON header: {exc}") from None
+    header_obj = _loads(1, line, " header")
     if not isinstance(header_obj, dict) or "header" not in header_obj:
         raise DatasetError('line 1: expected {"header": {...}}')
     header_fields = header_obj["header"] or {}
@@ -167,10 +165,7 @@ def _examples(
         for lineno, line in lines:
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"line {lineno}: malformed JSON: {exc}") from None
+            record = _loads(lineno, line, "")
             if not isinstance(record, dict):
                 report(f"line {lineno}: record is not an object; skipped")
                 continue
@@ -319,14 +314,8 @@ def _mrqa_qa(example: ExtractiveExample) -> dict:
     }
 
 
-def read_predictions(source: Union[str, Path, IO[bytes], IO[str]]) -> dict[str, str]:
+def read_predictions(path: Union[str, Path]) -> dict[str, str]:
     """Parse a qid -> answer-text JSON object; duplicates and non-strings fail."""
-    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DatasetError(f"predictions are not UTF-8: {exc}") from None
 
     def reject_duplicates(pairs: list[tuple[str, object]]) -> dict:
         obj: dict = {}
@@ -337,7 +326,10 @@ def read_predictions(source: Union[str, Path, IO[bytes], IO[str]]) -> dict[str, 
         return obj
 
     try:
-        parsed = json.loads(data, object_pairs_hook=reject_duplicates)
+        text = Path(path).read_bytes().decode("utf-8")
+        parsed = json.loads(text, object_pairs_hook=reject_duplicates)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"predictions are not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DatasetError(f"malformed predictions JSON: {exc}") from None
     if not isinstance(parsed, dict):

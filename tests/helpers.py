@@ -12,6 +12,7 @@ import random
 import re
 import string
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +43,18 @@ def make_tokenizer(merges: list[tuple[str, str]], extra_tokens: tuple[str, ...] 
     return load_tokenizer(
         io.StringIO(json.dumps(vocab)), io.StringIO(merges_text(merges))
     )
+
+
+def write_file(directory: Path, data: bytes | str, name: str = "data.jsonl") -> Path:
+    """Write ``data`` (text as UTF-8) to ``directory / name``; return the path."""
+    path = directory / name
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    return path
+
+
+def as_id_string(ids) -> str:
+    """Ids as ``Encoding.id_string`` holds them, one code point per id."""
+    return "".join(map(chr, ids))
 
 
 def bpe_oracle_units(tok: Tokenizer, segment: str) -> list[str]:

@@ -25,6 +25,7 @@ from tokfix.mrqa import read_dataset
 
 from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
 from helpers import (
+    as_id_string,
     as_oracle_result,
     bpe_oracle_ids,
     has_faithful_slice,
@@ -120,7 +121,7 @@ def test_oracle_equivalence_find_subsequence():
             needle = haystack[i : i + rng.randrange(1, 9)]
         else:
             needle = [rng.randrange(10) for _ in range(rng.randrange(0, 9))]
-        if find_subsequence(haystack, needle) != naive_find(haystack, needle):
+        if find_subsequence(as_id_string(haystack), needle) != naive_find(haystack, needle):
             disagreements += 1
     report(
         "oracle equivalence: find_subsequence",
@@ -197,14 +198,14 @@ def test_repair_guarantee_on_bundled_corpus(corpus_tok, corpus_path, tmp_path):
         next(handle)
         for line in handle:
             record = json.loads(line)
-            context_ids = encode(corpus_tok, record["context"]).ids
+            context_string = encode(corpus_tok, record["context"]).id_string
             for qa in record["qas"]:
                 qid_families.add(qa["qid"][0])
                 if qa["fix_method"] == UNRESOLVED:
                     continue
                 resolved += 1
                 target = tuple(qa["target_token_ids"])
-                if find_subsequence(context_ids, target) is None:
+                if find_subsequence(context_string, target) is None:
                     problems.append(f"{qa['qid']}: target not a context slice")
                     continue
                 answer = (

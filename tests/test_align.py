@@ -12,7 +12,13 @@ from tokfix.align import (
 )
 from tokfix.bpe import encode
 
-from helpers import as_oracle_result, naive_find, random_toy_tokenizer, slice_oracle
+from helpers import (
+    as_id_string,
+    as_oracle_result,
+    naive_find,
+    random_toy_tokenizer,
+    slice_oracle,
+)
 
 
 def covered_bytes(text, enc, span):
@@ -130,21 +136,21 @@ class TestTokenSliceForSpan:
 
 class TestFindSubsequence:
     def test_whole_sequence_matches(self):
-        assert find_subsequence([4, 5, 6], [4, 5, 6]) == TokenSpan(0, 3)
+        assert find_subsequence(as_id_string([4, 5, 6]), [4, 5, 6]) == TokenSpan(0, 3)
 
     def test_split_pieces_absent_from_fused_context(self, number_tok):
         context = encode(number_tok, "finished in 1912 maybe")
         standalone = encode(number_tok, "1912")
-        assert find_subsequence(context.ids, standalone.ids) is None
+        assert find_subsequence(context.id_string, standalone.ids) is None
 
     def test_empty_needle_matches_at_zero(self):
-        assert find_subsequence([1, 2, 3], []) == TokenSpan(0, 0)
+        assert find_subsequence(as_id_string([1, 2, 3]), []) == TokenSpan(0, 0)
 
     def test_leftmost_match_returned(self):
-        assert find_subsequence([5, 6, 5, 6], [5, 6]) == TokenSpan(0, 2)
+        assert find_subsequence(as_id_string([5, 6, 5, 6]), [5, 6]) == TokenSpan(0, 2)
 
     def test_needle_longer_than_haystack(self):
-        assert find_subsequence([1], [1, 2]) is None
+        assert find_subsequence(as_id_string([1]), [1, 2]) is None
 
     def test_agrees_with_naive_double_loop(self):
         rng = random.Random(917)
@@ -156,7 +162,8 @@ class TestFindSubsequence:
                 needle = haystack[i:j]
             else:
                 needle = [rng.randrange(8) for _ in range(rng.randrange(0, 5))]
-            assert find_subsequence(haystack, needle) == naive_find(haystack, needle)
+            found = find_subsequence(as_id_string(haystack), needle)
+            assert found == naive_find(haystack, needle)
 
     def test_agrees_with_naive_double_loop_across_the_id_range(self):
         # surrogates and ids above 0xFFFF each stay one code point
@@ -169,7 +176,8 @@ class TestFindSubsequence:
                 needle = haystack[i : i + rng.randrange(1, 5)]
             else:
                 needle = [rng.choice(ids) for _ in range(rng.randrange(0, 4))]
-            assert find_subsequence(haystack, needle) == naive_find(haystack, needle)
+            found = find_subsequence(as_id_string(haystack), needle)
+            assert found == naive_find(haystack, needle)
 
 
 class TestFindSubsequenceScaling:
@@ -180,7 +188,8 @@ class TestFindSubsequenceScaling:
         haystack = [7] * n
         needle = [7] * (n // 2) + [8]
         start = time.perf_counter()
-        assert find_subsequence(haystack, needle) is None
-        assert find_subsequence(haystack + [8], needle) == TokenSpan(n // 2, n + 1)
+        assert find_subsequence(as_id_string(haystack), needle) is None
+        found = find_subsequence(as_id_string(haystack + [8]), needle)
+        assert found == TokenSpan(n // 2, n + 1)
         elapsed = time.perf_counter() - start
         assert elapsed < 0.5

@@ -249,6 +249,24 @@ class TestAnalyzeCommand:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("which", ["vocab", "merges"])
+    def test_non_utf8_tokenizer_file_is_data_error(self, capsys, tmp_path, which):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe")
+        files = {"vocab": VOCAB, "merges": MERGES, which: str(bad)}
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, err = run(
+            capsys,
+            "analyze", "--vocab", files["vocab"], "--merges", files["merges"],
+            "--dataset", CORPUS, "--output", str(out_dir / "report.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert f"data error: {which} is not UTF-8" in err
+        assert "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+
     def test_malformed_dataset_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"header": {"dataset": "x"}}\n{broken\n')
@@ -513,6 +531,17 @@ class TestEvaluateCommand:
         assert out == ""
         assert "data error: duplicate qid 'q' in dataset" in err
 
+    def test_negative_seed_is_usage_error(self, capsys, eval_files):
+        gold, perfect, worse = eval_files
+        code, out, err = run(
+            capsys,
+            "evaluate", "--dataset", gold,
+            "--predictions", perfect, "--predictions", worse, "--seed", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert "usage error: --seed must be at least 0, not -1" in err
+
     def test_three_prediction_files_rejected(self, capsys, eval_files, tmp_path):
         gold, perfect, worse = eval_files
         code, _out, err = run(
@@ -601,6 +630,79 @@ def test_report_output_leaves_no_temporary_file(capsys, tmp_path, eval_files, co
     assert out == ""
     assert list(out_dir.iterdir()) == [report]
     assert report.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        ("analyze", "context"),
+        ("analyze", "answers"),
+        ("analyze", "header"),
+        ("fix", "context"),
+        ("fix", "qid"),
+        ("fix", "question"),
+        ("fix", "answers"),
+        ("fix", "header"),
+        ("evaluate", "context"),
+        ("inspect", "context"),
+    ],
+)
+def test_lone_surrogate_in_dataset_is_data_error(capsys, tmp_path, command, field):
+    # json.dumps writes a lone surrogate as the escape \ud800, which is
+    # valid UTF-8 on disk; the text it decodes to cannot be encoded back
+    qa = {
+        "qid": "q1",
+        "question": "When?",
+        "answers": ["1912"],
+        "detected_answers": [{"text": "1912", "char_spans": [[21, 24]]}],
+    }
+    header = {"dataset": "surrogates"}
+    record = {"context": "The bridge opened in 1912.", "qas": [qa]}
+    if field == "header":
+        header["dataset"] += "\ud800"
+    elif field == "context":
+        record["context"] += "\ud800"
+    elif field == "answers":
+        qa["answers"] = ["1912\ud800"]
+    else:
+        qa[field] += "\ud800"
+    dataset = tmp_path / "surrogate.jsonl"
+    dataset.write_text(json.dumps({"header": header}) + "\n" + json.dumps(record) + "\n")
+    preds = tmp_path / "preds.json"
+    preds.write_text(json.dumps({"q1": "1912"}))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    tokenizer = ["--vocab", VOCAB, "--merges", MERGES]
+    argv = {
+        "analyze": [*tokenizer, "--format", "tsv"],
+        "fix": tokenizer,
+        "evaluate": ["--predictions", str(preds)],
+        "inspect": [*tokenizer, "--qid", "q1"],
+    }[command]
+    code, out, err = run(
+        capsys, command, *argv,
+        "--dataset", str(dataset), "--output", str(out_dir / "result"),
+    )
+    assert code == 2
+    assert out == ""
+    assert f"data error: line {1 if field == 'header' else 2}: unpaired surrogate" in err
+    assert "Traceback" not in err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "inspect"])
+def test_surrogate_vocab_token_loads(capsys, tmp_path, command):
+    vocab = json.loads(Path(VOCAB).read_text(encoding="utf-8"))
+    vocab["\ud800"] = max(vocab.values()) + 1
+    vocab_path = tmp_path / "vocab.json"
+    vocab_path.write_text(json.dumps(vocab))  # the token as the escape \ud800
+    argv = ["--vocab", str(vocab_path), "--merges", MERGES, "--dataset", CORPUS]
+    if command == "inspect":
+        argv += ["--qid", "n01"]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 0
+    assert out
+    assert "Traceback" not in err
 
 
 def test_numpy_is_loaded_only_by_the_significance_test(tmp_path, eval_files):

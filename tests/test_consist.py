@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -128,6 +129,26 @@ class TestCheckConsistency:
             else:
                 expected = INCONSISTENT
             assert verdict.status == expected == corpus_expectations[ex.qid]["verdict"]
+
+
+class TestCheckConsistencyScaling:
+    def test_400_questions_over_a_120k_id_context_well_under_a_second(self, number_tok):
+        # one record with many qas searches the same long context ids for
+        # every answer; joining those ids again per search costs O(q * n)
+        enc = encode(number_tok, "wörd 1912 " * 17_000)
+        assert len(enc.ids) > 115_000
+        expected = {
+            "wörd": CONSISTENT_RAW,
+            "1912": CONSISTENT_PREFIX_SPACE,
+            "1913": INCONSISTENT,
+            "dröw": INCONSISTENT,
+        }
+        answers = random.Random(5).choices(list(expected), k=400)
+        start = time.perf_counter()
+        verdicts = [check_consistency(number_tok, enc, answer) for answer in answers]
+        elapsed = time.perf_counter() - start
+        assert [v.status for v in verdicts] == [expected[a] for a in answers]
+        assert elapsed < 0.5
 
 
 class TestMakeConsistentTarget:
@@ -345,14 +366,15 @@ class TestFixDataset:
             next(handle)
             for line in handle:
                 record = json.loads(line)
-                context_ids = encode(corpus_tok, record["context"]).ids
+                context_enc = encode(corpus_tok, record["context"])
+                context_ids = context_enc.ids
                 for qa_obj in record["qas"]:
                     assert list(qa_obj) == FIXED_QA_KEYS
                     target = tuple(qa_obj["target_token_ids"])
                     if qa_obj["fix_method"] == UNRESOLVED:
                         assert qa_obj["context_token_span"] is None
                         continue
-                    where = find_subsequence(context_ids, target)
+                    where = find_subsequence(context_enc.id_string, target)
                     assert where is not None, qa_obj["qid"]
                     span = qa_obj["context_token_span"]
                     assert context_ids[span[0] : span[1]] == target
@@ -369,12 +391,12 @@ class TestFixDataset:
             next(handle)
             for line in handle:
                 record = json.loads(line)
-                context_ids = encode(corpus_tok, record["context"]).ids
+                context_string = encode(corpus_tok, record["context"]).id_string
                 for qa_obj in record["qas"]:
                     if qa_obj["fix_method"] == UNRESOLVED:
                         continue
                     resolved += 1
-                    if find_subsequence(context_ids, tuple(qa_obj["target_token_ids"])) is None:
+                    if find_subsequence(context_string, tuple(qa_obj["target_token_ids"])) is None:
                         inconsistent += 1
         assert resolved == EXPECTED_TOTALS["total"] - EXPECTED_METHODS["unresolved"]
         assert inconsistent == 0

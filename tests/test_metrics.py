@@ -1,4 +1,3 @@
-import io
 import itertools
 import json
 import random
@@ -22,7 +21,7 @@ from tokfix.metrics import (
 )
 from tokfix.mrqa import DatasetError, ExtractiveExample, read_dataset
 
-from helpers import f1_oracle, monte_carlo_p_2048_rows, normalize_answer_per_char
+from helpers import f1_oracle, monte_carlo_p_2048_rows, normalize_answer_per_char, write_file
 
 CTX_SNACK = (
     "It was the final year that Doritos, a longtime sponsor of the game, "
@@ -377,7 +376,7 @@ class TestEvaluate:
         assert report.n_predicted == 3
         assert report.em == 100.0
 
-    def test_repeated_qid_raises(self):
+    def test_repeated_qid_raises(self, tmp_path):
         qa = {"qid": "q", "question": "When?", "answers": ["1912"]}
         lines = [
             {"header": {}},
@@ -385,7 +384,7 @@ class TestEvaluate:
             {"context": "It closed in 1912.", "qas": [qa]},
         ]
         data = "".join(json.dumps(line) + "\n" for line in lines).encode()
-        _, stream = read_dataset(io.BytesIO(data))
+        _, stream = read_dataset(write_file(tmp_path, data))
         with pytest.raises(DatasetError, match="duplicate qid 'q' in dataset"):
             evaluate({"q": "1912"}, stream)
 

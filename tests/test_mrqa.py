@@ -1,5 +1,4 @@
 import gzip
-import io
 import itertools
 import json
 import tracemalloc
@@ -13,6 +12,8 @@ from tokfix.mrqa import (
     read_predictions,
     write_fixed_dataset,
 )
+
+from helpers import write_file
 
 
 def dataset_bytes(records, header=None):
@@ -53,8 +54,8 @@ def with_bad_qa(**fields):
 
 
 class TestReadDataset:
-    def test_header_and_examples_in_file_order(self):
-        header, stream = read_dataset(io.BytesIO(dataset_bytes(THREE_QUESTION_RECORDS)))
+    def test_header_and_examples_in_file_order(self, tmp_path):
+        header, stream = read_dataset(write_file(tmp_path, dataset_bytes(THREE_QUESTION_RECORDS)))
         assert header == {"dataset": "test-set"}
         examples = list(stream)
         assert [e.qid for e in examples] == ["q1", "q2", "q3"]
@@ -64,27 +65,53 @@ class TestReadDataset:
         assert first.gold_answers == ("1912",)
         assert first.detected == (("1912", (CharSpan(21, 25),)),)
 
-    def test_examples_of_one_record_share_one_context_object(self):
-        _, stream = read_dataset(io.BytesIO(dataset_bytes(THREE_QUESTION_RECORDS)))
+    def test_examples_of_one_record_share_one_context_object(self, tmp_path):
+        _, stream = read_dataset(write_file(tmp_path, dataset_bytes(THREE_QUESTION_RECORDS)))
         q1, q2, q3 = stream
         assert q1.context is q2.context
         assert q3.context is not q1.context
 
-    def test_empty_file_is_missing_header(self):
+    def test_empty_file_is_missing_header(self, tmp_path):
         with pytest.raises(DatasetError, match="missing header"):
-            read_dataset(io.BytesIO(b""))
+            read_dataset(write_file(tmp_path, b""))
 
-    def test_header_without_header_key(self):
+    def test_header_without_header_key(self, tmp_path):
         with pytest.raises(DatasetError, match="header"):
-            read_dataset(io.BytesIO(b'{"context": "x", "qas": []}\n'))
+            read_dataset(write_file(tmp_path, b'{"context": "x", "qas": []}\n'))
 
-    def test_malformed_json_line_is_fatal_with_line_number(self):
+    def test_malformed_json_line_is_fatal_with_line_number(self, tmp_path):
         data = dataset_bytes(THREE_QUESTION_RECORDS[:1]) + b"{oops\n"
-        _, stream = read_dataset(io.BytesIO(data))
+        _, stream = read_dataset(write_file(tmp_path, data))
         with pytest.raises(DatasetError, match="line 3"):
             list(stream)
 
-    def test_bad_span_flags_record_but_keeps_stream(self):
+    @pytest.mark.parametrize(
+        "escape, fatal",
+        [
+            (r"\ud83d\ude00", False),
+            (r"\\ud800", False),
+            (r"\ud800", True),
+            (r"\uDFFF", True),
+            (r"\ude00\ud83d", True),
+        ],
+        ids=["pair", "escaped-backslash", "lone-high", "lone-low", "reversed-pair"],
+    )
+    def test_lone_surrogate_escape_is_fatal_with_line_number(self, tmp_path, escape, fatal):
+        line = '{"context": "a%s", "qas": []}' % escape
+        path = write_file(tmp_path, dataset_bytes([]) + line.encode("ascii") + b"\n")
+        _, stream = read_dataset(path)
+        if fatal:
+            with pytest.raises(DatasetError, match="line 2: unpaired surrogate"):
+                list(stream)
+        else:
+            assert list(stream) == []
+
+    def test_lone_surrogate_in_header_is_fatal(self, tmp_path):
+        path = write_file(tmp_path, '{"header": {"dataset": "x\\udc00"}}\n')
+        with pytest.raises(DatasetError, match="line 1: unpaired surrogate"):
+            read_dataset(path)
+
+    def test_bad_span_flags_record_but_keeps_stream(self, tmp_path):
         records = [
             {
                 "context": "The bridge opened in 1912.",
@@ -94,7 +121,7 @@ class TestReadDataset:
         ]
         issues = []
         _, stream = read_dataset(
-            io.BytesIO(dataset_bytes(records)), on_error=issues.append
+            write_file(tmp_path, dataset_bytes(records)), on_error=issues.append
         )
         examples = list(stream)
         assert len(issues) == 1
@@ -103,7 +130,7 @@ class TestReadDataset:
         # the invalid span is pruned; the answer text survives
         assert examples[0].detected == (("1912", ()),)
 
-    def test_trailing_whitespace_difference_is_tolerated(self):
+    def test_trailing_whitespace_difference_is_tolerated(self, tmp_path):
         context = "The treaty held. "
         records = [
             {
@@ -123,13 +150,13 @@ class TestReadDataset:
         ]
         issues = []
         _, stream = read_dataset(
-            io.BytesIO(dataset_bytes(records)), on_error=issues.append
+            write_file(tmp_path, dataset_bytes(records)), on_error=issues.append
         )
         examples = list(stream)
         assert issues == []
         assert examples[0].detected[0][1] == (CharSpan(4, 11),)
 
-    def test_missing_qid_or_question_skips_that_qa(self):
+    def test_missing_qid_or_question_skips_that_qa(self, tmp_path):
         records = [
             {
                 "context": "x y z",
@@ -142,7 +169,7 @@ class TestReadDataset:
         ]
         issues = []
         _, stream = read_dataset(
-            io.BytesIO(dataset_bytes(records)), on_error=issues.append
+            write_file(tmp_path, dataset_bytes(records)), on_error=issues.append
         )
         assert [e.qid for e in list(stream)] == ["ok"]
         assert len(issues) == 1
@@ -155,7 +182,8 @@ class TestReadDataset:
         _, stream = read_dataset(gz_path)
         assert len(list(stream)) == 3
 
-        _, stream = read_dataset(io.BytesIO(gzip.compress(raw)))
+        # the magic bytes decide, not the name
+        _, stream = read_dataset(write_file(tmp_path, gzip.compress(raw), "data.jsonl"))
         assert len(list(stream)) == 3
 
     @pytest.mark.parametrize(
@@ -185,10 +213,10 @@ class TestReadDataset:
             "char-span-not-pair",
         ],
     )
-    def test_wrong_typed_fields_are_reported_and_skipped(self, record, kept):
+    def test_wrong_typed_fields_are_reported_and_skipped(self, record, kept, tmp_path):
         data = dataset_bytes([record, THREE_QUESTION_RECORDS[1]])
         issues = []
-        _, stream = read_dataset(io.BytesIO(data), on_error=issues.append)
+        _, stream = read_dataset(write_file(tmp_path, data), on_error=issues.append)
         assert [e.qid for e in stream] == [*kept, "q3"]
         assert issues
         assert all(message.startswith("line 2:") for message in issues)
@@ -219,7 +247,7 @@ class TestReadDataset:
         ["12", [1, 2, 3], [True, 2], [1.9, 2.2], [1.0, 2]],
         ids=["string", "three-ints", "bool", "floats", "integral-float"],
     )
-    def test_char_span_must_be_two_integers(self, pair):
+    def test_char_span_must_be_two_integers(self, pair, tmp_path):
         # int() of each pair's items gives [1, 2], which points at "bc"
         record = {
             "context": "abcdef",
@@ -233,61 +261,18 @@ class TestReadDataset:
             ],
         }
         issues = []
-        _, stream = read_dataset(io.BytesIO(dataset_bytes([record])), on_error=issues.append)
+        _, stream = read_dataset(
+            write_file(tmp_path, dataset_bytes([record])), on_error=issues.append
+        )
         (example,) = stream
         assert example.detected == (("bc", (CharSpan(1, 3),)),)
         assert len(issues) == 2
         assert all("unreadable char span" in message for message in issues)
 
-    @pytest.mark.parametrize("gzipped", [False, True], ids=["plain", "gzip"])
-    def test_caller_stream_is_left_open(self, gzipped):
-        data = dataset_bytes(THREE_QUESTION_RECORDS)
-        if gzipped:
-            data = gzip.compress(data)
-
-        src = io.BytesIO(data)
-        _, stream = read_dataset(src)
-        assert len(list(stream)) == 3
-        assert src.closed is False
-
-        src = io.BytesIO(data)
-        _, stream = read_dataset(src)
-        next(stream)
-        stream.close()
-        assert src.closed is False
-
-        src = io.BytesIO(b"not a header\n")
-        with pytest.raises(DatasetError, match="header"):
-            read_dataset(src)
-        assert src.closed is False
-
-        # a caller may also close its stream first
-        src = io.BytesIO(data)
-        _, stream = read_dataset(src)
-        next(stream)
-        src.close()
-        stream.close()
-
-
-    @pytest.mark.parametrize("kind", ["open-text", "stringio"])
-    def test_text_stream_raises_type_error_and_stays_open(self, kind, tmp_path):
-        data = dataset_bytes(THREE_QUESTION_RECORDS)
-        if kind == "open-text":
-            path = tmp_path / "data.jsonl"
-            path.write_bytes(data)
-            src = open(path, encoding="utf-8")
-        else:
-            src = io.StringIO(data.decode("utf-8"))
-        with src:
-            with pytest.raises(TypeError, match="binary stream"):
-                read_dataset(src)
-            assert src.closed is False
-            assert src.read() == data.decode("utf-8")
-
 
 class TestWriteFixedDataset:
     def test_round_trip_preserves_examples(self, tmp_path):
-        _, stream = read_dataset(io.BytesIO(dataset_bytes(THREE_QUESTION_RECORDS)))
+        _, stream = read_dataset(write_file(tmp_path, dataset_bytes(THREE_QUESTION_RECORDS)))
         originals = list(stream)
         out_path = tmp_path / "fixed.jsonl"
         records = [
@@ -301,7 +286,7 @@ class TestWriteFixedDataset:
         assert list(stream) == originals
 
     def test_written_records_carry_fix_fields(self, tmp_path):
-        _, stream = read_dataset(io.BytesIO(dataset_bytes(THREE_QUESTION_RECORDS)))
+        _, stream = read_dataset(write_file(tmp_path, dataset_bytes(THREE_QUESTION_RECORDS)))
         q1, q2, q3 = stream
         out_path = tmp_path / "fixed.jsonl"
         write_fixed_dataset(
@@ -355,7 +340,7 @@ class TestWriteFixedDataset:
         assert list(stream) == []
 
     def test_gz_rerun_gives_identical_bytes(self, tmp_path):
-        _, stream = read_dataset(io.BytesIO(dataset_bytes(THREE_QUESTION_RECORDS)))
+        _, stream = read_dataset(write_file(tmp_path, dataset_bytes(THREE_QUESTION_RECORDS)))
         q1 = next(stream)
         out_path = tmp_path / "fixed.jsonl.gz"
         write_fixed_dataset(out_path, {"dataset": "x"}, [(q1.context, [(q1, {})])])
@@ -366,33 +351,34 @@ class TestWriteFixedDataset:
 
 
 class TestReadPredictions:
-    def test_single_entry(self):
-        assert read_predictions(io.StringIO('{"q1": "Doritos"}')) == {"q1": "Doritos"}
+    def test_single_entry(self, tmp_path):
+        assert read_predictions(write_file(tmp_path, '{"q1": "Doritos"}')) == {"q1": "Doritos"}
 
-    def test_empty_object(self):
-        assert read_predictions(io.StringIO("{}")) == {}
+    def test_empty_object(self, tmp_path):
+        assert read_predictions(write_file(tmp_path, "{}")) == {}
 
-    def test_non_string_value_rejected(self):
+    def test_non_string_value_rejected(self, tmp_path):
         with pytest.raises(DatasetError, match="q1"):
-            read_predictions(io.StringIO('{"q1": 5}'))
+            read_predictions(write_file(tmp_path, '{"q1": 5}'))
 
-    def test_duplicate_keys_rejected(self):
+    def test_duplicate_keys_rejected(self, tmp_path):
         with pytest.raises(DatasetError, match="duplicate"):
-            read_predictions(io.StringIO('{"q1": "a", "q1": "b"}'))
+            read_predictions(write_file(tmp_path, '{"q1": "a", "q1": "b"}'))
 
-    def test_malformed_json(self):
+    def test_malformed_json(self, tmp_path):
         with pytest.raises(DatasetError, match="malformed"):
-            read_predictions(io.StringIO("not json"))
+            read_predictions(write_file(tmp_path, "not json"))
 
-    def test_invalid_utf8_rejected(self):
+    def test_invalid_utf8_rejected(self, tmp_path):
         with pytest.raises(DatasetError, match="UTF-8"):
-            read_predictions(io.BytesIO(b'{"q1": "\xff"}'))
+            read_predictions(write_file(tmp_path, b'{"q1": "\xff"}'))
 
-    def test_non_object_rejected(self):
+    def test_non_object_rejected(self, tmp_path):
         with pytest.raises(DatasetError, match="object"):
-            read_predictions(io.StringIO('["a"]'))
+            read_predictions(write_file(tmp_path, '["a"]'))
 
     def test_reads_from_path(self, tmp_path):
         path = tmp_path / "preds.json"
         path.write_text('{"q9": "harbor"}')
         assert read_predictions(path) == {"q9": "harbor"}
+        assert read_predictions(str(path)) == {"q9": "harbor"}
