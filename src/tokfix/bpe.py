@@ -2,9 +2,9 @@
 
 Implements the GPT-2/BART tokenizer family: text is pre-segmented with a
 regex pattern, each segment's UTF-8 bytes are remapped to printable "unit"
-characters, and ranked merge rules are applied within each segment. Every
-emitted token carries the half-open byte range of source text it covers,
-so token sequences can be aligned back to character spans exactly.
+characters, and ranked merge rules are applied within each segment. A
+unit stands for one source byte, so each token's half-open byte range
+follows from the ids, and token sequences align back to character spans.
 
 Because all 256 single-byte units are required to be in the vocabulary,
 encoding is total: any valid UTF-8 string round-trips losslessly through
@@ -14,7 +14,7 @@ encoding is total: any valid UTF-8 string round-trips losslessly through
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
@@ -66,9 +66,9 @@ class Tokenizer:
     ``BYTE_TO_UNIT`` and segments text with ``SEGMENT_PATTERN``.
     Instances are safe to share across threads; ``encode``/``decode`` are
     pure. The only internal state is a memo of per-segment merge results
-    keyed by segment text: the token ids and each token's length in
-    bytes. Segments longer than ``_SEGMENT_MEMO_MAX_CHARS`` characters
-    are not memoized, so one huge run of letters cannot pin memory.
+    keyed by segment text: the segment's token ids and nothing else.
+    Segments longer than ``_SEGMENT_MEMO_MAX_CHARS`` characters are not
+    memoized, so one huge run of letters cannot pin memory.
     """
 
     vocab: dict[str, int]
@@ -83,21 +83,29 @@ class Tokenizer:
         return ranks
 
     @cached_property
-    def _segment_cache(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+    def _segment_cache(self) -> dict[str, tuple[int, ...]]:
         return {}
 
 
 @dataclass(frozen=True)
 class Encoding:
-    """Token ids plus one half-open byte range per id into the UTF-8 source.
+    """Token ids, and the tokenizer that made them (equality is on ids).
 
-    Offsets are sorted, non-overlapping, and partition the source's bytes
-    exactly (byte-level BPE drops nothing), so the last offset's end is
-    the source's length in bytes.
+    ``offsets`` is derived from the ids on first read, then kept: one
+    half-open byte range per id into the UTF-8 source. They are sorted,
+    non-overlapping, and partition the source's bytes exactly (byte-level
+    BPE drops nothing), so the last offset's end is the source's length.
     """
 
     ids: tuple[int, ...]
-    offsets: tuple[tuple[int, int], ...]
+    tok: Tokenizer = field(repr=False, compare=False)
+
+    @cached_property
+    def offsets(self) -> tuple[tuple[int, int], ...]:
+        # a token's unit string has one character per source byte
+        inverse = self.tok.inverse_vocab
+        ends = list(accumulate(len(inverse[i]) for i in self.ids))
+        return tuple(zip([0, *ends], ends))
 
     @cached_property
     def id_string(self) -> str:
@@ -192,12 +200,11 @@ def pretokenize(tok: Tokenizer, text: str) -> list[tuple[str, int]]:
     return list(zip(segments, accumulate(sizes, initial=0)))
 
 
-def _merge_segment(tok: Tokenizer, segment: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Run the merge loop over one segment's byte units.
+def _merge_segment(tok: Tokenizer, segment: str) -> tuple[int, ...]:
+    """Run the merge loop over one segment's byte units; return the token ids.
 
     Repeatedly applies the lowest-ranked applicable merge; when the same
     rank applies at several positions, the leftmost is merged first.
-    Returns the token ids and each token's length in bytes.
 
     Candidate pairs sit in a min-heap keyed on (rank, left unit index)
     over a linked list of units, so a segment of n bytes costs
@@ -239,30 +246,23 @@ def _merge_segment(tok: Tokenizer, segment: str) -> tuple[tuple[int, ...], tuple
                 heappush(heap, (rank, p, units[p], merged))
 
     vocab = tok.vocab
-    kept = [unit for unit in units if unit]
-    # every unit character stands for exactly one source byte
-    return tuple(vocab[unit] for unit in kept), tuple(map(len, kept))
+    return tuple(vocab[unit] for unit in units if unit)
 
 
 def encode(tok: Tokenizer, text: str) -> Encoding:
-    """Encode valid UTF-8 text into token ids with exact byte offsets."""
+    """Encode valid UTF-8 text into token ids; byte offsets follow on read."""
     ids: list[int] = []
-    sizes: list[int] = []
     cache = tok._segment_cache
     for segment, _ in pretokenize(tok, text):
-        merged = cache.get(segment)
-        if merged is None:
-            merged = _merge_segment(tok, segment)
+        seg_ids = cache.get(segment)
+        if seg_ids is None:
+            seg_ids = _merge_segment(tok, segment)
             if len(segment) <= _SEGMENT_MEMO_MAX_CHARS:
                 if len(cache) >= _SEGMENT_CACHE_LIMIT:
                     cache.clear()
-                cache[segment] = merged
-        seg_ids, seg_sizes = merged
+                cache[segment] = seg_ids
         ids.extend(seg_ids)
-        sizes.extend(seg_sizes)
-    ends = list(accumulate(sizes))
-    offsets = tuple(zip([0, *ends], ends))
-    return Encoding(ids=tuple(ids), offsets=offsets)
+    return Encoding(tuple(ids), tok)
 
 
 def decode_bytes(tok: Tokenizer, ids: Iterable[int]) -> bytes:

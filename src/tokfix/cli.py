@@ -116,7 +116,7 @@ def _report_writer(args: argparse.Namespace) -> Iterator[Callable[[str], object]
         yield sys.stdout.write
         return
     with replace_on_success(args.output) as out:
-        yield lambda payload: out.write(payload.encode("utf-8"))
+        yield lambda payload: out.write(payload.encode("utf-8", "surrogateescape"))
 
 
 def _render_report(

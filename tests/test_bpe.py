@@ -2,6 +2,7 @@ import io
 import json
 import random
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -155,6 +156,21 @@ class TestEncode:
         for token_id, (start, end) in zip(enc.ids, enc.offsets):
             assert decode_bytes(corpus_tok, [token_id]) == raw[start:end]
 
+    def test_encode_holds_only_the_ids(self, corpus_tok):
+        # offsets are built on first read, so an encoding read only for
+        # its ids holds about one 8-byte slot per token
+        text = "The ship was finished in 1912 after delays. " * 2_500
+        encode(corpus_tok, text)  # fill the segment memo first
+        tracemalloc.start()
+        try:
+            enc = encode(corpus_tok, text)
+            tokens = len(enc.ids)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tokens > 80_000
+        assert held / tokens <= 16
+
     def test_pure_and_thread_safe(self, corpus_tok):
         text = "Ships waited in the harbor overnight. 1912!"
         expected = encode(corpus_tok, text)
@@ -279,6 +295,32 @@ class TestScaling:
         assert " " + long not in tok._segment_cache
 
 
+def _units(text: str) -> str:
+    return "".join(BYTE_TO_UNIT[b] for b in text.encode("utf-8"))
+
+
+# merges that fuse multibyte code points, whitespace runs and letter runs
+_OFFSET_TOK = make_tokenizer(
+    [
+        (_units("é")[0], _units("é")[1]),
+        (_units("€")[0], _units("€")[1]),
+        (_units("€")[:2], _units("€")[2]),
+        ("Ġ", "Ġ"),
+        ("Ċ", "Ċ"),
+        ("a", "b"),
+        ("ab", "ab"),
+        ("abab", "abab"),
+        ("Ġ", "a"),
+    ]
+)
+_OFFSET_PIECES = st.one_of(
+    st.text(alphabet="abé€😀 ", max_size=20),
+    st.text(alphabet=" \t\n\u3000\xa0", min_size=1, max_size=12),
+    # letter runs too long for the segment memo
+    st.text(alphabet="abé", min_size=_SEGMENT_MEMO_MAX_CHARS + 1, max_size=320),
+)
+
+
 class TestRoundTripProperty:
     @given(st.text(max_size=200))
     @settings(max_examples=250, deadline=None)
@@ -291,3 +333,18 @@ class TestRoundTripProperty:
             assert start == position
             position = end
         assert position == len(text.encode("utf-8"))
+
+    @given(st.lists(_OFFSET_PIECES, max_size=6).map("".join))
+    @settings(max_examples=150, deadline=None)
+    def test_derived_offsets_partition_the_source(self, text):
+        tok = _OFFSET_TOK
+        enc = encode(tok, text)
+        raw = text.encode("utf-8")
+        assert len(enc.offsets) == len(enc.ids)
+        position = 0
+        for token_id, (start, end) in zip(enc.ids, enc.offsets):
+            assert start == position < end
+            assert decode_bytes(tok, [token_id]) == raw[start:end]
+            position = end
+        assert position == len(raw)
+

@@ -632,6 +632,28 @@ def test_report_output_leaves_no_temporary_file(capsys, tmp_path, eval_files, co
     assert report.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command", ["analyze", "evaluate"])
+def test_tsv_output_keeps_a_non_utf8_file_name(capsys, tmp_path, eval_files, command):
+    # a name byte that is not UTF-8 reaches argv as a lone surrogate; the
+    # TSV row carries the name, and --output writes the byte back as is
+    gold, perfect, _worse = eval_files
+    name = os.fsdecode(b"h\xff.json")
+    if command == "analyze":
+        dataset = tmp_path / name
+        dataset.write_text(json.dumps({"header": {}}) + "\n")  # no dataset name
+        argv = ["--vocab", VOCAB, "--merges", MERGES, "--dataset", str(dataset)]
+    else:
+        predictions = tmp_path / name
+        predictions.write_bytes(Path(perfect).read_bytes())
+        argv = ["--dataset", gold, "--predictions", str(predictions)]
+    report = tmp_path / "report.tsv"
+    code, out, err = run(capsys, command, *argv, "--format", "tsv", "--output", str(report))
+    assert code == 0
+    assert out == ""
+    assert "Traceback" not in err
+    assert b"h\xff.json\t" in report.read_bytes()
+
+
 @pytest.mark.parametrize(
     "command, field",
     [
