@@ -343,20 +343,6 @@ def repair_answer_choice(
     return None
 
 
-def _records(
-    examples: Iterable[ExtractiveExample],
-) -> Iterator[list[ExtractiveExample]]:
-    """Split an example stream into runs that share one context object."""
-    record: list[ExtractiveExample] = []
-    for example in examples:
-        if record and example.context is not record[0].context:
-            yield record
-            record = []
-        record.append(example)
-    if record:
-        yield record
-
-
 def _fix_fields(outcome: FixOutcome) -> dict:
     """The fields a repaired qa carries after its MRQA fields."""
     span = outcome.context_span
@@ -376,46 +362,40 @@ def fix_dataset(
 ) -> dict:
     """Repair every example and write the fixed dataset; return a summary.
 
-    Consecutive examples that share one ``context`` object, as the
-    examples of one ``read_dataset`` record do, are repaired against one
-    encoding of it, made when the first of them needs it, and written
-    back as one record with their qas in input order. Python may share
-    one object between equal empty or one-character strings, so records
-    with such a context can merge. A record whose qas were all skipped
-    is dropped. Each written qa gains ``target_token_ids``,
-    ``fix_method`` and ``context_token_span``. The summary's method
-    counts plus the skip counts partition the input total; ``written``
-    is the sum of the method counts, one per repaired qa. Span
-    mismatches are counted and skipped, never fatal; a repeated qid
-    raises DatasetError.
+    Each repaired qa gains ``target_token_ids``, ``fix_method`` and
+    ``context_token_span``; a skipped one goes to ``write_fixed_dataset``
+    without fields, which groups records by its rule. A context is
+    encoded again only when a repaired example's ``context`` is not the
+    object the previous one used, so a record whose qas are all skipped
+    is never encoded. The summary's method counts plus the skip counts
+    partition the input total; ``written`` is the sum of the method
+    counts. Span mismatches are counted and skipped, never fatal; a
+    repeated qid raises DatasetError.
     """
     counts: Counter[str] = Counter()
 
-    def groups() -> Iterator[tuple[str, list[tuple[ExtractiveExample, dict]]]]:
-        for record in _records(unique_qids(examples)):
-            context = record[0].context
-            context_enc: Encoding | None = None
-            pairs: list[tuple[ExtractiveExample, dict]] = []
-            for example in record:
-                choice = repair_answer_choice(example)
-                if choice is None:
-                    counts["skipped_no_answer"] += 1
-                    continue
-                answer, span = choice
-                if context_enc is None:
-                    context_enc = encode(tok, context)
-                try:
-                    outcome = make_consistent_target(
-                        tok, context, context_enc, answer, span
-                    )
-                except SpanMismatchError:
-                    counts["skipped_span_mismatch"] += 1
-                    continue
-                counts[outcome.method] += 1
-                pairs.append((example, _fix_fields(outcome)))
-            yield context, pairs
+    def repaired() -> Iterator[tuple[ExtractiveExample, dict | None]]:
+        context: str | None = None
+        for example in unique_qids(examples):
+            choice = repair_answer_choice(example)
+            if choice is None:
+                counts["skipped_no_answer"] += 1
+                yield example, None
+                continue
+            answer, span = choice
+            if example.context is not context:
+                context = example.context
+                context_enc = encode(tok, context)
+            try:
+                outcome = make_consistent_target(tok, context, context_enc, answer, span)
+            except SpanMismatchError:
+                counts["skipped_span_mismatch"] += 1
+                yield example, None
+                continue
+            counts[outcome.method] += 1
+            yield example, _fix_fields(outcome)
 
-    write_fixed_dataset(path, header or {}, groups())
+    write_fixed_dataset(path, header or {}, repaired())
     method_counts = {method: counts.get(method, 0) for method in FIX_METHODS}
     return {
         "total": sum(counts.values()),

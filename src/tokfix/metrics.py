@@ -117,53 +117,47 @@ def evaluate(preds: dict[str, str], examples: Iterable[ExtractiveExample]) -> Me
     that occurs twice in ``examples`` raises DatasetError.
     """
     per_example: list[tuple[str, int, float]] = []
-    em_sum = 0.0
-    f1_sum = 0.0
-    n = 0
-    n_predicted = 0
-    halluc = 0
-    halluc_norm = 0
     hallucinated: list[str] = []
-    predicted_qids = set()
+    halluc_norm = 0
     # examples of one record share a context object: normalize it once,
     # and only when one of its questions has a prediction
     context = norm_context = None
 
     for example in unique_qids(examples):
-        n += 1
         if example.context is not context:
             context, norm_context = example.context, None
         pred = preds.get(example.qid)
         if pred is None:
             per_example.append((example.qid, 0, 0.0))
             continue
-        n_predicted += 1
-        predicted_qids.add(example.qid)
         norm_pred = normalize_answer(pred)
         norm_golds = [normalize_answer(g) for g in example.answer_texts()]
         em_i = _exact_match_normalized(norm_pred, norm_golds)
         f1_i = _f1_normalized(norm_pred, norm_golds)
-        em_sum += em_i
-        f1_sum += f1_i
         per_example.append((example.qid, em_i, f1_i))
         if hallucination_check(pred, context):
-            halluc += 1
             hallucinated.append(example.qid)
         if norm_context is None:
             norm_context = normalize_answer(context)
         if norm_pred not in norm_context:
             halluc_norm += 1
 
-    unknown = sorted(set(preds) - predicted_qids)
+    unknown = sorted(preds.keys() - (qid for qid, _, _ in per_example))
     for qid in unknown:
         logger.warning("prediction for unknown qid %r ignored", qid)
 
+    # a missing prediction's row adds 0 to the sums; qids are unique, so
+    # every prediction not unknown was scored
+    n = len(per_example)
+    n_predicted = len(preds) - len(unknown)
     return MetricsReport(
-        em=100.0 * em_sum / n if n else 0.0,
-        f1=100.0 * f1_sum / n if n else 0.0,
+        em=100.0 * sum(em for _, em, _ in per_example) / n if n else 0.0,
+        f1=100.0 * sum(f1 for _, _, f1 in per_example) / n if n else 0.0,
         n=n,
         n_predicted=n_predicted,
-        hallucination_rate=100.0 * halluc / n_predicted if n_predicted else 0.0,
+        hallucination_rate=(
+            100.0 * len(hallucinated) / n_predicted if n_predicted else 0.0
+        ),
         hallucination_rate_normalized=(
             100.0 * halluc_norm / n_predicted if n_predicted else 0.0
         ),

@@ -104,10 +104,9 @@ def read_dataset(
     surrogate, or undecodable bytes are fatal and raise DatasetError with
     the line number.
 
-    The stream yields one example per question, in file order. Every
-    example of one record shares a single ``context`` object;
-    ``fix_dataset`` and ``analyze_dataset`` rely on this to encode each
-    context once, and ``metrics.evaluate`` to normalize it once.
+    The stream yields one example per question, in file order; the
+    examples of one record share one ``context`` object (the record rule
+    of ``write_fixed_dataset``).
     """
     report = on_error if on_error is not None else logger.warning
     lines = _numbered_lines(path)
@@ -255,17 +254,21 @@ def _parse_qa(
 def write_fixed_dataset(
     path: Union[str, Path],
     header: dict,
-    records: Iterable[tuple[str, Iterable[tuple[ExtractiveExample, dict]]]],
+    pairs: Iterable[tuple[ExtractiveExample, dict | None]],
 ) -> None:
-    """Write one record per (context, qas) pair; a record without qas is dropped.
+    """Write one ``(example, extra)`` pair per question, grouped into records.
 
-    Each qa is an ``(example, extra)`` pair: the example's MRQA fields
-    are written first, then the ``extra`` fields, and qas keep their
-    given order. The output stays readable by ``read_dataset``, which
-    ignores the extras. A path ending in ``.gz`` is gzipped with a zero
-    timestamp, so reruns to the same path give identical bytes. The file
-    is written through ``replace_on_success``, so an error while
-    ``records`` is consumed leaves no partial output.
+    A record is a run of consecutive examples that share one ``context``
+    object, as ``read_dataset`` yields them, so each input record comes
+    back as one record. (Python may share one object between equal empty
+    or one-character strings, so adjacent records with such a context can
+    merge.) A qa holds the example's MRQA fields, then the ``extra``
+    fields. An example whose ``extra`` is None is not written, and a
+    record left without qas is dropped. Only one record's qas are held at
+    a time. A path ending in ``.gz`` is gzipped with a zero timestamp, so
+    reruns give identical bytes. The file is written through
+    ``replace_on_success``, so an error while ``pairs`` is consumed leaves
+    no partial output.
     """
     path = Path(path)
     with replace_on_success(path) as stream, contextlib.ExitStack() as stack:
@@ -274,11 +277,21 @@ def write_fixed_dataset(
         out = stack.enter_context(io.TextIOWrapper(stream, encoding="utf-8"))
         out.write(json.dumps({"header": header}, ensure_ascii=False))
         out.write("\n")
-        for context, pairs in records:
-            qas = [{**_mrqa_qa(example), **extra} for example, extra in pairs]
-            if qas:
-                out.write(json.dumps({"context": context, "qas": qas}, ensure_ascii=False))
-                out.write("\n")
+        context: str | None = None
+        qas: list[dict] = []
+        for example, extra in pairs:
+            if example.context is not context:
+                _write_record(out, context, qas)
+                context, qas = example.context, []
+            if extra is not None:
+                qas.append({**_mrqa_qa(example), **extra})
+        _write_record(out, context, qas)
+
+
+def _write_record(out: IO[str], context: str | None, qas: list[dict]) -> None:
+    if qas:
+        out.write(json.dumps({"context": context, "qas": qas}, ensure_ascii=False))
+        out.write("\n")
 
 
 @contextlib.contextmanager

@@ -1,0 +1,118 @@
+"""Fuzz the CLI in process with wrong-typed fields and lone surrogates.
+
+Every command must map a hostile dataset to exit 0, 2 or 3 without an
+escaping exception or a traceback, and a failed command must leave
+neither its ``--output`` file nor a temporary file beside it.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tokfix.cli import main
+
+DATA = Path(__file__).parent / "data"
+TOKENIZER = ["--vocab", str(DATA / "fixture_vocab.json"), "--merges", str(DATA / "fixture_merges.txt")]
+
+
+def _qa(qid, question, answer, span):
+    return {
+        "qid": qid,
+        "question": question,
+        "answers": [answer],
+        "detected_answers": [{"text": answer, "char_spans": [span]}],
+    }
+
+
+#: The dataset's lines before mutation: a header and two records.
+BASE = [
+    {"header": {"dataset": "fuzz"}},
+    {
+        "context": "The bridge opened in 1912.",
+        "qas": [_qa("q1", "When?", "1912", [21, 24]), _qa("q2", "What?", "bridge", [4, 9])],
+    },
+    {
+        "context": "A museum preserved the treaty.",
+        "qas": [_qa("q3", "Preserved what?", "treaty", [23, 28])],
+    },
+]
+
+
+def _paths(node, prefix=()):
+    """The path of every line, field and list element below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield (*prefix, key)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, (*prefix, key))
+
+
+PATHS = list(_paths(BASE))
+TEXT_PATHS = [
+    path
+    for path in PATHS
+    if path[-1] in ("context", "text", "qid", "question") or path[-2:-1] == ("answers",)
+]
+WRONG_VALUES = [None, True, 0, -1, 1.5, "x", "", [], [0], [[0, 0]], {}, {"x": 0}]
+
+# (path, kind, payload): "set" replaces the value at the path, "append"
+# adds a lone surrogate to the text there (JSON writes it as an escape)
+MUTATION = st.one_of(
+    st.tuples(st.sampled_from(PATHS), st.just("set"), st.sampled_from(WRONG_VALUES)),
+    st.tuples(st.sampled_from(TEXT_PATHS), st.just("append"), st.sampled_from(["\ud800", "\udfff"])),
+)
+
+
+def mutated_dataset(mutations):
+    lines = copy.deepcopy(BASE)
+    for path, kind, payload in mutations:
+        try:
+            node = lines
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = payload if kind == "set" else node[path[-1]] + payload
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or retyped this path
+    return "\n".join(json.dumps(line) for line in lines) + "\n"
+
+
+def invocations(dataset, preds_a, preds_b):
+    common = ["--dataset", dataset]
+    return [
+        ["analyze", *TOKENIZER, *common],
+        ["fix", *TOKENIZER, *common],
+        ["evaluate", "--predictions", preds_a, *common],
+        ["evaluate", "--predictions", preds_a, "--predictions", preds_b, *common],
+        ["inspect", *TOKENIZER, "--qid", "q1", *common],
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(MUTATION, min_size=1, max_size=3))
+def test_hostile_dataset_exits_cleanly(mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        dataset = tmp / "data.jsonl"
+        dataset.write_text(mutated_dataset(mutations), encoding="utf-8")
+        preds_a = tmp / "a.json"
+        preds_a.write_text(json.dumps({"q1": "1912", "q2": "bridge", "q3": "the treaty"}))
+        preds_b = tmp / "b.json"
+        preds_b.write_text(json.dumps({"q1": "1912", "q2": "window", "q3": "treaty"}))
+        for argv in invocations(str(dataset), str(preds_a), str(preds_b)):
+            out_dir = tmp / "out"
+            out_dir.mkdir()
+            output = out_dir / "result"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([*argv, "--output", str(output)])
+            assert code in (0, 2, 3), (argv[0], stderr.getvalue())
+            assert "Traceback" not in stderr.getvalue()
+            assert list(out_dir.iterdir()) == ([output] if code == 0 else []), argv[0]
+            output.unlink(missing_ok=True)
+            out_dir.rmdir()

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -464,6 +465,38 @@ class TestFixDataset:
         written = [json.loads(line) for line in out_path.read_text().splitlines()[1:]]
         assert [r["context"] for r in written] == [record["context"]] * 2
         assert [[qa["qid"] for qa in r["qas"]] for r in written] == [["m5", "m6"], ["m5b", "m6b"]]
+
+    def test_memory_holds_one_record(self, corpus_tok, tmp_path):
+        sentence = "The ship was finished in 1912 after delays. "
+        out_path = tmp_path / "fixed.jsonl"
+
+        def size_and_peak(repeats):
+            qa = {"question": "When?", "answers": ["1912"],
+                  "detected_answers": [{"text": "1912", "char_spans": [[25, 28]]}]}
+            lines = [{"header": {}}]
+            lines += [
+                {"context": sentence * repeats, "qas": [{"qid": f"q{i}", **qa}]}
+                for i in range(2_000)
+            ]
+            path = tmp_path / f"repeats{repeats}.jsonl"
+            path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+            fix_dataset(corpus_tok, read_dataset(path)[1], out_path)  # warm the segment memo
+            _, stream = read_dataset(path)
+            tracemalloc.start()
+            try:
+                summary = fix_dataset(corpus_tok, stream, out_path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert summary["written"] == 2_000
+            return path.stat().st_size, peak
+
+        # the same qids with contexts 10x longer: what fix holds grows by
+        # about one record, far less than the file
+        short_size, short_peak = size_and_peak(1)
+        long_size, long_peak = size_and_peak(10)
+        assert long_size - short_size > 700_000
+        assert long_peak - short_peak < (long_size - short_size) / 10
 
     def test_repeated_qid_raises(self, corpus_tok, tmp_path):
         stream = repeated_qid_stream(tmp_path)

@@ -1,5 +1,5 @@
+import dataclasses
 import gzip
-import itertools
 import json
 import tracemalloc
 
@@ -275,11 +275,8 @@ class TestWriteFixedDataset:
         _, stream = read_dataset(write_file(tmp_path, dataset_bytes(THREE_QUESTION_RECORDS)))
         originals = list(stream)
         out_path = tmp_path / "fixed.jsonl"
-        records = [
-            (context, [(e, {"fix_method": "exact_slice"}) for e in group])
-            for context, group in itertools.groupby(originals, key=lambda e: e.context)
-        ]
-        write_fixed_dataset(out_path, {"dataset": "test-set"}, records)
+        pairs = [(e, {"fix_method": "exact_slice"}) for e in originals]
+        write_fixed_dataset(out_path, {"dataset": "test-set"}, pairs)
         assert len(out_path.read_text().splitlines()) == 1 + len(THREE_QUESTION_RECORDS)
         header, stream = read_dataset(out_path)
         assert header == {"dataset": "test-set"}
@@ -288,25 +285,23 @@ class TestWriteFixedDataset:
     def test_written_records_carry_fix_fields(self, tmp_path):
         _, stream = read_dataset(write_file(tmp_path, dataset_bytes(THREE_QUESTION_RECORDS)))
         q1, q2, q3 = stream
+        q4 = dataclasses.replace(q1, qid="q4")  # the same context object as q1
         out_path = tmp_path / "fixed.jsonl"
         write_fixed_dataset(
             out_path,
             {},
             [
-                (
-                    q1.context,
-                    [
-                        (q2, {"target_token_ids": [7], "context_token_span": [3, 4]}),
-                        (q1, {"target_token_ids": [9], "context_token_span": None}),
-                    ],
-                ),
-                (q3.context, []),
+                (q2, {"target_token_ids": [7], "context_token_span": [3, 4]}),
+                (q1, {"target_token_ids": [9], "context_token_span": None}),
+                (q3, None),
+                (q4, {"target_token_ids": [5], "context_token_span": [0, 1]}),
             ],
         )
         lines = out_path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 2  # the empty group writes no record
-        record = json.loads(lines[1])
-        assert record["context"] == q1.context
+        # the all-None run writes no record and still ends the run before it
+        assert len(lines) == 3
+        record, after = json.loads(lines[1]), json.loads(lines[2])
+        assert record["context"] == after["context"] == q1.context
         first, second = record["qas"]
         assert list(first) == [
             "qid",
@@ -323,6 +318,7 @@ class TestWriteFixedDataset:
         assert second["qid"] == "q1"
         assert second["target_token_ids"] == [9]
         assert second["context_token_span"] is None
+        assert [qa["qid"] for qa in after["qas"]] == ["q4"]
 
     def test_empty_stream_writes_header_only(self, tmp_path):
         out_path = tmp_path / "empty.jsonl"
@@ -343,10 +339,10 @@ class TestWriteFixedDataset:
         _, stream = read_dataset(write_file(tmp_path, dataset_bytes(THREE_QUESTION_RECORDS)))
         q1 = next(stream)
         out_path = tmp_path / "fixed.jsonl.gz"
-        write_fixed_dataset(out_path, {"dataset": "x"}, [(q1.context, [(q1, {})])])
+        write_fixed_dataset(out_path, {"dataset": "x"}, [(q1, {})])
         first = out_path.read_bytes()
         assert first[4:8] == bytes(4)  # the gzip header's mtime field
-        write_fixed_dataset(out_path, {"dataset": "x"}, [(q1.context, [(q1, {})])])
+        write_fixed_dataset(out_path, {"dataset": "x"}, [(q1, {})])
         assert out_path.read_bytes() == first
 
 
