@@ -9,8 +9,9 @@ MRQA-format datasets, and scores predictions with SQuAD-style EM/F1 plus
 out-of-context detection and paired significance testing.
 
 The package root exports what the README quick start needs; everything
-else lives in the submodules (``bpe``, ``align``, ``consist``, ``mrqa``,
-``metrics``, ``cli``).
+else lives in the submodules: ``bpe`` (tokenizer, encodings and the token
+spans found in them), ``consist`` (checks and repair), ``mrqa`` (dataset
+I/O and ``CharSpan``), ``metrics`` and ``cli``.
 """
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Implements the GPT-2/BART tokenizer family: text is pre-segmented with a
 regex pattern, each segment's UTF-8 bytes are remapped to printable "unit"
 characters, and ranked merge rules are applied within each segment. A
 unit stands for one source byte, so each token's half-open byte range
-follows from the ids, and token sequences align back to character spans.
+follows from the ids. ``token_slice_for_span`` and ``find_subsequence``
+locate token runs in an ``Encoding`` by byte range and by ids.
 
 Because all 256 single-byte units are required to be in the vocabulary,
 encoding is total: any valid UTF-8 string round-trips losslessly through
@@ -14,12 +15,13 @@ encoding is total: any valid UTF-8 string round-trips losslessly through
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Sequence, Union
 
 import regex
 
@@ -109,8 +111,53 @@ class Encoding:
 
     @cached_property
     def id_string(self) -> str:
-        """One code point per id: the haystack of ``align.find_subsequence``."""
+        """One code point per id: the haystack of ``find_subsequence``."""
         return "".join(map(chr, self.ids))
+
+
+@dataclass(frozen=True)
+class TokenSpan:
+    """A half-open token-index range [start, end)."""
+
+    start: int
+    end: int
+
+
+def token_slice_for_span(
+    enc: Encoding, byte_span: tuple[int, int]
+) -> tuple[TokenSpan, bool] | None:
+    """Find the minimal token run covering a byte range of the source.
+
+    Returns the run and whether its byte range equals the request (it
+    otherwise overshoots on a side), or None for an empty encoding or an
+    empty request.
+    """
+    start, end = byte_span
+    source_len = enc.offsets[-1][1] if enc.offsets else 0
+    if not (0 <= start <= end <= source_len):
+        raise ValueError(
+            f"byte span {start}:{end} out of range for source of {source_len} bytes"
+        )
+    if not enc.ids or start == end:
+        return None
+
+    # offsets partition the source, so binary search on both edges
+    lo = bisect_right(enc.offsets, start, key=lambda o: o[1])
+    hi = bisect_left(enc.offsets, end, key=lambda o: o[0])
+    exact = enc.offsets[lo][0] == start and enc.offsets[hi - 1][1] == end
+    return TokenSpan(lo, hi), exact
+
+
+def find_subsequence(haystack: str, needle: Sequence[int]) -> TokenSpan | None:
+    """Return the leftmost contiguous match of needle in haystack, if any.
+
+    The haystack is an ``Encoding.id_string``, one code point per id, so
+    ``str.find`` searches in time linear in it; needle ids must lie in
+    ``range(0x110000)``, as ``load_tokenizer`` guarantees. An empty
+    needle matches at position 0.
+    """
+    start = haystack.find("".join(map(chr, needle)))
+    return None if start < 0 else TokenSpan(start, start + len(needle))
 
 
 def _read_text(source: TextSource, name: str) -> str:
@@ -156,7 +203,7 @@ def load_tokenizer(vocab_source: TextSource, merges_source: TextSource) -> Token
 
     vocab: dict[str, int] = {}
     for token, idx in raw.items():
-        # Encoding.id_string maps each id to one code point
+        # Encoding.id_string and find_subsequence map each id to one code point
         if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < 0x110000:
             raise TokenizerError(f"token {token!r} has invalid id {idx!r}")
         vocab[token] = idx

@@ -12,18 +12,22 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
-from .align import (
-    CharSpan,
+from .bpe import (
+    Encoding,
     TokenSpan,
-    codepoint_span_to_byte_span,
+    Tokenizer,
+    decode_bytes,
+    encode,
     find_subsequence,
     token_slice_for_span,
 )
-from .bpe import Encoding, Tokenizer, decode_bytes, encode
 from .mrqa import (
+    CharSpan,
     DatasetError,
     ExtractiveExample,
     spans_match,
@@ -56,6 +60,35 @@ class SpanMismatchError(DatasetError):
     """A gold character span does not point at its answer text."""
 
 
+_CHECKPOINT_EVERY = 1024
+
+
+@lru_cache(maxsize=1)
+def _checkpoint_bytes(text: str) -> tuple[int, ...]:
+    """UTF-8 byte offset of every ``_CHECKPOINT_EVERY``-th code point.
+
+    The questions of one context convert their spans one after another,
+    so caching the latest text makes each conversion encode at most
+    ``_CHECKPOINT_EVERY - 1`` code points instead of the whole prefix.
+    """
+    step = _CHECKPOINT_EVERY
+    sizes = (len(text[i : i + step].encode("utf-8")) for i in range(0, len(text), step))
+    return tuple(accumulate(sizes, initial=0))
+
+
+def codepoint_span_to_byte_span(text: str, span: CharSpan) -> tuple[int, int]:
+    """Convert a codepoint span into the half-open UTF-8 byte range."""
+    start, end = span.start, span.end
+    if not (0 <= start <= end <= len(text)):
+        raise ValueError(
+            f"span {start}:{end} out of range for text of {len(text)} codepoints"
+        )
+    index, past = divmod(start, _CHECKPOINT_EVERY)
+    byte_start = _checkpoint_bytes(text)[index] + len(text[start - past : start].encode("utf-8"))
+    byte_end = byte_start + len(text[start:end].encode("utf-8"))
+    return (byte_start, byte_end)
+
+
 @dataclass(frozen=True)
 class ConsistencyVerdict:
     """How an answer's standalone tokenization relates to the context's.
@@ -81,8 +114,8 @@ class FixOutcome:
 
     target_ids: tuple[int, ...]
     method: str
-    context_span: TokenSpan | None = None
-    note: str = ""
+    context_span: TokenSpan | None
+    note: str
 
 
 @dataclass

@@ -13,7 +13,7 @@ import logging
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .mrqa import ExtractiveExample, unique_qids
@@ -81,15 +81,15 @@ def _f1_tokens(pred_tokens: list[str], gold_tokens: list[str]) -> float:
 class MetricsReport:
     """Macro-averaged EM/F1 percentages with out-of-context rates."""
 
-    em: float = 0.0
-    f1: float = 0.0
-    n: int = 0
-    n_predicted: int = 0
-    hallucination_rate: float = 0.0
-    hallucination_rate_normalized: float = 0.0
-    hallucinated_qids: list[str] = field(default_factory=list)
-    unknown_qids: list[str] = field(default_factory=list)
-    per_example: list[tuple[str, int, float]] = field(default_factory=list)
+    em: float
+    f1: float
+    n: int
+    n_predicted: int
+    hallucination_rate: float
+    hallucination_rate_normalized: float
+    hallucinated_qids: list[str]
+    unknown_qids: list[str]
+    per_example: list[tuple[str, int, float]]
 
     def to_dict(self) -> dict:
         return {

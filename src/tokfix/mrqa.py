@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Union
 
-from .align import CharSpan
-
 logger = logging.getLogger(__name__)
 
 # a JSON escape of a UTF-16 surrogate; paired ones decode to one code point
@@ -30,6 +28,14 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 class DatasetError(Exception):
     """Fatal dataset problem: missing header, malformed JSON line, bad file."""
+
+
+@dataclass(frozen=True)
+class CharSpan:
+    """A half-open codepoint range [start, end)."""
+
+    start: int
+    end: int
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tokfix.align import TokenSpan
-from tokfix.bpe import BYTE_TO_UNIT, Encoding, Tokenizer, decode_bytes, load_tokenizer
+from tokfix.bpe import BYTE_TO_UNIT, Encoding, TokenSpan, Tokenizer, decode_bytes, load_tokenizer
 
 
 #: Splits bare "1912" into 19/12 but fuses " 1912" into one token.

@@ -13,15 +13,21 @@ from pathlib import Path
 
 import pytest
 
-from tokfix.align import CharSpan, find_subsequence, token_slice_for_span
-from tokfix.bpe import decode, decode_bytes, encode, load_tokenizer
+from tokfix.bpe import (
+    decode,
+    decode_bytes,
+    encode,
+    find_subsequence,
+    load_tokenizer,
+    token_slice_for_span,
+)
 from tokfix.consist import UNRESOLVED, analyze_dataset, fix_dataset, make_consistent_target
 from tokfix.metrics import (
     evaluate,
     hallucination_check,
     paired_significance,
 )
-from tokfix.mrqa import read_dataset
+from tokfix.mrqa import CharSpan, read_dataset
 
 from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
 from helpers import (

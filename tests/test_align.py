@@ -3,14 +3,9 @@ import time
 
 import pytest
 
-from tokfix.align import (
-    CharSpan,
-    TokenSpan,
-    codepoint_span_to_byte_span,
-    find_subsequence,
-    token_slice_for_span,
-)
-from tokfix.bpe import encode
+from tokfix.bpe import TokenSpan, encode, find_subsequence, token_slice_for_span
+from tokfix.consist import codepoint_span_to_byte_span
+from tokfix.mrqa import CharSpan
 
 from helpers import (
     as_id_string,

@@ -1,4 +1,5 @@
-"""Fuzz the CLI in process with wrong-typed fields and lone surrogates.
+"""Fuzz the CLI in process with wrong-typed fields, lone surrogates and
+corrupt bytes.
 
 Every command must map a hostile dataset to exit 0, 2 or 3 without an
 escaping exception or a traceback, and a failed command must leave
@@ -7,6 +8,7 @@ neither its ``--output`` file nor a temporary file beside it.
 
 import contextlib
 import copy
+import gzip
 import io
 import json
 import tempfile
@@ -76,7 +78,8 @@ def mutated_dataset(mutations):
             node = lines
             for key in path[:-1]:
                 node = node[key]
-            node[path[-1]] = payload if kind == "set" else node[path[-1]] + payload
+            # a copy, so a later path cannot write into WRONG_VALUES or make a cycle
+            node[path[-1]] = copy.deepcopy(payload) if kind == "set" else node[path[-1]] + payload
         except (KeyError, IndexError, TypeError):
             pass  # an earlier mutation removed or retyped this path
     return "\n".join(json.dumps(line) for line in lines) + "\n"
@@ -93,13 +96,12 @@ def invocations(dataset, preds_a, preds_b):
     ]
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.lists(MUTATION, min_size=1, max_size=3))
-def test_hostile_dataset_exits_cleanly(mutations):
+def assert_exits_cleanly(dataset_bytes):
+    """Run every invocation on the dataset and check the exit contract."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         dataset = tmp / "data.jsonl"
-        dataset.write_text(mutated_dataset(mutations), encoding="utf-8")
+        dataset.write_bytes(dataset_bytes)
         preds_a = tmp / "a.json"
         preds_a.write_text(json.dumps({"q1": "1912", "q2": "bridge", "q3": "the treaty"}))
         preds_b = tmp / "b.json"
@@ -116,3 +118,58 @@ def test_hostile_dataset_exits_cleanly(mutations):
             assert list(out_dir.iterdir()) == ([output] if code == 0 else []), argv[0]
             output.unlink(missing_ok=True)
             out_dir.rmdir()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(MUTATION, min_size=1, max_size=3))
+def test_hostile_dataset_exits_cleanly(mutations):
+    assert_exits_cleanly(mutated_dataset(mutations).encode("utf-8"))
+
+
+#: Valid datasets whose bytes are corrupted: ``BASE`` and the bundled corpus.
+SOURCES = {
+    "base": mutated_dataset([]).encode("utf-8"),
+    "corpus": (DATA / "repair_corpus.jsonl").read_bytes(),
+}
+
+# (op, position, byte): positions wrap around the data's length
+BYTE_EDIT = st.tuples(
+    st.sampled_from(["flip", "insert", "delete"]),
+    st.integers(min_value=0),
+    st.integers(min_value=1, max_value=255),
+)
+
+
+def edited(data, edits):
+    buf = bytearray(data)
+    for op, position, value in edits:
+        if op == "insert":
+            buf.insert(position % (len(buf) + 1), value)
+        elif buf:
+            i = position % len(buf)
+            if op == "flip":
+                buf[i] ^= value
+            else:
+                del buf[i]
+    return bytes(buf)
+
+
+# A truncated gzip fails only at its cut, so ``inspect`` exits 0 when the
+# qid it stops at comes before the cut.
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(sorted(SOURCES)),
+    st.sampled_from(["mutated", "truncated gzip", "mutated gzip"]),
+    st.lists(BYTE_EDIT, max_size=4),
+    st.integers(min_value=0),
+)
+def test_corrupt_bytes_exit_cleanly(source, kind, edits, cut):
+    data = SOURCES[source]
+    if kind == "mutated":
+        data = edited(data, edits)
+    elif kind == "truncated gzip":
+        packed = gzip.compress(edited(data, edits), mtime=0)
+        data = packed[: cut % len(packed)]
+    else:
+        data = edited(gzip.compress(data, mtime=0), edits)
+    assert_exits_cleanly(data)

@@ -6,8 +6,7 @@ import tracemalloc
 import pytest
 
 from tokfix import consist
-from tokfix.align import CharSpan, find_subsequence
-from tokfix.bpe import decode_bytes, encode, ids_to_pieces
+from tokfix.bpe import decode_bytes, encode, find_subsequence, ids_to_pieces
 from tokfix.consist import (
     ALREADY_CONSISTENT,
     CONSISTENT_PREFIX_SPACE,
@@ -24,7 +23,7 @@ from tokfix.consist import (
     fix_dataset,
     make_consistent_target,
 )
-from tokfix.mrqa import DatasetError, ExtractiveExample, read_dataset
+from tokfix.mrqa import CharSpan, DatasetError, ExtractiveExample, read_dataset
 
 from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
 from helpers import MULTI_QA_RECORDS, naive_find, random_toy_tokenizer

@@ -5,8 +5,8 @@ import tracemalloc
 
 import pytest
 
-from tokfix.align import CharSpan
 from tokfix.mrqa import (
+    CharSpan,
     DatasetError,
     read_dataset,
     read_predictions,
@@ -228,18 +228,23 @@ class TestReadDataset:
             for i in range(30_000):
                 record = {
                     "context": f"Context number {i} mentions token {i}.",
-                    "qas": [qa(f"q{i}", "Which token?", str(i), [16, 15 + len(str(i))])],
+                    "qas": [qa(f"q{i}", "Which token?", str(i), [15, 14 + len(str(i))])],
                 }
                 out.write(json.dumps(record) + "\n")
         file_size = path.stat().st_size
         assert file_size > 3_000_000
 
-        _, stream = read_dataset(path, on_error=lambda _m: None)
+        issues = []
+        _, stream = read_dataset(path, on_error=issues.append)
         tracemalloc.start()
-        count = sum(1 for _ in stream)
+        count = one_span = 0
+        for example in stream:
+            count += 1
+            one_span += sum(len(spans) for _, spans in example.detected) == 1
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert count == 30_000
+        assert issues == []
+        assert count == one_span == 30_000
         assert peak < file_size / 4
 
     @pytest.mark.parametrize(
