@@ -237,12 +237,11 @@ def load_tokenizer(vocab_source: TextSource, merges_source: TextSource) -> Token
 def pretokenize(tok: Tokenizer, text: str) -> list[tuple[str, int]]:
     """Split text into pattern segments, each paired with its start byte.
 
-    The concatenation of segments equals the input; start bytes are
-    strictly increasing.
+    Between them the pattern's letter, number, other-symbol and
+    whitespace alternatives match every character, so the concatenation
+    of segments equals the input; start bytes are strictly increasing.
     """
     segments = _SEGMENTER.findall(text)
-    if sum(map(len, segments)) != len(text):
-        raise RuntimeError("segmentation pattern did not cover the full text")
     sizes = [len(seg.encode("utf-8")) for seg in segments]
     return list(zip(segments, accumulate(sizes, initial=0)))
 

@@ -119,15 +119,21 @@ def _report_writer(args: argparse.Namespace) -> Iterator[Callable[[str], object]
         yield lambda payload: out.write(payload.encode("utf-8", "surrogateescape"))
 
 
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
 def _render_report(
     args: argparse.Namespace, body: dict, columns: Sequence[str], rows: list[dict]
 ) -> str:
     """The JSON report, or with ``--format tsv`` one line per row holding
-    its values for ``columns`` (blank where a row lacks one)."""
+    its values for ``columns`` (blank where a row lacks one), each cell
+    escaped as in linear TSV so a tab or line break stays inside it."""
     if args.format == "tsv":
-        lines = ["\t".join(columns)]
-        lines += ["\t".join(str(row.get(column, "")) for column in columns) for row in rows]
-        return "\n".join(lines) + "\n"
+        table = [columns, *([row.get(column, "") for column in columns] for row in rows)]
+        return "".join(
+            "\t".join(str(cell).translate(_TSV_ESCAPES) for cell in line) + "\n"
+            for line in table
+        )
     report = {"tool_version": __version__, "config": _config_dict(args), **body}
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
@@ -39,6 +39,9 @@ from .mrqa import (
 CONSISTENT_RAW = "consistent_raw"
 CONSISTENT_PREFIX_SPACE = "consistent_prefix_space"
 INCONSISTENT = "inconsistent"
+
+# verdicts from most to least favorable
+_VERDICTS = (CONSISTENT_RAW, CONSISTENT_PREFIX_SPACE, INCONSISTENT)
 
 # repair methods, in ladder order
 ALREADY_CONSISTENT = "already_consistent"
@@ -118,13 +121,14 @@ class FixOutcome:
     note: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConsistencyStats:
-    """Dataset-level consistency tallies; the three counts partition ``total``."""
+    """Dataset-level consistency tallies, one field per verdict in
+    ``_VERDICTS`` order; the three counts partition ``total``."""
 
-    consistent_raw: int = 0
-    consistent_prefix_only: int = 0
-    inconsistent: int = 0
+    consistent_raw: int
+    consistent_prefix_only: int
+    inconsistent: int
 
     @property
     def total(self) -> int:
@@ -144,20 +148,10 @@ class ConsistencyStats:
             return 0.0
         return 100.0 * self.inconsistent / self.total
 
-    def add(self, status: str) -> None:
-        if status == CONSISTENT_RAW:
-            self.consistent_raw += 1
-        elif status == CONSISTENT_PREFIX_SPACE:
-            self.consistent_prefix_only += 1
-        else:
-            self.inconsistent += 1
-
     def to_dict(self) -> dict:
         return {
+            **asdict(self),
             "total": self.total,
-            "consistent_raw": self.consistent_raw,
-            "consistent_prefix_only": self.consistent_prefix_only,
-            "inconsistent": self.inconsistent,
             "pct_inconsistent_raw": round(self.pct_inconsistent_raw, 4),
             "pct_inconsistent_after_prefix": round(self.pct_inconsistent_after_prefix, 4),
         }
@@ -183,12 +177,10 @@ def check_consistency(
     between ``consistent_prefix_space`` and ``inconsistent``.
     """
     raw, prefixed = answer_variants(tok, answer)
-    location = find_subsequence(context_enc.id_string, raw)
-    if location is not None:
-        return ConsistencyVerdict(CONSISTENT_RAW, location)
-    location = find_subsequence(context_enc.id_string, prefixed)
-    if location is not None:
-        return ConsistencyVerdict(CONSISTENT_PREFIX_SPACE, location)
+    for ids, status in ((raw, CONSISTENT_RAW), (prefixed, CONSISTENT_PREFIX_SPACE)):
+        location = find_subsequence(context_enc.id_string, ids)
+        if location is not None:
+            return ConsistencyVerdict(status, location)
     return ConsistencyVerdict(INCONSISTENT)
 
 
@@ -210,21 +202,25 @@ def make_consistent_target(
 ) -> FixOutcome:
     """Extract target ids from the context encoding; first rung wins.
 
-    Ladder: (1) the raw standalone ids already sit at the gold span (or
-    anywhere, without a span); (2) some token run covers the gold span's
-    bytes exactly; (3) the minimal covering run decodes to the answer
-    modulo edge whitespace; (4) the prefix-space variant, then (with a
-    span only: rung 1 searched it otherwise) the raw variant, occurs
-    anywhere in the context ids; (5) unresolved fallback to the raw
-    standalone ids.
+    Ladder: (1) the raw standalone ids already sit at the gold span;
+    (2) some token run covers the gold span's bytes exactly; (3) the
+    minimal covering run decodes to the answer modulo edge whitespace;
+    (4) the context ids are searched for one variant after another: with
+    a span the prefix-space variant, then the raw one; without a span
+    the raw variant (rung 1 when found), then the prefix-space one;
+    (5) unresolved fallback to the raw standalone ids.
 
     Raises SpanMismatchError when the context text at ``gold_span`` is not
     the answer (corrupt data).
     """
     raw, prefixed = answer_variants(tok, answer)
 
-    byte_span: tuple[int, int] | None = None
-    if gold_span is not None:
+    if gold_span is None:
+        searches = (
+            (raw, ALREADY_CONSISTENT, "raw standalone ids found in context"),
+            (prefixed, SUBSEQUENCE_SEARCH, "prefix-space variant found in context"),
+        )
+    else:
         start, stop = gold_span.start, gold_span.end
         if not (0 <= start <= stop <= len(context)):
             raise SpanMismatchError(
@@ -234,62 +230,38 @@ def make_consistent_target(
             raise SpanMismatchError(
                 f"gold span points at {context[start:stop]!r}, not {answer!r}"
             )
-        byte_span = codepoint_span_to_byte_span(context, gold_span)
-
-    if byte_span is None:
-        location = find_subsequence(context_enc.id_string, raw)
-        if location is not None:
-            return FixOutcome(
-                target_ids=raw,
-                method=ALREADY_CONSISTENT,
-                context_span=location,
-                note="raw standalone ids found in context",
-            )
-    else:
-        found = token_slice_for_span(context_enc, byte_span)
+        found = token_slice_for_span(
+            context_enc, codepoint_span_to_byte_span(context, gold_span)
+        )
         if found is not None:
             span, exact = found
             slice_ids = context_enc.ids[span.start : span.end]
-            if exact:
-                if slice_ids == raw:
-                    return FixOutcome(
-                        target_ids=raw,
-                        method=ALREADY_CONSISTENT,
-                        context_span=span,
-                        note="raw standalone ids sit at the gold span",
-                    )
+            if exact and slice_ids == raw:
                 return FixOutcome(
-                    target_ids=slice_ids,
-                    method=EXACT_SLICE,
-                    context_span=span,
-                    note="token run covers the gold span exactly",
+                    raw, ALREADY_CONSISTENT, span, "raw standalone ids sit at the gold span"
+                )
+            if exact:
+                return FixOutcome(
+                    slice_ids, EXACT_SLICE, span, "token run covers the gold span exactly"
                 )
             if _decoded_matches(tok, slice_ids, answer):
                 return FixOutcome(
-                    target_ids=slice_ids,
-                    method=EXPANDED_SLICE,
-                    context_span=span,
-                    note="minimal covering run matches modulo edge whitespace",
+                    slice_ids,
+                    EXPANDED_SLICE,
+                    span,
+                    "minimal covering run matches modulo edge whitespace",
                 )
+        searches = (
+            (prefixed, SUBSEQUENCE_SEARCH, "prefix-space variant found in context"),
+            (raw, SUBSEQUENCE_SEARCH, "raw variant found in context"),
+        )
 
-    variants = [(prefixed, "prefix-space variant")]
-    if byte_span is not None:
-        variants.append((raw, "raw variant"))
-    for ids, label in variants:
+    for ids, method, note in searches:
         location = find_subsequence(context_enc.id_string, ids)
         if location is not None:
-            return FixOutcome(
-                target_ids=ids,
-                method=SUBSEQUENCE_SEARCH,
-                context_span=location,
-                note=f"{label} found in context",
-            )
-
+            return FixOutcome(ids, method, location, note)
     return FixOutcome(
-        target_ids=raw,
-        method=UNRESOLVED,
-        context_span=None,
-        note="no faithful context slice found; raw standalone ids kept",
+        raw, UNRESOLVED, None, "no faithful context slice found; raw standalone ids kept"
     )
 
 
@@ -319,7 +291,7 @@ def analyze_dataset(
     if sample_size is not None:
         examples = _reservoir_sample(examples, sample_size, seed)
 
-    stats = ConsistencyStats()
+    counts: Counter[str] = Counter()
     context: str | None = None
     for example in examples:
         answers = example.answer_texts()
@@ -330,18 +302,14 @@ def analyze_dataset(
         if example.context is not context:
             context = example.context
             context_enc = encode(tok, context)
-        best = None
+        best = INCONSISTENT
         for answer in answers:
             verdict = check_consistency(tok, context_enc, answer)
-            if best is None or _VERDICT_ORDER[verdict.status] < _VERDICT_ORDER[best]:
-                best = verdict.status
+            best = min(best, verdict.status, key=_VERDICTS.index)
             if best == CONSISTENT_RAW:
                 break
-        stats.add(best)
-    return stats
-
-
-_VERDICT_ORDER = {CONSISTENT_RAW: 0, CONSISTENT_PREFIX_SPACE: 1, INCONSISTENT: 2}
+        counts[best] += 1
+    return ConsistencyStats(*(counts[status] for status in _VERDICTS))
 
 
 def _reservoir_sample(
@@ -429,11 +397,11 @@ def fix_dataset(
             yield example, _fix_fields(outcome)
 
     write_fixed_dataset(path, header or {}, repaired())
-    method_counts = {method: counts.get(method, 0) for method in FIX_METHODS}
+    method_counts = {method: counts[method] for method in FIX_METHODS}
     return {
         "total": sum(counts.values()),
         "written": sum(method_counts.values()),
         "counts": method_counts,
-        "skipped_no_answer": counts.get("skipped_no_answer", 0),
-        "skipped_span_mismatch": counts.get("skipped_span_mismatch", 0),
+        "skipped_no_answer": counts["skipped_no_answer"],
+        "skipped_span_mismatch": counts["skipped_span_mismatch"],
     }

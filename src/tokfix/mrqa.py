@@ -213,7 +213,12 @@ def _parse_qa(
         report(f"line {lineno}: qid {qid}: detected_answers is not a list of objects; skipped")
         return None
 
-    gold = tuple(a for a in answers if isinstance(a, str))
+    gold = []
+    for answer in answers:
+        if isinstance(answer, str):
+            gold.append(answer)
+        else:
+            report(f"line {lineno}: qid {qid}: answer {answer!r} is not text; dropped")
 
     detected: list[tuple[str, tuple[CharSpan, ...]]] = []
     for det in detected_answers:
@@ -252,7 +257,7 @@ def _parse_qa(
         qid=qid,
         context=context,
         question=question,
-        gold_answers=gold,
+        gold_answers=tuple(gold),
         detected=tuple(detected),
     )
 

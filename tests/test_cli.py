@@ -654,6 +654,26 @@ def test_tsv_output_keeps_a_non_utf8_file_name(capsys, tmp_path, eval_files, com
     assert b"h\xff.json\t" in report.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["analyze", "evaluate"])
+def test_tsv_cells_escape_tabs_and_line_breaks(capsys, tmp_path, eval_files, command):
+    gold, perfect, _worse = eval_files
+    if command == "analyze":
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(json.dumps({"header": {"dataset": "sq\tuad\nx\r\\y"}}) + "\n")
+        argv = ["--vocab", VOCAB, "--merges", MERGES, "--dataset", str(dataset)]
+    else:
+        predictions = tmp_path / "sq\tuad\nx\r\\y"
+        predictions.write_bytes(Path(perfect).read_bytes())
+        argv = ["--dataset", gold, "--predictions", str(predictions)]
+    code, out, _err = run(capsys, command, *argv, "--format", "tsv")
+    assert code == 0
+    header, row = out.splitlines()
+    assert out == f"{header}\n{row}\n"
+    cells = row.split("\t")
+    assert len(cells) == len(header.split("\t"))
+    assert cells[0].endswith("sq\\tuad\\nx\\r\\\\y")
+
+
 @pytest.mark.parametrize(
     "command, field",
     [

@@ -11,6 +11,7 @@ from tokfix.consist import (
     ALREADY_CONSISTENT,
     CONSISTENT_PREFIX_SPACE,
     CONSISTENT_RAW,
+    EXACT_SLICE,
     EXPANDED_SLICE,
     INCONSISTENT,
     SUBSEQUENCE_SEARCH,
@@ -262,6 +263,57 @@ class TestMakeConsistentTarget:
                 assert decoded == answer or decoded.strip() == answer
                 checked += 1
         assert checked > 30  # the oracle actually exercised repairs
+
+    @pytest.mark.parametrize(
+        "context, answer, span, method, note, pieces, context_span",
+        [
+            # without a gold span: the two searches, then the fallback
+            ("1912", "1912", None, ALREADY_CONSISTENT,
+             "raw standalone ids found in context", ["19", "12"], (0, 2)),
+            ("Year 1912", "1912", None, SUBSEQUENCE_SEARCH,
+             "prefix-space variant found in context", ["Ġ1912"], (4, 5)),
+            ("Year 1912", "912", None, UNRESOLVED,
+             "no faithful context slice found; raw standalone ids kept", ["9", "12"], None),
+            # with a gold span: the three slice rungs, the two searches, the fallback
+            ("1912", "1912", (0, 4), ALREADY_CONSISTENT,
+             "raw standalone ids sit at the gold span", ["19", "12"], (0, 2)),
+            ("1912 was the year", "1912 ", (0, 4), EXACT_SLICE,
+             "token run covers the gold span exactly", ["19", "12"], (0, 2)),
+            ("Year 1912", "1912", (5, 9), EXPANDED_SLICE,
+             "minimal covering run matches modulo edge whitespace", ["Ġ1912"], (4, 5)),
+            ("Year 1912 or 912", "912", (6, 9), SUBSEQUENCE_SEARCH,
+             "prefix-space variant found in context", ["Ġ", "9", "12"], (8, 11)),
+            ("Year 1912 or x912", "912", (6, 9), SUBSEQUENCE_SEARCH,
+             "raw variant found in context", ["9", "12"], (10, 12)),
+            ("Year 1912", "912", (6, 9), UNRESOLVED,
+             "no faithful context slice found; raw standalone ids kept", ["9", "12"], None),
+        ],
+        ids=[
+            "raw-found",
+            "prefixed-found",
+            "unresolved",
+            "span-raw-at-span",
+            "span-exact-slice",
+            "span-expanded-slice",
+            "span-prefixed-found",
+            "span-raw-found",
+            "span-unresolved",
+        ],
+    )
+    def test_every_ladder_outcome(
+        self, number_tok, context, answer, span, method, note, pieces, context_span
+    ):
+        enc = encode(number_tok, context)
+        gold_span = CharSpan(*span) if span is not None else None
+        outcome = make_consistent_target(number_tok, context, enc, answer, gold_span)
+        assert (outcome.method, outcome.note) == (method, note)
+        assert ids_to_pieces(number_tok, outcome.target_ids) == pieces
+        if context_span is None:
+            assert outcome.context_span is None
+        else:
+            start, end = context_span
+            assert (outcome.context_span.start, outcome.context_span.end) == context_span
+            assert enc.ids[start:end] == outcome.target_ids
 
 
 def repeated_qid_stream(tmp_path):

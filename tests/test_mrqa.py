@@ -274,6 +274,22 @@ class TestReadDataset:
         assert len(issues) == 2
         assert all("unreadable char span" in message for message in issues)
 
+    def test_non_text_answers_are_reported_and_dropped(self, tmp_path):
+        record = {
+            "context": "It opened in 1912.",
+            "qas": [{"qid": "q", "question": "When?", "answers": [7, "1912", None]}],
+        }
+        issues = []
+        _, stream = read_dataset(
+            write_file(tmp_path, dataset_bytes([record])), on_error=issues.append
+        )
+        (example,) = stream
+        assert example.gold_answers == ("1912",)
+        assert issues == [
+            "line 2: qid q: answer 7 is not text; dropped",
+            "line 2: qid q: answer None is not text; dropped",
+        ]
+
 
 class TestWriteFixedDataset:
     def test_round_trip_preserves_examples(self, tmp_path):
