@@ -158,6 +158,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for path in args.dataset:
             issues = _IssueCounter()
             header, stream = read_dataset(path, on_error=issues)
+            name = header.get("dataset", "")
+            if not isinstance(name, str):
+                logger.warning("line 1: non-string dataset name %r; using the file name", name)
+                name = ""
             stats = analyze_dataset(
                 tok,
                 stream,
@@ -165,7 +169,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 answer_policy=args.answer_policy,
             )
-            entry = {"dataset": str(header.get("dataset", "")) or Path(path).name, "path": path}
+            entry = {"dataset": name or Path(path).name, "path": path}
             entry.update(stats.to_dict())
             entry["span_issues"] = issues.count
             stats_out.append(entry)
@@ -212,32 +216,27 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     with _report_writer(args) as write:
         _, stream = read_dataset(args.dataset[0])
-        examples = list(stream)
-        if len(args.predictions) == 2 and not examples:
+        with contextlib.closing(stream):
+            result = evaluate([read_predictions(path) for path in args.predictions], stream)
+        if len(result.reports) == 2 and not result.n:
             raise DatasetError("dataset has no questions to compare two prediction files on")
-
-        reports = []
-        per_example_scores = []
-        for path in args.predictions:
-            preds = read_predictions(path)
-            report = evaluate(preds, examples)
-            per_example_scores.append(report.per_example)
-            entry = {"predictions": path}
-            entry.update(report.to_dict())
-            reports.append(entry)
-
+        reports = [
+            {"predictions": path, **report.to_dict()}
+            for path, report in zip(args.predictions, result.reports)
+        ]
+        for entry in reports:
+            for qid in entry["unknown_qids"]:
+                logger.warning("prediction for unknown qid %r ignored", qid)
         body: dict = {"metrics": reports}
-        significance = None
-        if len(args.predictions) == 2:
-            f1_a = [score for _, _, score in per_example_scores[0]]
-            f1_b = [score for _, _, score in per_example_scores[1]]
-            result = paired_significance(f1_a, f1_b, seed=args.seed)
-            significance = {"metric": "f1", **dataclasses.asdict(result)}
-            body["significance"] = significance
+        if len(result.reports) == 2:
+            f1_a, f1_b = ([score for _, _, score in r.per_example] for r in result.reports)
+            del result  # the test reads the two F1 columns only
+            test = paired_significance(f1_a, f1_b, seed=args.seed)
+            body["significance"] = {"metric": "f1", **dataclasses.asdict(test)}
         else:
             body["per_example"] = [
                 {"qid": qid, "em": em, "f1": round(score, 6)}
-                for qid, em, score in per_example_scores[0]
+                for qid, em, score in result.reports[0].per_example
             ]
 
         columns = [
@@ -251,7 +250,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "p_value",
             "statistic",
         ]
-        rows = [{**entry, **(significance or {})} for entry in reports]
+        rows = [{**entry, **body.get("significance", {})} for entry in reports]
         write(_render_report(args, body, columns, rows))
     return EXIT_OK
 

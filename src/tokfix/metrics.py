@@ -9,7 +9,7 @@ not a substring of the context.
 
 from __future__ import annotations
 
-import logging
+import math
 import re
 import string
 from collections import Counter
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .mrqa import ExtractiveExample, unique_qids
-
-logger = logging.getLogger(__name__)
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
 #: The 32 ASCII characters of ``string.punctuation``, as in the SQuAD v1.1
@@ -33,31 +31,14 @@ def normalize_answer(s: str) -> str:
     return " ".join(s.split())
 
 
-def exact_match(pred: str, golds: Sequence[str]) -> int:
-    """1 iff the normalized prediction equals any normalized gold."""
-    return _exact_match_normalized(
-        normalize_answer(pred), [normalize_answer(g) for g in golds]
-    )
-
-
-def f1(pred: str, golds: Sequence[str]) -> float:
-    """Token-multiset F1 in [0, 1], max over gold answers (0 with none)."""
-    return _f1_normalized(normalize_answer(pred), [normalize_answer(g) for g in golds])
-
-
 def hallucination_check(pred: str, context: str) -> bool:
     """True when the trimmed prediction is not a case-sensitive substring
     of the context (an out-of-context answer)."""
     return pred.strip() not in context
 
 
-# The rules below take strings already passed through ``normalize_answer``,
-# so ``evaluate`` normalizes each prediction, gold and context once and
-# ``exact_match`` and ``f1`` stay thin wrappers over the same rules.
-
-
-def _exact_match_normalized(norm_pred: str, norm_golds: Sequence[str]) -> int:
-    return int(norm_pred in norm_golds)
+# The F1 rules below take strings already passed through
+# ``normalize_answer``, so ``evaluate`` normalizes each text once.
 
 
 def _f1_normalized(norm_pred: str, norm_golds: Sequence[str]) -> float:
@@ -106,65 +87,81 @@ class MetricsReport:
         }
 
 
-def evaluate(preds: dict[str, str], examples: Iterable[ExtractiveExample]) -> MetricsReport:
-    """Score predictions against gold questions.
+@dataclass
+class Evaluation:
+    """The gold question count and one report per prediction file, in order."""
 
-    Every gold question counts toward the denominators; a missing
-    prediction scores 0 on EM and F1. Out-of-context rates are computed
-    over predicted answers only. Predictions whose qid matches no gold
-    question are reported and excluded. ``per_example`` holds one
-    ``(qid, em, f1)`` triple per gold question, in input order. A qid
-    that occurs twice in ``examples`` raises DatasetError.
+    n: int
+    reports: list[MetricsReport]
+
+
+def evaluate(
+    predictions: Sequence[dict[str, str]], examples: Iterable[ExtractiveExample]
+) -> Evaluation:
+    """Score every prediction file against the gold questions in one pass.
+
+    ``examples`` is read once, so it may be a ``read_dataset`` stream; a
+    qid that occurs twice in it raises DatasetError. Every gold question
+    counts toward each report's denominators; a missing prediction scores
+    0 on EM and F1. Out-of-context rates are computed over predicted
+    answers only. Predictions whose qid matches no gold question are
+    excluded and listed in ``unknown_qids``. ``per_example`` holds one
+    ``(qid, em, f1)`` triple per gold question, in input order. A
+    question's golds and a record's context are normalized once whatever
+    the number of files, and only when some file predicted the question.
     """
-    per_example: list[tuple[str, int, float]] = []
-    hallucinated: list[str] = []
-    halluc_norm = 0
-    # examples of one record share a context object: normalize it once,
-    # and only when one of its questions has a prediction
+    # per file: its predictions, score rows, and the qids out of context
+    # before and after normalization
+    files = [(preds, [], [], []) for preds in predictions]
+    # examples of one record share a context object: normalize it once
     context = norm_context = None
-
-    for example in unique_qids(examples):
+    n = 0
+    for n, example in enumerate(unique_qids(examples), 1):
         if example.context is not context:
             context, norm_context = example.context, None
-        pred = preds.get(example.qid)
-        if pred is None:
-            per_example.append((example.qid, 0, 0.0))
-            continue
-        norm_pred = normalize_answer(pred)
-        norm_golds = [normalize_answer(g) for g in example.answer_texts()]
-        em_i = _exact_match_normalized(norm_pred, norm_golds)
-        f1_i = _f1_normalized(norm_pred, norm_golds)
-        per_example.append((example.qid, em_i, f1_i))
-        if hallucination_check(pred, context):
-            hallucinated.append(example.qid)
-        if norm_context is None:
-            norm_context = normalize_answer(context)
-        if norm_pred not in norm_context:
-            halluc_norm += 1
-
-    unknown = sorted(preds.keys() - (qid for qid, _, _ in per_example))
-    for qid in unknown:
-        logger.warning("prediction for unknown qid %r ignored", qid)
+        norm_golds = None
+        for preds, per_example, hallucinated, hallucinated_normalized in files:
+            pred = preds.get(example.qid)
+            if pred is None:
+                per_example.append((example.qid, 0, 0.0))
+                continue
+            if norm_golds is None:
+                norm_golds = [normalize_answer(g) for g in example.answer_texts()]
+            if norm_context is None:
+                norm_context = normalize_answer(context)
+            norm_pred = normalize_answer(pred)
+            em_i = int(norm_pred in norm_golds)
+            per_example.append((example.qid, em_i, _f1_normalized(norm_pred, norm_golds)))
+            if hallucination_check(pred, context):
+                hallucinated.append(example.qid)
+            if norm_pred not in norm_context:
+                hallucinated_normalized.append(example.qid)
 
     # a missing prediction's row adds 0 to the sums; qids are unique, so
-    # every prediction not unknown was scored
-    n = len(per_example)
-    n_predicted = len(preds) - len(unknown)
-    return MetricsReport(
-        em=100.0 * sum(em for _, em, _ in per_example) / n if n else 0.0,
-        f1=100.0 * sum(f1 for _, _, f1 in per_example) / n if n else 0.0,
-        n=n,
-        n_predicted=n_predicted,
-        hallucination_rate=(
-            100.0 * len(hallucinated) / n_predicted if n_predicted else 0.0
-        ),
-        hallucination_rate_normalized=(
-            100.0 * halluc_norm / n_predicted if n_predicted else 0.0
-        ),
-        hallucinated_qids=hallucinated,
-        unknown_qids=unknown,
-        per_example=per_example,
-    )
+    # every prediction not unknown was scored. fsum rounds alike on every
+    # Python version (3.12's sum compensates, 3.11's does not).
+    reports = []
+    for preds, per_example, hallucinated, hallucinated_normalized in files:
+        unknown = sorted(preds.keys() - (qid for qid, _, _ in per_example))
+        n_predicted = len(preds) - len(unknown)
+        reports.append(
+            MetricsReport(
+                em=100.0 * math.fsum(em for _, em, _ in per_example) / n if n else 0.0,
+                f1=100.0 * math.fsum(f1 for _, _, f1 in per_example) / n if n else 0.0,
+                n=n,
+                n_predicted=n_predicted,
+                hallucination_rate=(
+                    100.0 * len(hallucinated) / n_predicted if n_predicted else 0.0
+                ),
+                hallucination_rate_normalized=(
+                    100.0 * len(hallucinated_normalized) / n_predicted if n_predicted else 0.0
+                ),
+                hallucinated_qids=hallucinated,
+                unknown_qids=unknown,
+                per_example=per_example,
+            )
+        )
+    return Evaluation(n, reports)
 
 
 @dataclass(frozen=True)
@@ -197,9 +194,11 @@ def paired_significance(
 
     When all 2**n sign assignments fit within the resample budget the test
     enumerates them exhaustively (p = hits / 2**n); otherwise it samples,
-    with p = (1 + hits) / (resamples + 1), drawing 64 rows of signs at a
-    time into one reused buffer, so sampling memory grows as 64 x n
-    floats for n pairs. Deterministic for a fixed seed.
+    with p = (1 + hits) / (resamples + 1). It draws 64 rows of signs at a
+    time as 32-bit integers and scales them into one reused float64
+    buffer, so sampling holds 64 x n x 12 bytes for n pairs (16 with the
+    default 64-bit draw, which yields the same signs from the same
+    generator state). Deterministic for a fixed seed.
     """
     if len(scores_a) != len(scores_b):
         raise ValueError(
@@ -240,7 +239,8 @@ def paired_significance(
     while remaining > 0:
         chunk = min(remaining, rows)
         signs = buffer[:chunk]
-        np.multiply(rng.integers(0, 2, size=(chunk, n)), 2, out=signs, casting="unsafe")
+        draws = rng.integers(0, 2, size=(chunk, n), dtype=np.int32)
+        np.multiply(draws, 2, out=signs, casting="unsafe")
         signs -= 1
         sums = signs @ diffs
         hits += int(np.count_nonzero(np.abs(sums) >= threshold))

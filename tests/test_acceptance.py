@@ -348,7 +348,7 @@ def test_monotonicity_of_prefix_resolution(corpus_tok, corpus_path):
 
 def test_metrics_fidelity_hand_fixture():
     mismatches = []
-    result = evaluate(hand_predictions(), hand_examples())
+    (result,) = evaluate([hand_predictions()], hand_examples()).reports
     by_qid = {qid: (em, score) for qid, em, score in result.per_example}
     for qid, _ctx, _golds, _pred, em, frac, _h in HAND_CASES:
         got_em, got_f1 = by_qid[qid]

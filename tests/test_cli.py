@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,26 @@ class TestAnalyzeCommand:
         assert code == 0
         stats = json.loads(out)["stats"]
         assert [s["dataset"] for s in stats] == ["repair-fixture", "none"]
+
+    @pytest.mark.parametrize("name", [["a", 1], 0, None, {"x": "y"}])
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_non_string_dataset_name_falls_back_to_the_file_name(
+        self, capsys, tmp_path, name, fmt
+    ):
+        dataset = tmp_path / "named.jsonl"
+        dataset.write_text(json.dumps({"header": {"dataset": name}}) + "\n")
+        code, out, err = run(
+            capsys,
+            "analyze", "--vocab", VOCAB, "--merges", MERGES,
+            "--dataset", str(dataset), "--format", fmt,
+        )
+        assert code == 0
+        assert err == f"line 1: non-string dataset name {name!r}; using the file name\n"
+        if fmt == "json":
+            (stats,) = json.loads(out)["stats"]
+            assert stats["dataset"] == "named.jsonl"
+        else:
+            assert out.splitlines()[1].split("\t")[0] == "named.jsonl"
 
     def test_missing_merges_flag_is_usage_error(self, capsys):
         code, _out, err = run(capsys, "analyze", "--vocab", VOCAB, "--dataset", CORPUS)
@@ -561,6 +582,38 @@ class TestEvaluateCommand:
         )
         assert code == 2
         assert "data error" in err
+
+    def test_memory_grows_by_about_one_record_with_context_length(self, capsys, tmp_path):
+        """Contexts 10x longer raise the peak by about one record, not by
+        one record per question: the dataset is streamed, not held."""
+
+        def peak(words: int, records: int = 200) -> tuple[int, int]:
+            lines = [json.dumps({"header": {}})]
+            for i in range(records):
+                context = " ".join(f"w{i}x{j}" for j in range(words))
+                qas = [{"qid": f"q{i}", "question": "?", "answers": [f"w{i}x1"]}]
+                lines.append(json.dumps({"context": context, "qas": qas}))
+            gold = tmp_path / f"gold{words}.jsonl"
+            gold.write_text("\n".join(lines) + "\n")
+            right = tmp_path / "right.json"
+            right.write_text(json.dumps({f"q{i}": f"w{i}x1" for i in range(records)}))
+            partial = tmp_path / "partial.json"
+            partial.write_text(json.dumps({f"q{i}": f"w{i}x2 w{i}x3" for i in range(records)}))
+            argv = ["evaluate", "--dataset", gold, "--predictions", right, "--predictions", partial]
+            tracemalloc.start()
+            try:
+                code, _out, _err = run(capsys, *map(str, argv))
+                _, traced_peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return traced_peak, len(lines[1])
+
+        peak(100)  # the first two-file run imports numpy
+        short_peak, short_record = peak(100)
+        long_peak, long_record = peak(1000)
+        # holding every example would add 200 records' growth
+        assert long_peak - short_peak < 10 * (long_record - short_record)
 
     def test_tsv_projection(self, capsys, eval_files):
         gold, perfect, worse = eval_files

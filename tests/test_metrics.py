@@ -11,14 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokfix import metrics
-from tokfix.metrics import (
-    evaluate,
-    exact_match,
-    f1,
-    hallucination_check,
-    normalize_answer,
-    paired_significance,
-)
+from tokfix.metrics import evaluate, hallucination_check, normalize_answer, paired_significance
 from tokfix.mrqa import DatasetError, ExtractiveExample, read_dataset
 
 from helpers import f1_oracle, monte_carlo_p_2048_rows, normalize_answer_per_char, write_file
@@ -180,6 +173,25 @@ HAND_CASES = [
 ]
 
 
+def exact_match(pred, golds):
+    """1 iff the normalized prediction equals any normalized gold."""
+    return int(normalize_answer(pred) in {normalize_answer(g) for g in golds})
+
+
+def f1(pred, golds):
+    """Token-multiset F1 in [0, 1] by ``evaluate``'s rule over normalized
+    text, max over gold answers (0 with none)."""
+    return metrics._f1_normalized(normalize_answer(pred), [normalize_answer(g) for g in golds])
+
+
+def evaluate_one(preds, examples):
+    """The report of ``evaluate`` on one prediction file."""
+    result = evaluate([preds], examples)
+    (report,) = result.reports
+    assert report.n == result.n
+    return report
+
+
 def hand_examples():
     return [
         ExtractiveExample(
@@ -306,7 +318,7 @@ class TestHallucinationCheck:
         context = "Both sides signed The Treaty that winter."
         assert hallucination_check("the treaty", context) is True
         example = ExtractiveExample(qid="q", context=context, question="?", gold_answers=("x",))
-        report = evaluate({"q": "the treaty"}, [example])
+        report = evaluate_one({"q": "the treaty"}, [example])
         assert report.hallucination_rate == 100.0
         assert report.hallucination_rate_normalized == 0.0
 
@@ -326,7 +338,7 @@ class TestEvaluate:
         in_context = {"c01", "c02", "c03", "c04", "c06"}
         examples = [e for e in hand_examples() if e.qid in in_context]
         preds = {e.qid: e.gold_answers[0] for e in examples}
-        report = evaluate(preds, examples)
+        report = evaluate_one(preds, examples)
         assert report.em == 100.0
         assert report.f1 == 100.0
         assert report.hallucination_rate == 0.0
@@ -334,7 +346,7 @@ class TestEvaluate:
 
     def test_empty_predictions_keep_denominator(self):
         examples = hand_examples()
-        report = evaluate({}, examples)
+        report = evaluate_one({}, examples)
         assert report.em == 0.0
         assert report.f1 == 0.0
         assert report.n == len(examples)
@@ -342,7 +354,7 @@ class TestEvaluate:
         assert report.hallucination_rate == 0.0
 
     def test_hand_fixture_matches_per_example_oracle(self):
-        report = evaluate(hand_predictions(), hand_examples())
+        report = evaluate_one(hand_predictions(), hand_examples())
         by_qid = {qid: (em, score) for qid, em, score in report.per_example}
         em_sum = 0
         f1_sum = Fraction(0)
@@ -357,7 +369,7 @@ class TestEvaluate:
         assert report.f1 == pytest.approx(float(100 * f1_sum / n), abs=1e-9)
 
     def test_hand_fixture_hallucination_flags(self):
-        report = evaluate(hand_predictions(), hand_examples())
+        report = evaluate_one(hand_predictions(), hand_examples())
         expected = sorted(qid for qid, *_rest, h in HAND_CASES if h)
         assert sorted(report.hallucinated_qids) == expected
         n_predicted = sum(1 for case in HAND_CASES if case[3] is not None)
@@ -370,7 +382,7 @@ class TestEvaluate:
         examples = hand_examples()[:3]
         preds = {e.qid: e.gold_answers[0] for e in examples}
         preds["zzz"] = "ghost"
-        report = evaluate(preds, examples)
+        report = evaluate_one(preds, examples)
         assert report.unknown_qids == ["zzz"]
         assert report.n == 3
         assert report.n_predicted == 3
@@ -386,14 +398,12 @@ class TestEvaluate:
         data = "".join(json.dumps(line) + "\n" for line in lines).encode()
         _, stream = read_dataset(write_file(tmp_path, data))
         with pytest.raises(DatasetError, match="duplicate qid 'q' in dataset"):
-            evaluate({"q": "1912"}, stream)
+            evaluate([{"q": "1912"}], stream)
 
 
-    def test_each_context_is_normalized_once_per_call(self, multi_qa_path, monkeypatch):
+    def test_two_files_normalize_each_context_and_gold_once(self, multi_qa_path, monkeypatch):
         _, stream = read_dataset(multi_qa_path)
         examples = list(stream)
-        contexts = list({id(e.context): e.context for e in examples}.values())
-        assert len(contexts) == 3
         normalized = []
         original = metrics.normalize_answer
 
@@ -402,14 +412,41 @@ class TestEvaluate:
             return original(text)
 
         monkeypatch.setattr(metrics, "normalize_answer", counting_normalize)
-        preds = {e.qid: "the ship" for e in examples}
-        for _ in range(2):
-            normalized.clear()
-            evaluate(preds, examples)
-            context_calls = Counter(
-                id(text) for text in normalized for c in contexts if text is c
-            )
-            assert context_calls == {id(c): 1 for c in contexts}
+        # m4 is predicted by neither file, m5 by the second only
+        first = {"m1": "1912", "m2": "the ship", "m3": "ship", "m6": "museum"}
+        second = {"m1": "1913", "m3": "The Ship", "m5": "treaty"}
+        result = evaluate([first, second], examples)
+        assert result.n == 6
+        assert [r.n_predicted for r in result.reports] == [4, 3]
+
+        contexts = {e.context for e in examples if e.qid != "m4"}
+        golds = [g for e in examples if e.qid != "m4" for g in e.answer_texts()]
+        predictions = [*first.values(), *second.values()]
+        # no context equals a gold or a prediction, so counting by value
+        # counts each context's calls
+        assert not contexts & {*golds, *predictions}
+        assert Counter(normalized) == Counter([*contexts, *golds, *predictions])
+
+    def test_two_files_score_as_two_single_file_calls(self, multi_qa_path):
+        _, stream = read_dataset(multi_qa_path)
+        examples = list(stream)
+        first = {"m1": "1912", "m3": "ship", "m6": "the museum", "ghost": "x"}
+        second = {"m1": "in 1912", "m2": "Nobody", "m5": "treaty"}
+        result = evaluate([first, second], iter(examples))
+        assert result.reports == [evaluate_one(first, examples), evaluate_one(second, examples)]
+        assert result.reports[0].unknown_qids == ["ghost"]
+
+    def test_means_do_not_depend_on_summation_order(self):
+        # one prediction token among 19 gold tokens scores F1 0.1, whose
+        # left-to-right sum over ten rows is 0.9999999999999999
+        gold = " ".join(f"x{j}" for j in range(19))
+        examples = [
+            ExtractiveExample(qid=f"q{i}", context=gold, question="?", gold_answers=(gold,))
+            for i in range(10)
+        ]
+        report = evaluate_one({e.qid: "x0" for e in examples}, examples)
+        assert [score for _, _, score in report.per_example] == [0.1] * 10
+        assert report.f1 == 10.0
 
     def test_report_matches_public_functions_per_question(self, multi_qa_path):
         _, stream = read_dataset(multi_qa_path)
@@ -439,7 +476,7 @@ class TestEvaluate:
                     hallucinated.append(e.qid)
                 halluc_norm += normalize_answer(pred) not in normalize_answer(e.context)
 
-            report = evaluate(preds, examples)
+            report = evaluate_one(preds, examples)
             assert report.per_example == per_example
             assert report.hallucinated_qids == hallucinated
             assert report.hallucination_rate == 100.0 * len(hallucinated) / len(preds)
