@@ -172,14 +172,12 @@ class SignificanceResult:
     statistic: float
     resamples: int
     seed: int
-    method: str = "monte_carlo"
+    method: str
 
 
-#: Sign rows drawn per Monte Carlo chunk. The draw is the same stream
-#: whatever the chunk shape, but a sum's last bits can depend on the row's
-#: position within the matrix product, and a p-value moves when a sum ties
-#: the observed one. Chunks of a multiple of 64 rows gave sums bitwise
-#: equal to the former fixed 2,048-row chunks.
+#: Sign rows per chunk, enumerated or drawn. Hits count ties within the
+#: tolerance below, so neither chunk shape nor a row's position in the
+#: matrix product, which can move a sum's last bits, moves a p-value.
 _CHUNK_ROWS = 64
 
 
@@ -193,12 +191,19 @@ def paired_significance(
     """Two-sided paired randomization (sign-flip) test on score differences.
 
     When all 2**n sign assignments fit within the resample budget the test
-    enumerates them exhaustively (p = hits / 2**n); otherwise it samples,
-    with p = (1 + hits) / (resamples + 1). It draws 64 rows of signs at a
-    time as 32-bit integers and scales them into one reused float64
-    buffer, so sampling holds 64 x n x 12 bytes for n pairs (16 with the
-    default 64-bit draw, which yields the same signs from the same
-    generator state). Deterministic for a fixed seed.
+    enumerates them (p = hits / 2**n); otherwise it samples, with
+    p = (1 + hits) / (resamples + 1). Either way it takes 64 sign rows at a
+    time, the bits of consecutive row numbers or 32-bit integer draws, and
+    scales them into one reused float64 buffer: 64 x n x 12 bytes for n
+    pairs (16 with the default 64-bit draw, which yields the same signs
+    from the same generator state). Deterministic for a fixed seed.
+
+    A row is a hit when |signs @ d| >= |sum(d)| - n * 2**-50 * sum(|d|) for
+    the differences d. The tolerance is four times the bound on how far
+    two float sums of the same n differences, added in any order and
+    counting each difference's own rounding, can drift apart, so a row
+    that ties the observed sum exactly always counts. Raises ValueError on
+    non-finite scores.
     """
     if len(scores_a) != len(scores_b):
         raise ValueError(
@@ -212,43 +217,32 @@ def paired_significance(
     import numpy as np  # only this test needs numpy; keep it out of the CLI's start-up
 
     diffs = np.asarray(scores_a, dtype=float) - np.asarray(scores_b, dtype=float)
+    if not np.isfinite(diffs).all():
+        raise ValueError("paired scores must be finite")
     n = len(diffs)
     observed_sum = float(diffs.sum())
-    statistic = observed_sum / n
-    threshold = abs(observed_sum)
+    threshold = abs(observed_sum) - n * 2.0**-50 * float(np.abs(diffs).sum())
 
-    if n <= 62 and 2**n <= resamples:
-        codes = np.arange(2**n, dtype=np.uint64)
-        bits = ((codes[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.int64)
-        signs = (bits * 2 - 1).astype(np.float64)
-        sums = signs @ diffs
-        hits = int(np.count_nonzero(np.abs(sums) >= threshold))
-        return SignificanceResult(
-            p_value=hits / 2**n,
-            statistic=statistic,
-            resamples=2**n,
-            seed=seed,
-            method="exact",
-        )
-
+    exact = n <= 62 and 2**n <= resamples
+    total = 2**n if exact else resamples
     rng = np.random.default_rng(seed)
-    rows = min(_CHUNK_ROWS, resamples)
-    buffer = np.empty((rows, n), dtype=np.float64)
+    buffer = np.empty((min(_CHUNK_ROWS, total), n), dtype=np.float64)
     hits = 0
-    remaining = resamples
-    while remaining > 0:
-        chunk = min(remaining, rows)
-        signs = buffer[:chunk]
-        draws = rng.integers(0, 2, size=(chunk, n), dtype=np.int32)
+    for first in range(0, total, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, total - first)
+        if exact:
+            codes = np.arange(first, first + rows, dtype=np.uint64)
+            draws = (codes[:, None] >> np.arange(n, dtype=np.uint64)) & 1
+        else:
+            draws = rng.integers(0, 2, size=(rows, n), dtype=np.int32)
+        signs = buffer[:rows]
         np.multiply(draws, 2, out=signs, casting="unsafe")
         signs -= 1
-        sums = signs @ diffs
-        hits += int(np.count_nonzero(np.abs(sums) >= threshold))
-        remaining -= chunk
+        hits += int(np.count_nonzero(np.abs(signs @ diffs) >= threshold))
     return SignificanceResult(
-        p_value=(1 + hits) / (resamples + 1),
-        statistic=statistic,
-        resamples=resamples,
+        p_value=hits / total if exact else (1 + hits) / (total + 1),
+        statistic=observed_sum / n,
+        resamples=total,
         seed=seed,
-        method="monte_carlo",
+        method="exact" if exact else "monte_carlo",
     )

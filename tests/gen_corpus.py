@@ -263,6 +263,62 @@ EXPECTED_METHODS = {
 }
 
 
+#: A prediction for the gold "red green blue" per F1 it scores against it.
+F1_PREDICTIONS = {
+    "1": "red green blue",
+    "4/5": "red green",
+    "2/3": "red green yellow",
+    "1/2": "red",
+    "1/3": "red pink yellow",
+    "0": "yellow",
+}
+
+#: Per question, the F1 of systems a and b ("a:b") on the two tie-heavy
+#: evaluate inputs: 13 questions for the exact significance test, 40 for
+#: the sampled one. Many signed sums of the differences tie the observed
+#: one exactly; the first three questions alone are the smallest such case.
+TIE_SCORES = {
+    "ties_exact": (
+        "0:2/3 0:1/3 2/3:0 1/3:1 0:2/3 4/5:1/3 1/3:1 1/3:1 0:1 1/3:2/3 "
+        "1:1 1/2:1 1/3:4/5"
+    ),
+    "ties_sampled": (
+        "4/5:1/3 1/2:1/3 1:0 1/3:1 4/5:0 1/2:1/2 1/2:1/3 0:2/3 0:1 2/3:4/5 "
+        "2/3:0 0:1/2 1/2:1 0:2/3 4/5:1 1:0 1/3:1 1/3:1/3 2/3:1 2/3:4/5 "
+        "0:4/5 1/2:1/3 2/3:1/3 0:2/3 0:1/3 1/2:1/2 1:1 1/3:1/2 4/5:2/3 0:4/5 "
+        "0:4/5 1/3:4/5 0:1/3 1/2:0 0:4/5 2/3:1 1/3:2/3 1/3:1/3 2/3:1 1/2:4/5"
+    ),
+}
+
+
+def tie_records(scores: str) -> tuple[list[dict], dict, dict]:
+    """Evaluate inputs whose per-question F1 pairs are ``scores``: records
+    of up to four questions each, and the two systems' predictions."""
+    context = "The red green blue flag flew over the harbor."
+    start = context.index("red green blue")
+    records: list[dict] = []
+    preds_a: dict[str, str] = {}
+    preds_b: dict[str, str] = {}
+    for number, pair in enumerate(scores.split(), 1):
+        f1_a, f1_b = pair.split(":")
+        qid = f"t{number:02d}"
+        if number % 4 == 1:
+            records.append({"context": context, "qas": []})
+        records[-1]["qas"].append(
+            {
+                "qid": qid,
+                "question": "Which colours?",
+                "answers": ["red green blue"],
+                "detected_answers": [
+                    {"text": "red green blue", "char_spans": [[start, start + 13]]}
+                ],
+            }
+        )
+        preds_a[qid] = F1_PREDICTIONS[f1_a]
+        preds_b[qid] = F1_PREDICTIONS[f1_b]
+    return records, preds_a, preds_b
+
+
 def byte_unit_alphabet() -> list[str]:
     """The 256 printable unit characters, in byte order (no library import)."""
     self_mapped = (
@@ -300,7 +356,19 @@ def main() -> None:
         for record in records:
             out.write(json.dumps(record, ensure_ascii=False))
             out.write("\n")
-    print(f"wrote {len(records)} records to {DATA_DIR}")
+    golden = DATA_DIR / "golden"
+    golden.mkdir(exist_ok=True)
+    for name, scores in TIE_SCORES.items():
+        tie_set, preds_a, preds_b = tie_records(scores)
+        with open(golden / f"{name}.jsonl", "w", encoding="utf-8") as out:
+            out.write(json.dumps({"header": {"dataset": name}}) + "\n")
+            for record in tie_set:
+                out.write(json.dumps(record) + "\n")
+        for suffix, preds in (("a", preds_a), ("b", preds_b)):
+            (golden / f"{name}_{suffix}.json").write_text(
+                json.dumps(preds, indent=0) + "\n", encoding="utf-8"
+            )
+    print(f"wrote {len(records)} records and the tie-heavy evaluate inputs to {DATA_DIR}")
 
 
 if __name__ == "__main__":

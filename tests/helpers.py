@@ -194,9 +194,12 @@ def normalize_answer_per_char(s: str) -> str:
 
 def monte_carlo_p_2048_rows(scores_a, scores_b, *, resamples: int, seed: int) -> float:
     """Monte Carlo sign-flip p-value drawn in fixed 2,048-row chunks, the
-    loop ``paired_significance`` used before it sized chunks by bytes."""
+    loop ``paired_significance`` used before it sized chunks by bytes, with
+    its tie rule: a sum within ``n * 2**-50 * sum(|diffs|)`` of the
+    observed one counts as a hit."""
     diffs = np.asarray(scores_a, dtype=float) - np.asarray(scores_b, dtype=float)
-    threshold = abs(float(diffs.sum()))
+    tolerance = len(diffs) * 2.0**-50 * float(np.abs(diffs).sum())
+    threshold = abs(float(diffs.sum())) - tolerance
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = resamples

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokfix import bpe
 from tokfix.bpe import (
     _SEGMENT_MEMO_MAX_CHARS,
     BYTE_TO_UNIT,
@@ -293,6 +294,24 @@ class TestScaling:
         encode(tok, f"{short} {long}")
         assert short in tok._segment_cache
         assert " " + long not in tok._segment_cache
+
+    def test_memo_clears_at_its_limit(self, monkeypatch):
+        merges = [("a", "b"), ("ab", "c")]
+        words = [a + b + c for a in "abc" for b in "abc" for c in "abc"]
+        text = " ".join(words)
+        reference = make_tokenizer(merges)
+        expected = [encode(reference, word).ids for word in words]
+        monkeypatch.setattr(bpe, "_SEGMENT_CACHE_LIMIT", 4)
+        tok = make_tokenizer(merges)
+        sizes = []
+        for _ in range(2):
+            for word, ids in zip(words, expected):
+                assert encode(tok, word).ids == ids
+                sizes.append(len(tok._segment_cache))
+        assert max(sizes) == 4
+        assert sizes.count(1) > 1  # cleared, and refilled from empty
+        assert encode(tok, text).ids == encode(reference, text).ids
+        assert len(tok._segment_cache) <= 4
 
 
 def _units(text: str) -> str:

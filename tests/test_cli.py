@@ -288,6 +288,18 @@ class TestAnalyzeCommand:
         assert "Traceback" not in err
         assert list(out_dir.iterdir()) == []
 
+    def test_vocab_that_is_not_an_object_is_data_error(self, capsys, tmp_path):
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps(list(json.loads(Path(VOCAB).read_text(encoding="utf-8")))))
+        code, out, err = run(
+            capsys,
+            "analyze", "--vocab", str(vocab), "--merges", MERGES, "--dataset", CORPUS,
+        )
+        assert code == 2
+        assert out == ""
+        assert "data error: vocab must be a JSON object" in err
+        assert "Traceback" not in err
+
     def test_malformed_dataset_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"header": {"dataset": "x"}}\n{broken\n')
@@ -667,6 +679,24 @@ def test_removed_flags_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fix", "--vocab", VOCAB, "--merges", MERGES, "--output", "x.jsonl"],
+         "fix takes exactly one --dataset"),
+        (["evaluate", "--predictions", "p.json"], "evaluate takes exactly one --dataset"),
+    ],
+    ids=["fix", "evaluate"],
+)
+def test_second_dataset_is_usage_error(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--dataset", CORPUS, "--dataset", CORPUS)
+    assert code == 1
+    assert out == ""
+    assert f"usage error: {message}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["analyze", "evaluate", "inspect"])
 def test_report_output_leaves_no_temporary_file(capsys, tmp_path, eval_files, command):
     gold, perfect, _worse = eval_files
@@ -868,6 +898,20 @@ class TestInspectCommand:
         )
         assert code == 2
         assert "not found" in err
+
+    def test_question_without_usable_answer_is_data_error(self, capsys, tmp_path):
+        qa = {"qid": "q", "question": "When?", "answers": []}
+        lines = [{"header": {}}, {"context": "It opened in 1912.", "qas": [qa]}]
+        path = tmp_path / "unanswered.jsonl"
+        path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+        code, out, err = run(
+            capsys,
+            "inspect", "--vocab", VOCAB, "--merges", MERGES,
+            "--dataset", str(path), "--qid", "q",
+        )
+        assert code == 2
+        assert out == ""
+        assert "data error: qid 'q' has no usable answer" in err
 
     def test_repeated_qid_shows_first_occurrence(self, capsys, tmp_path):
         # inspect stops at the first match, so a repeat is not an error here

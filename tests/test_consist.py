@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from tokfix import consist
-from tokfix.bpe import decode_bytes, encode, find_subsequence, ids_to_pieces
+from tokfix.bpe import BYTE_TO_UNIT, decode_bytes, encode, find_subsequence, ids_to_pieces
 from tokfix.consist import (
     ALREADY_CONSISTENT,
     CONSISTENT_PREFIX_SPACE,
@@ -27,7 +27,13 @@ from tokfix.consist import (
 from tokfix.mrqa import CharSpan, DatasetError, ExtractiveExample, read_dataset
 
 from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
-from helpers import MULTI_QA_RECORDS, naive_find, random_toy_tokenizer
+from helpers import (
+    MULTI_QA_RECORDS,
+    NUMBER_MERGES,
+    make_tokenizer,
+    naive_find,
+    random_toy_tokenizer,
+)
 
 
 FIXED_QA_KEYS = [
@@ -191,6 +197,13 @@ class TestMakeConsistentTarget:
                 number_tok, context, enc, "xyz", CharSpan(0, 3)
             )
 
+    @pytest.mark.parametrize("span", [(-1, 3), (4, 3), (0, 8)])
+    def test_gold_span_out_of_range_raises(self, number_tok, span):
+        context = "abc def"
+        enc = encode(number_tok, context)
+        with pytest.raises(SpanMismatchError, match="out of range"):
+            make_consistent_target(number_tok, context, enc, "abc", CharSpan(*span))
+
     def test_no_span_falls_back_to_prefixed_variant(self, corpus_tok):
         context = "The museum wing of the museum closed."
         enc = encode(corpus_tok, context)
@@ -287,6 +300,9 @@ class TestMakeConsistentTarget:
              "raw variant found in context", ["9", "12"], (10, 12)),
             ("Year 1912", "912", (6, 9), UNRESOLVED,
              "no faithful context slice found; raw standalone ids kept", ["9", "12"], None),
+            # the covering run starts inside "é", so it does not decode
+            ("éa", "a", (1, 2), UNRESOLVED,
+             "no faithful context slice found; raw standalone ids kept", ["a"], None),
         ],
         ids=[
             "raw-found",
@@ -298,16 +314,19 @@ class TestMakeConsistentTarget:
             "span-prefixed-found",
             "span-raw-found",
             "span-unresolved",
+            "span-cover-starts-mid-character",
         ],
     )
     def test_every_ladder_outcome(
-        self, number_tok, context, answer, span, method, note, pieces, context_span
+        self, context, answer, span, method, note, pieces, context_span
     ):
-        enc = encode(number_tok, context)
+        # number_tok's merges plus one fusing the last byte of "é" with "a"
+        tok = make_tokenizer([*NUMBER_MERGES, (BYTE_TO_UNIT[0xA9], "a")])
+        enc = encode(tok, context)
         gold_span = CharSpan(*span) if span is not None else None
-        outcome = make_consistent_target(number_tok, context, enc, answer, gold_span)
+        outcome = make_consistent_target(tok, context, enc, answer, gold_span)
         assert (outcome.method, outcome.note) == (method, note)
-        assert ids_to_pieces(number_tok, outcome.target_ids) == pieces
+        assert ids_to_pieces(tok, outcome.target_ids) == pieces
         if context_span is None:
             assert outcome.context_span is None
         else:

@@ -1,11 +1,13 @@
 import itertools
 import json
+import math
 import random
 import string
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -483,9 +485,22 @@ class TestEvaluate:
             assert report.hallucination_rate_normalized == 100.0 * halluc_norm / len(preds)
 
 
+def rational_diffs(scores_a, scores_b) -> list[int]:
+    """Score differences as the rationals the floats stand for
+    (``Fraction.limit_denominator(1000)``), scaled by their common
+    denominator to integers, so every signed sum is exact in any order."""
+    diffs = [
+        Fraction(a).limit_denominator(1000) - Fraction(b).limit_denominator(1000)
+        for a, b in zip(scores_a, scores_b)
+    ]
+    scale = math.lcm(*(d.denominator for d in diffs))
+    return [int(d * scale) for d in diffs]
+
+
 def significance_oracle(scores_a, scores_b):
-    """Exhaustive sign-flip enumeration over exactly 2**n assignments."""
-    diffs = [a - b for a, b in zip(scores_a, scores_b)]
+    """Exhaustive sign-flip enumeration over exactly 2**n assignments, in
+    exact rational arithmetic."""
+    diffs = rational_diffs(scores_a, scores_b)
     observed = abs(sum(diffs))
     hits = 0
     for signs in itertools.product((1, -1), repeat=len(diffs)):
@@ -495,7 +510,21 @@ def significance_oracle(scores_a, scores_b):
     return hits / 2 ** len(diffs)
 
 
+def sampled_significance_oracle(scores_a, scores_b, *, resamples, seed):
+    """Monte Carlo sign-flip p-value over the generator's default 64-bit
+    draws, one row at a time, in exact rational arithmetic."""
+    diffs = rational_diffs(scores_a, scores_b)
+    observed = abs(sum(diffs))
+    draws = np.random.default_rng(seed).integers(0, 2, size=(resamples, len(diffs)))
+    hits = sum(
+        abs(sum(d if bit else -d for bit, d in zip(row, diffs))) >= observed
+        for row in draws.tolist()
+    )
+    return (1 + hits) / (resamples + 1)
+
+
 F1_LIKE = (0.0, 1.0, 0.5, 1 / 3, 2 / 3)
+NON_DYADIC_F1 = (0.0, 1.0, 1 / 3, 2 / 3, 0.4, 0.8, 4 / 7, 2 / 7)
 
 
 def f1_like_scores(n: int) -> tuple[list[float], list[float]]:
@@ -516,15 +545,29 @@ class TestPairedSignificance:
         assert result.p_value == 1.0
 
     def test_small_n_matches_exhaustive_enumeration(self):
+        # k/8 scores add exactly in any order; the F1-like thirds, fifths
+        # and sevenths do not, so a float sum can miss an exact tie
         rng = random.Random(31337)
-        for _ in range(25):
-            n = rng.randrange(2, 11)
-            a = [rng.randrange(0, 9) / 8 for _ in range(n)]
-            b = [rng.randrange(0, 9) / 8 for _ in range(n)]
+        cases = [((0.0, 0.0, 2 / 3), (2 / 3, 1 / 3, 0.0))]
+        for values in ([k / 8 for k in range(9)], NON_DYADIC_F1):
+            for _ in range(25):
+                n = rng.randrange(2, 14)
+                cases.append(
+                    ([rng.choice(values) for _ in range(n)], [rng.choice(values) for _ in range(n)])
+                )
+        for a, b in cases:
             result = paired_significance(a, b, resamples=10_000, seed=1)
             assert result.method == "exact"
-            assert result.resamples == 2**n
+            assert result.resamples == 2 ** len(a)
             assert result.p_value == significance_oracle(a, b), (a, b)
+        assert significance_oracle(*cases[0]) == 1.0
+
+    @pytest.mark.parametrize("resamples", [1_000, 2_000, 9_999])
+    def test_monte_carlo_matches_exact_sums_over_the_same_draws(self, resamples):
+        a, b = f1_like_scores(20)
+        result = paired_significance(a, b, resamples=resamples, seed=42)
+        assert result.method == "monte_carlo"
+        assert result.p_value == sampled_significance_oracle(a, b, resamples=resamples, seed=42)
 
     def test_constant_shift_is_significant_at_n100(self):
         a = [1.0] * 100
@@ -586,3 +629,19 @@ class TestPairedSignificance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             paired_significance([], [])
+
+    def test_resamples_below_one_rejected(self):
+        with pytest.raises(ValueError, match="resamples must be positive"):
+            paired_significance([1.0], [0.0], resamples=0)
+
+    @pytest.mark.parametrize(
+        "scores_a, scores_b",
+        [
+            ([math.nan, 0.5], [0.0, 0.5]),
+            ([math.inf, 0.5], [0.0, 0.5]),
+            ([0.0, 0.5], [0.0, -math.inf]),
+        ],
+    )
+    def test_non_finite_scores_rejected(self, scores_a, scores_b):
+        with pytest.raises(ValueError, match="finite"):
+            paired_significance(scores_a, scores_b)

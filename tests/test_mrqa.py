@@ -71,6 +71,14 @@ class TestReadDataset:
         assert q1.context is q2.context
         assert q3.context is not q1.context
 
+    def test_blank_lines_between_records_are_skipped(self, tmp_path):
+        lines = dataset_bytes(THREE_QUESTION_RECORDS).decode("utf-8").splitlines()
+        data = "\n\n".join(lines[:2]) + "\n  \n\t\n" + "\n".join(lines[2:]) + "\n\n"
+        issues = []
+        _, stream = read_dataset(write_file(tmp_path, data), on_error=issues.append)
+        assert [e.qid for e in stream] == ["q1", "q2", "q3"]
+        assert issues == []
+
     def test_empty_file_is_missing_header(self, tmp_path):
         with pytest.raises(DatasetError, match="missing header"):
             read_dataset(write_file(tmp_path, b""))
