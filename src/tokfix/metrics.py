@@ -175,9 +175,9 @@ class SignificanceResult:
     method: str
 
 
-#: Sign rows per chunk, enumerated or drawn. Hits count ties within the
-#: tolerance below, so neither chunk shape nor a row's position in the
-#: matrix product, which can move a sum's last bits, moves a p-value.
+#: Sign rows per chunk; even, so only the last drawn chunk can end on half a raw word.
+#: Hits count ties within the tolerance below, so neither chunk shape nor a
+#: row's place in the matrix product, which can move a sum's last bits, moves a p-value.
 _CHUNK_ROWS = 64
 
 
@@ -191,12 +191,12 @@ def paired_significance(
     """Two-sided paired randomization (sign-flip) test on score differences.
 
     When all 2**n sign assignments fit within the resample budget the test
-    enumerates them (p = hits / 2**n); otherwise it samples, with
-    p = (1 + hits) / (resamples + 1). Either way it takes 64 sign rows at a
-    time, the bits of consecutive row numbers or 32-bit integer draws, and
-    scales them into one reused float64 buffer: 64 x n x 12 bytes for n
-    pairs (16 with the default 64-bit draw, which yields the same signs
-    from the same generator state). Deterministic for a fixed seed.
+    enumerates them (p = hits / 2**n) and draws nothing: ``seed`` is only
+    echoed. Otherwise it samples, p = (1 + hits) / (resamples + 1), a sign
+    per top bit of each 32-bit half of the generator's raw words, low half
+    first: the draws of ``integers(0, 2)``, so p-values match earlier
+    releases. One ``copysign`` turns 64 rows at a time into a reused float64
+    buffer: 64 x n x 12 bytes for n pairs. Deterministic for a fixed seed.
 
     A row is a hit when |signs @ d| >= |sum(d)| - n * 2**-50 * sum(|d|) for
     the differences d. The tolerance is four times the bound on how far
@@ -225,19 +225,19 @@ def paired_significance(
 
     exact = n <= 62 and 2**n <= resamples
     total = 2**n if exact else resamples
-    rng = np.random.default_rng(seed)
+    bits = np.random.default_rng(seed).bit_generator
     buffer = np.empty((min(_CHUNK_ROWS, total), n), dtype=np.float64)
     hits = 0
     for first in range(0, total, _CHUNK_ROWS):
         rows = min(_CHUNK_ROWS, total - first)
         if exact:
-            codes = np.arange(first, first + rows, dtype=np.uint64)
-            draws = (codes[:, None] >> np.arange(n, dtype=np.uint64)) & 1
+            marks = -((np.arange(first, first + rows, dtype=np.int64)[:, None] >> np.arange(n)) & 1)
         else:
-            draws = rng.integers(0, 2, size=(rows, n), dtype=np.int32)
-        signs = buffer[:rows]
-        np.multiply(draws, 2, out=signs, casting="unsafe")
-        signs -= 1
+            marks = bits.random_raw((rows * n + 1) // 2).astype("<u8", copy=False)
+            marks = marks.view("<i4")[: rows * n].reshape(rows, n)
+        # a 1 bit gives -1; negating a row negates its sum exactly, so hits do not change
+        signs = np.copysign(1.0, marks, out=buffer[:rows])
+        del marks  # so the next chunk's words are drawn after these are freed
         hits += int(np.count_nonzero(np.abs(signs @ diffs) >= threshold))
     return SignificanceResult(
         p_value=hits / total if exact else (1 + hits) / (total + 1),

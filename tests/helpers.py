@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from tokfix.bpe import BYTE_TO_UNIT, Encoding, TokenSpan, Tokenizer, decode_bytes, load_tokenizer
+from tokfix.metrics import SignificanceResult
 
 
 #: Splits bare "1912" into 19/12 but fuses " 1912" into one token.
@@ -210,6 +211,41 @@ def monte_carlo_p_2048_rows(scores_a, scores_b, *, resamples: int, seed: int) ->
         hits += int(np.count_nonzero(np.abs(sums) >= threshold))
         remaining -= chunk
     return (1 + hits) / (resamples + 1)
+
+
+def paired_significance_integers(scores_a, scores_b, *, resamples: int = 10_000, seed: int = 42):
+    """``paired_significance`` as it drew its signs before it read the bit
+    generator's raw words: ``rng.integers(0, 2, dtype=np.int32)`` per
+    64-row chunk, scaled to +-1 by a multiply and a subtraction, with the
+    same tie rule. Inputs are taken as valid."""
+    diffs = np.asarray(scores_a, dtype=float) - np.asarray(scores_b, dtype=float)
+    n = len(diffs)
+    observed_sum = float(diffs.sum())
+    threshold = abs(observed_sum) - n * 2.0**-50 * float(np.abs(diffs).sum())
+
+    exact = n <= 62 and 2**n <= resamples
+    total = 2**n if exact else resamples
+    rng = np.random.default_rng(seed)
+    buffer = np.empty((min(64, total), n), dtype=np.float64)
+    hits = 0
+    for first in range(0, total, 64):
+        rows = min(64, total - first)
+        if exact:
+            codes = np.arange(first, first + rows, dtype=np.uint64)
+            draws = (codes[:, None] >> np.arange(n, dtype=np.uint64)) & 1
+        else:
+            draws = rng.integers(0, 2, size=(rows, n), dtype=np.int32)
+        signs = buffer[:rows]
+        np.multiply(draws, 2, out=signs, casting="unsafe")
+        signs -= 1
+        hits += int(np.count_nonzero(np.abs(signs @ diffs) >= threshold))
+    return SignificanceResult(
+        p_value=hits / total if exact else (1 + hits) / (total + 1),
+        statistic=observed_sum / n,
+        resamples=total,
+        seed=seed,
+        method="exact" if exact else "monte_carlo",
+    )
 
 
 def _qa(qid, answer=None, span=None):

@@ -16,7 +16,13 @@ from tokfix import metrics
 from tokfix.metrics import evaluate, hallucination_check, normalize_answer, paired_significance
 from tokfix.mrqa import DatasetError, ExtractiveExample, read_dataset
 
-from helpers import f1_oracle, monte_carlo_p_2048_rows, normalize_answer_per_char, write_file
+from helpers import (
+    f1_oracle,
+    monte_carlo_p_2048_rows,
+    normalize_answer_per_char,
+    paired_significance_integers,
+    write_file,
+)
 
 CTX_SNACK = (
     "It was the final year that Doritos, a longtime sponsor of the game, "
@@ -613,14 +619,45 @@ class TestPairedSignificance:
         assert result.p_value == monte_carlo_p_2048_rows(a, b, resamples=resamples, seed=42)
 
     def test_memory_stays_bounded_at_full_size(self):
-        a, b = f1_like_scores(10_530)
+        # one 64-row chunk of raw words (4 B a sign) and float64 signs
+        # (8 B), plus 25%; drawing every row at once would take ~420 MB
+        n = 10_530
+        a, b = f1_like_scores(n)
         tracemalloc.start()
         try:
             paired_significance(a, b, resamples=10_000, seed=42)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak <= 1.25 * 64 * n * 12
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 14, 63, 64, 65, 1_001])
+    def test_raw_word_signs_equal_the_integers_draws(self, n):
+        # 2**n <= resamples enumerates; an odd n with an odd last chunk
+        # (1, 65, 129 or 1,001 resamples) ends on half a raw word
+        rng = random.Random(n)
+        a = [rng.choice(NON_DYADIC_F1) for _ in range(n)]
+        b = [rng.choice(NON_DYADIC_F1) for _ in range(n)]
+        for resamples in (1, 63, 64, 65, 129, 1_001):
+            for seed in (0, 42, 2**40 + 3):
+                expected = paired_significance_integers(a, b, resamples=resamples, seed=seed)
+                result = paired_significance(a, b, resamples=resamples, seed=seed)
+                assert result == expected, (resamples, seed)
+
+    def test_raw_word_signs_equal_the_integers_draws_on_random_inputs(self):
+        rng = random.Random(18)
+        methods = Counter()
+        for _ in range(1_000):
+            n = rng.randrange(1, 401)
+            resamples = rng.choice((rng.randrange(1, 130), rng.randrange(130, 1_025)))
+            seed = rng.randrange(2**32)
+            a = [rng.choice(NON_DYADIC_F1) for _ in range(n)]
+            b = [rng.choice(NON_DYADIC_F1) for _ in range(n)]
+            result = paired_significance(a, b, resamples=resamples, seed=seed)
+            expected = paired_significance_integers(a, b, resamples=resamples, seed=seed)
+            assert result == expected, (a, b, resamples, seed)
+            methods[result.method] += 1
+        assert min(methods["exact"], methods["monte_carlo"]) >= 10, methods
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
