@@ -26,7 +26,9 @@ from typing import IO, Iterable, Sequence, Union
 import regex
 
 # Pre-tokenization pattern (GPT-2 convention): contractions, optionally
-# space-prefixed letter/number/symbol runs, then whitespace.
+# space-prefixed letter/number/symbol runs, then whitespace. No segment holds
+# a non-space followed by a space, so text segments as its two sides do at
+# such a ``split_point``; ``consist.analyze_dataset`` relies on this.
 SEGMENT_PATTERN = (
     r"'s|'t|'re|'ve|'m|'ll|'d"
     r"| ?\p{L}+| ?\p{N}+| ?[^\s\p{L}\p{N}]+"
@@ -56,6 +58,8 @@ BYTE_TO_UNIT.update(
 )
 _UNIT_TO_BYTE = {unit: b for b, unit in BYTE_TO_UNIT.items()}
 _SEGMENTER = regex.compile(SEGMENT_PATTERN)
+_SPLIT = regex.compile(r"\S\s")
+_SPLIT_BACKWARD = regex.compile(r"(?r)\S\s")
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,6 +248,18 @@ def pretokenize(tok: Tokenizer, text: str) -> list[tuple[str, int]]:
     segments = _SEGMENTER.findall(text)
     sizes = [len(seg.encode("utf-8")) for seg in segments]
     return list(zip(segments, accumulate(sizes, initial=0)))
+
+
+def split_point(text: str, index: int, *, after: bool) -> int:
+    """The first split point of text at or after ``index > 0``, or the
+    last at or before ``index < len(text)``: 0, ``len(text)``, or a p with
+    ``text[p - 1]`` not whitespace and ``text[p]`` whitespace (``\\s``)."""
+    if after:
+        split = _SPLIT.search(text, index - 1)
+        return split.start() + 1 if split else len(text)
+    # regex reads a negative endpos from the end of the text
+    split = _SPLIT_BACKWARD.search(text, 0, max(index + 1, 0))
+    return split.start() + 1 if split else 0
 
 
 def _merge_segment(tok: Tokenizer, segment: str) -> tuple[int, ...]:

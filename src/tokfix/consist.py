@@ -24,6 +24,7 @@ from .bpe import (
     decode_bytes,
     encode,
     find_subsequence,
+    split_point,
     token_slice_for_span,
 )
 from .mrqa import (
@@ -279,10 +280,17 @@ def analyze_dataset(
     ``"any"`` counts the most favorable verdict across all gold answers.
     ``sample_size`` takes a uniform reservoir sample, deterministic for a
     fixed seed and input order. Questions without any answer text are
-    skipped, and a repeated qid raises DatasetError. A context is encoded
-    again only when an example's ``context`` is not the object the
-    previous judged example used, so the questions of one
-    ``read_dataset`` record share one encoding.
+    skipped, and a repeated qid raises DatasetError.
+
+    Only the stretch of a context that its answers occur in is encoded:
+    from the ``split_point`` at or before the character ahead of an
+    answer's first occurrence to the one at or after the end of its last.
+    No segment crosses a split point, so the stretch's ids are a slice of
+    the context's ids that holds every match of either variant, and the
+    verdicts equal those over the whole context. The questions of one
+    ``read_dataset`` record (an example whose ``context`` is the previous
+    one's object) share a stretch that grows by encoding only its new
+    pieces; a context that holds none of the answers is not encoded.
     """
     if answer_policy not in ("first", "any"):
         raise ValueError(f"unknown answer policy {answer_policy!r}")
@@ -301,10 +309,26 @@ def analyze_dataset(
             answers = answers[:1]
         if example.context is not context:
             context = example.context
-            context_enc = encode(tok, context)
+            stretch = Encoding((), tok)
         best = INCONSISTENT
         for answer in answers:
-            verdict = check_consistency(tok, context_enc, answer)
+            first = context.find(answer)
+            if first >= 0:
+                start, stop = max(first - 1, 0), context.rfind(answer) + len(answer)
+                if not stretch.ids:
+                    lo = hi = split_point(context, start, after=False)
+                # a side that grows takes at least the stretch's width more,
+                # so a record's stretch grows O(log n) times
+                width, left, right = hi - lo, (), ()
+                if start < lo:
+                    start = split_point(context, min(start, lo - width), after=False)
+                    left, lo = encode(tok, context[start:lo]).ids, start
+                if hi < stop:
+                    stop = split_point(context, max(stop, hi + width), after=True)
+                    right, hi = encode(tok, context[hi:stop]).ids, stop
+                if left or right:
+                    stretch = Encoding(left + stretch.ids + right, tok)
+            verdict = check_consistency(tok, stretch, answer)
             best = min(best, verdict.status, key=_VERDICTS.index)
             if best == CONSISTENT_RAW:
                 break

@@ -6,6 +6,7 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+import regex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from tokfix.bpe import (
     ids_to_pieces,
     load_tokenizer,
     pretokenize,
+    split_point,
 )
 
 from helpers import (
@@ -228,6 +230,49 @@ class TestPretokenize:
 
 
 _PRETOK_SHARED = make_tokenizer([])
+
+#: pieces that meet at and around split points: the spaces SEGMENT_PATTERN's
+#: \s knows, \x1c (a space to str.isspace but not to \s), contractions,
+#: digits, a combining mark and an emoji
+_SPLIT_PIECES = st.sampled_from(
+    [
+        " ", "  ", "\u00a0", "\u3000", "\r\n", "\t", "\x1c", "\x85",
+        "'s", "'t", "'re", "'ll", "it", "Ab", "1912", "7", ".", ",", "-",
+        "e\u0301", "\u0301", "\U0001f642", "\u00e9",
+    ]
+)
+
+
+def split_points(text):
+    """Every split point of text, by its definition."""
+    inner = [p for p in range(1, len(text)) if regex.fullmatch(r"\S\s", text[p - 1 : p + 1])]
+    return sorted({0, *inner, len(text)})
+
+
+class TestSplitPoints:
+    @given(st.lists(_SPLIT_PIECES, max_size=14).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_text_segments_as_its_two_sides_at_every_split_point(self, text):
+        # consist.analyze_dataset encodes only a stretch between two split
+        # points and relies on its ids being that slice of the whole ids
+        segments = bpe._SEGMENTER.findall(text)
+        for p in split_points(text):
+            assert bpe._SEGMENTER.findall(text[:p]) + bpe._SEGMENTER.findall(text[p:]) == segments
+
+    @given(st.lists(_SPLIT_PIECES, max_size=14).map("".join))
+    @settings(max_examples=200, deadline=None)
+    def test_split_point_finds_the_nearest_one(self, text):
+        points = split_points(text)
+        for index in range(-2, len(text) + 3):
+            if index < len(text):
+                before = max((p for p in points if p <= index), default=0)
+                assert split_point(text, index, after=False) == before
+            if index > 0:
+                after = min((p for p in points if p >= index), default=len(text))
+                assert split_point(text, index, after=True) == after
+
+    def test_a_space_run_splits_only_at_its_start(self):
+        assert split_points("ab  c\u00a0d\x1ce") == [0, 2, 5, 9]
 
 
 class TestMergeSemantics:

@@ -2,6 +2,8 @@ import json
 import random
 import time
 import tracemalloc
+from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
@@ -16,6 +18,7 @@ from tokfix.consist import (
     INCONSISTENT,
     SUBSEQUENCE_SEARCH,
     UNRESOLVED,
+    ConsistencyStats,
     SpanMismatchError,
     _reservoir_sample,
     analyze_dataset,
@@ -58,24 +61,38 @@ def example(qid, context, answer, span=None, gold=None):
     )
 
 
-def record_context_encodes(monkeypatch):
-    """Rebind ``consist.encode`` to log every encode of a record context."""
-    contexts = {record["context"] for record in MULTI_QA_RECORDS}
-    encoded = []
-    original = consist.encode
+def record_encodes(monkeypatch):
+    """Rebind ``consist`` names to log, for each record that
+    ``analyze_dataset`` or ``fix_dataset`` reads, its context and the
+    texts encoded for it outside ``answer_variants``."""
+    log = []
+    in_variants = []
+    encode_, variants, unique = consist.encode, consist.answer_variants, consist.unique_qids
 
     def logging_encode(tok, text):
-        if text in contexts:
-            encoded.append(text)
-        return original(tok, text)
+        if not in_variants:
+            log[-1][1].append(text)
+        return encode_(tok, text)
+
+    def flagged_variants(tok, answer):
+        in_variants.append(answer)
+        try:
+            return variants(tok, answer)
+        finally:
+            in_variants.pop()
+
+    def marking(examples):
+        context = None
+        for ex in unique(examples):
+            if ex.context is not context:
+                context = ex.context
+                log.append((context, []))
+            yield ex
 
     monkeypatch.setattr(consist, "encode", logging_encode)
-    return encoded
-
-
-#: MULTI_QA_RECORDS contexts with an answerable question, each to be encoded
-#: once; the record whose only question has no answer is never encoded
-ANSWERABLE_CONTEXTS = [MULTI_QA_RECORDS[0]["context"], MULTI_QA_RECORDS[2]["context"]]
+    monkeypatch.setattr(consist, "answer_variants", flagged_variants)
+    monkeypatch.setattr(consist, "unique_qids", marking)
+    return log
 
 
 class TestAnswerVariants:
@@ -350,6 +367,75 @@ def repeated_qid_stream(tmp_path):
     return stream
 
 
+#: oracle contexts join these: words the fixture tokenizer fuses after a
+#: space, digits, a contraction, and the kinds of gap SEGMENT_PATTERN splits at
+ORACLE_WORDS = [
+    "1912", "the", "treaty", "museum", "Fenwick", "'s", "bridge", "1854", "x", "é", "7.",
+]
+ORACLE_GAPS = [" ", " ", " ", "  ", "\u00a0", "\t", "\r\n", ", ", ""]
+
+
+def oracle_dataset(rng):
+    """1-4 records of 1-4 questions with 1-3 answers each: heads, tails and
+    slices of the context, the whole context, and words that may be absent;
+    some contexts repeat one or two words."""
+    examples = []
+    for r in range(rng.randint(1, 4)):
+        words = rng.choices(ORACLE_WORDS, k=rng.randint(1, 8))
+        if rng.random() < 0.3:
+            words = words[: rng.randint(1, 2)] * rng.randint(2, 6)
+        context = "".join(word + rng.choice(ORACLE_GAPS) for word in words)
+        for q in range(rng.randint(1, 4)):
+            answers = []
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(context))
+                word = rng.choice(ORACLE_WORDS)
+                slices = [context[: i + 1], context[i:], context[i : i + rng.randint(1, 8)]]
+                slices.append(context)
+                whole_words = [rng.choice(words), rng.choice(words), word, " " + word]
+                answers.append(rng.choice(rng.choice([slices, whole_words])))
+            examples.append(example(f"r{r}q{q}", context, answers[0], gold=answers))
+    return examples
+
+
+def full_context_tally(tok, examples, *, sample_size=None, seed=42, answer_policy="first"):
+    """``analyze_dataset``'s counts, from every context encoded in full."""
+    if sample_size is not None:
+        examples = _reservoir_sample(examples, sample_size, seed)
+    verdicts = (CONSISTENT_RAW, CONSISTENT_PREFIX_SPACE, INCONSISTENT)
+    counts = Counter()
+    encodings = {}
+    for ex in examples:
+        answers = ex.answer_texts()
+        if answer_policy == "first":
+            answers = answers[:1]
+        if ex.context not in encodings:
+            encodings[ex.context] = encode(tok, ex.context)
+        enc = encodings[ex.context]
+        statuses = [check_consistency(tok, enc, answer).status for answer in answers]
+        counts[min(statuses, key=verdicts.index)] += 1
+    return ConsistencyStats(*(counts[status] for status in verdicts))
+
+
+def tiles_one_span(context, pieces):
+    """Whether pieces, each put at the left or the right edge of the span
+    before it, tile one span of context without overlap."""
+
+    def grow(lo, hi, rest):
+        if not rest:
+            return True
+        piece, rest = rest[0], rest[1:]
+        return (context.endswith(piece, 0, lo) and grow(lo - len(piece), hi, rest)) or (
+            context.startswith(piece, hi) and grow(lo, hi + len(piece), rest)
+        )
+
+    if not pieces:
+        return True
+    first = pieces[0]
+    starts = [i for i in range(len(context)) if context.startswith(first, i)]
+    return all(pieces) and any(grow(i, i + len(first), pieces[1:]) for i in starts)
+
+
 class TestAnalyzeDataset:
     def test_corpus_totals_match_hand_tally(self, corpus_tok, corpus_examples):
         stats = analyze_dataset(corpus_tok, corpus_examples)
@@ -390,14 +476,60 @@ class TestAnalyzeDataset:
         assert first.inconsistent == 1
         assert any_.consistent_prefix_only == 1
 
-    def test_each_record_context_is_encoded_once(
+    def test_each_record_encodes_one_stretch_of_its_context(
         self, corpus_tok, multi_qa_path, monkeypatch
     ):
-        encoded = record_context_encodes(monkeypatch)
+        log = record_encodes(monkeypatch)
         _, stream = read_dataset(multi_qa_path)
         stats = analyze_dataset(corpus_tok, stream)
         assert stats.total == 4
-        assert encoded == ANSWERABLE_CONTEXTS
+        # a second question grows the stretch by at least its width
+        assert log == [
+            (MULTI_QA_RECORDS[0]["context"], [" 1912", " ship was finished in"]),
+            (MULTI_QA_RECORDS[1]["context"], []),
+            (MULTI_QA_RECORDS[2]["context"], [" treaty.", " museum preserved the"]),
+        ]
+        rng = random.Random(4)
+        for _ in range(300):
+            del log[:]
+            policy = rng.choice(["first", "any"])
+            analyze_dataset(corpus_tok, oracle_dataset(rng), answer_policy=policy)
+            for context, pieces in log:
+                assert tiles_one_span(context, pieces), (context, pieces)
+                assert sum(map(len, pieces)) <= len(context)
+
+    @pytest.mark.parametrize("answer_policy", ["first", "any"])
+    def test_record_whose_answers_are_absent_encodes_nothing(
+        self, corpus_tok, monkeypatch, answer_policy
+    ):
+        log = record_encodes(monkeypatch)
+        context = "The ship was finished in 1912 after delays."
+        examples = [
+            example("q1", context, "1913", gold=["1913", "bridge"]),
+            example("q2", context, "ships"),
+        ]
+        stats = analyze_dataset(corpus_tok, examples, answer_policy=answer_policy)
+        assert stats.inconsistent == 2
+        assert log == [(context, [])]
+
+    @pytest.mark.parametrize("answer_policy", ["first", "any"])
+    def test_counts_equal_a_tally_over_whole_contexts(self, corpus_tok, answer_policy):
+        rng = random.Random(f"oracle-{answer_policy}")
+        total = Counter()
+        for trial in range(400):
+            examples = oracle_dataset(rng)
+            sample_size = rng.choice([None, None, 1, 3])
+            stats = analyze_dataset(
+                corpus_tok, examples, sample_size=sample_size, seed=trial,
+                answer_policy=answer_policy,
+            )
+            assert stats == full_context_tally(
+                corpus_tok, examples, sample_size=sample_size, seed=trial,
+                answer_policy=answer_policy,
+            ), examples
+            total.update(asdict(stats))
+        # every verdict occurs often enough to tell
+        assert min(total.values()) >= 40, total
 
     def test_unknown_policy_rejected(self, corpus_tok):
         with pytest.raises(ValueError, match="policy"):
@@ -409,6 +541,55 @@ class TestAnalyzeDataset:
         with pytest.raises(DatasetError, match=r"duplicate qid 'q' in dataset \(question 2 "):
             analyze_dataset(corpus_tok, stream, sample_size=sample_size)
         assert next(stream, None) is None  # closed before its third question
+
+
+class TestAnalyzeScaling:
+    def test_400_questions_over_one_long_record_well_under_a_second(self, number_tok):
+        # the stretch is encoded once for the record and searched per
+        # question; a Python step per occurrence would cost O(q * n) here
+        context = "wörd 1912 " * 17_000
+        expected = {
+            "wörd": CONSISTENT_RAW,
+            "1912": CONSISTENT_PREFIX_SPACE,
+            "1913": INCONSISTENT,
+            "dröw": INCONSISTENT,
+        }
+        answers = random.Random(5).choices(list(expected), k=400)
+        examples = [example(f"q{i}", context, answer) for i, answer in enumerate(answers)]
+        start = time.perf_counter()
+        stats = analyze_dataset(number_tok, examples)
+        elapsed = time.perf_counter() - start
+        tally = Counter(expected[answer] for answer in answers)
+        assert stats == ConsistencyStats(
+            tally[CONSISTENT_RAW], tally[CONSISTENT_PREFIX_SPACE], tally[INCONSISTENT]
+        )
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_a_stretch_grown_by_each_question_stays_linear(self, number_tok, order):
+        # each answer occurs once, past the stretch of the ones before it;
+        # growing by the needed piece alone rebuilds the ids 1,000 times,
+        # which took 4-5 s on a 2-vCPU host where this takes 0.3-0.4 s
+        context = " ".join(f"w{i:05d}" for i in range(20_000))
+        answers = [f"w{i:05d}" for i in range(0, 20_000, 20)][::order]
+        examples = [example(f"q{i}", context, answer) for i, answer in enumerate(answers)]
+        start = time.perf_counter()
+        stats = analyze_dataset(number_tok, examples)
+        elapsed = time.perf_counter() - start
+        assert stats == ConsistencyStats(len(answers), 0, 0)
+        assert elapsed < 2.0
+
+    def test_answers_inside_a_long_letter_run_well_under_a_second(self, number_tok):
+        rng = random.Random(6)
+        letters = "".join(rng.choice("abcdefgh") for _ in range(16_000))
+        context = "one 1912 " + letters + " two"
+        answers = [letters[i : i + 5] for i in (rng.randrange(16_000) for _ in range(400))]
+        examples = [example(f"q{i}", context, answer) for i, answer in enumerate(answers)]
+        start = time.perf_counter()
+        stats = analyze_dataset(number_tok, examples)
+        elapsed = time.perf_counter() - start
+        assert stats == full_context_tally(number_tok, examples)
+        assert elapsed < 1.0
 
 
 class TestFixDataset:
@@ -515,11 +696,13 @@ class TestFixDataset:
     def test_each_record_context_is_encoded_once(
         self, corpus_tok, multi_qa_path, monkeypatch, tmp_path
     ):
-        encoded = record_context_encodes(monkeypatch)
+        log = record_encodes(monkeypatch)
         _, stream = read_dataset(multi_qa_path)
         summary = fix_dataset(corpus_tok, stream, tmp_path / "fixed.jsonl")
         assert summary["written"] == 4
-        assert encoded == ANSWERABLE_CONTEXTS
+        # the record whose only question has no answer is never encoded
+        contexts = [record["context"] for record in MULTI_QA_RECORDS]
+        assert log == [(contexts[0], [contexts[0]]), (contexts[1], []), (contexts[2], [contexts[2]])]
 
     def test_records_with_equal_context_text_stay_apart(self, corpus_tok, tmp_path):
         record = MULTI_QA_RECORDS[2]

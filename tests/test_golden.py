@@ -39,6 +39,13 @@ def _evaluate(name: str) -> list[str]:
 #: report file -> command line; ``fix`` also takes an ``--output`` path
 REPORTS = {
     "analyze.json": ["analyze", *TOKENIZER, "--dataset", "repair_corpus.jsonl"],
+    "analyze_any.tsv": [
+        "analyze", *TOKENIZER, "--dataset", "repair_corpus.jsonl",
+        "--answer-policy", "any", "--format", "tsv",
+    ],
+    "analyze_sample.json": [
+        "analyze", *TOKENIZER, "--dataset", "repair_corpus.jsonl", "--sample", "20",
+    ],
     "fix.json": ["fix", *TOKENIZER, "--dataset", "repair_corpus.jsonl"],
     "evaluate_exact.json": _evaluate("ties_exact"),
     "evaluate_sampled.json": _evaluate("ties_sampled"),
