@@ -31,6 +31,7 @@ from .mrqa import (
     CharSpan,
     DatasetError,
     ExtractiveExample,
+    records,
     spans_match,
     unique_qids,
     write_fixed_dataset,
@@ -282,15 +283,14 @@ def analyze_dataset(
     fixed seed and input order. Questions without any answer text are
     skipped, and a repeated qid raises DatasetError.
 
-    Only the stretch of a context that its answers occur in is encoded:
-    from the ``split_point`` at or before the character ahead of an
-    answer's first occurrence to the one at or after the end of its last.
-    No segment crosses a split point, so the stretch's ids are a slice of
-    the context's ids that holds every match of either variant, and the
-    verdicts equal those over the whole context. The questions of one
-    ``read_dataset`` record (an example whose ``context`` is the previous
-    one's object) share a stretch that grows by encoding only its new
-    pieces; a context that holds none of the answers is not encoded.
+    Each ``records`` run of the (sampled) stream encodes once the stretch
+    of its context that its judged answers occur in: from the
+    ``split_point`` at or before the character ahead of the first answer
+    occurrence to the one at or after the end of the last. No segment
+    crosses a split point, so the stretch's ids are a slice of the
+    context's ids that holds every match of either variant, and the
+    verdicts equal those over the whole context. A record whose context
+    holds none of its answers is not encoded.
     """
     if answer_policy not in ("first", "any"):
         raise ValueError(f"unknown answer policy {answer_policy!r}")
@@ -300,39 +300,28 @@ def analyze_dataset(
         examples = _reservoir_sample(examples, sample_size, seed)
 
     counts: Counter[str] = Counter()
-    context: str | None = None
-    for example in examples:
-        answers = example.answer_texts()
-        if not answers:
-            continue
+    for record in records(examples):
+        context = record[0].context
+        judged = [example.answer_texts() for example in record]
         if answer_policy == "first":
-            answers = answers[:1]
-        if example.context is not context:
-            context = example.context
-            stretch = Encoding((), tok)
-        best = INCONSISTENT
-        for answer in answers:
-            first = context.find(answer)
-            if first >= 0:
-                start, stop = max(first - 1, 0), context.rfind(answer) + len(answer)
-                if not stretch.ids:
-                    lo = hi = split_point(context, start, after=False)
-                # a side that grows takes at least the stretch's width more,
-                # so a record's stretch grows O(log n) times
-                width, left, right = hi - lo, (), ()
-                if start < lo:
-                    start = split_point(context, min(start, lo - width), after=False)
-                    left, lo = encode(tok, context[start:lo]).ids, start
-                if hi < stop:
-                    stop = split_point(context, max(stop, hi + width), after=True)
-                    right, hi = encode(tok, context[hi:stop]).ids, stop
-                if left or right:
-                    stretch = Encoding(left + stretch.ids + right, tok)
-            verdict = check_consistency(tok, stretch, answer)
-            best = min(best, verdict.status, key=_VERDICTS.index)
-            if best == CONSISTENT_RAW:
-                break
-        counts[best] += 1
+            judged = [answers[:1] for answers in judged]
+        firsts = [(context.find(a), a) for answers in judged for a in answers]
+        spans = [(first, context.rfind(a) + len(a)) for first, a in firsts if first >= 0]
+        stretch = Encoding((), tok)
+        if spans:
+            lo = split_point(context, max(min(spans)[0] - 1, 0), after=False)
+            hi = split_point(context, max(stop for _, stop in spans), after=True)
+            stretch = encode(tok, context[lo:hi])
+        for answers in judged:
+            if not answers:
+                continue
+            best = INCONSISTENT
+            for answer in answers:
+                verdict = check_consistency(tok, stretch, answer)
+                best = min(best, verdict.status, key=_VERDICTS.index)
+                if best == CONSISTENT_RAW:
+                    break
+            counts[best] += 1
     return ConsistencyStats(*(counts[status] for status in _VERDICTS))
 
 
@@ -388,10 +377,10 @@ def fix_dataset(
     """Repair every example and write the fixed dataset; return a summary.
 
     Each repaired qa gains ``target_token_ids``, ``fix_method`` and
-    ``context_token_span``; a skipped one goes to ``write_fixed_dataset``
-    without fields, which groups records by its rule. A context is
-    encoded again only when a repaired example's ``context`` is not the
-    object the previous one used, so a record whose qas are all skipped
+    ``context_token_span``; ``write_fixed_dataset`` gets one list of
+    repaired ``(example, fields)`` pairs per ``records`` run, so a record
+    whose qas are all skipped is not written. A record's context is
+    encoded once, when its first qa is repaired, so an all-skipped record
     is never encoded. The summary's method counts plus the skip counts
     partition the input total; ``written`` is the sum of the method
     counts. Span mismatches are counted and skipped, never fatal; a
@@ -399,26 +388,24 @@ def fix_dataset(
     """
     counts: Counter[str] = Counter()
 
-    def repaired() -> Iterator[tuple[ExtractiveExample, dict | None]]:
-        context: str | None = None
-        for example in unique_qids(examples):
-            choice = repair_answer_choice(example)
-            if choice is None:
-                counts["skipped_no_answer"] += 1
-                yield example, None
-                continue
-            answer, span = choice
-            if example.context is not context:
-                context = example.context
-                context_enc = encode(tok, context)
-            try:
-                outcome = make_consistent_target(tok, context, context_enc, answer, span)
-            except SpanMismatchError:
-                counts["skipped_span_mismatch"] += 1
-                yield example, None
-                continue
-            counts[outcome.method] += 1
-            yield example, _fix_fields(outcome)
+    def repaired() -> Iterator[list[tuple[ExtractiveExample, dict]]]:
+        for record in records(unique_qids(examples)):
+            context, context_enc, pairs = record[0].context, None, []
+            for example in record:
+                choice = repair_answer_choice(example)
+                if choice is None:
+                    counts["skipped_no_answer"] += 1
+                    continue
+                if context_enc is None:
+                    context_enc = encode(tok, context)
+                try:
+                    outcome = make_consistent_target(tok, context, context_enc, *choice)
+                except SpanMismatchError:
+                    counts["skipped_span_mismatch"] += 1
+                    continue
+                counts[outcome.method] += 1
+                pairs.append((example, _fix_fields(outcome)))
+            yield pairs
 
     write_fixed_dataset(path, header or {}, repaired())
     method_counts = {method: counts[method] for method in FIX_METHODS}

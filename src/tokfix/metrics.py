@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .mrqa import ExtractiveExample, unique_qids
+from .mrqa import ExtractiveExample, records, unique_qids
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
 #: The 32 ASCII characters of ``string.punctuation``, as in the SQuAD v1.1
@@ -107,35 +107,35 @@ def evaluate(
     answers only. Predictions whose qid matches no gold question are
     excluded and listed in ``unknown_qids``. ``per_example`` holds one
     ``(qid, em, f1)`` triple per gold question, in input order. A
-    question's golds and a record's context are normalized once whatever
-    the number of files, and only when some file predicted the question.
+    question's golds and the context of a ``records`` run are normalized
+    once whatever the number of files, and only when some file predicted
+    one of their questions.
     """
     # per file: its predictions, score rows, and the qids out of context
     # before and after normalization
     files = [(preds, [], [], []) for preds in predictions]
-    # examples of one record share a context object: normalize it once
-    context = norm_context = None
     n = 0
-    for n, example in enumerate(unique_qids(examples), 1):
-        if example.context is not context:
-            context, norm_context = example.context, None
-        norm_golds = None
-        for preds, per_example, hallucinated, hallucinated_normalized in files:
-            pred = preds.get(example.qid)
-            if pred is None:
-                per_example.append((example.qid, 0, 0.0))
-                continue
-            if norm_golds is None:
-                norm_golds = [normalize_answer(g) for g in example.answer_texts()]
-            if norm_context is None:
-                norm_context = normalize_answer(context)
-            norm_pred = normalize_answer(pred)
-            em_i = int(norm_pred in norm_golds)
-            per_example.append((example.qid, em_i, _f1_normalized(norm_pred, norm_golds)))
-            if hallucination_check(pred, context):
-                hallucinated.append(example.qid)
-            if norm_pred not in norm_context:
-                hallucinated_normalized.append(example.qid)
+    for record in records(unique_qids(examples)):
+        context, norm_context = record[0].context, None
+        n += len(record)
+        for example in record:
+            norm_golds = None
+            for preds, per_example, hallucinated, hallucinated_normalized in files:
+                pred = preds.get(example.qid)
+                if pred is None:
+                    per_example.append((example.qid, 0, 0.0))
+                    continue
+                if norm_golds is None:
+                    norm_golds = [normalize_answer(g) for g in example.answer_texts()]
+                if norm_context is None:
+                    norm_context = normalize_answer(context)
+                norm_pred = normalize_answer(pred)
+                em_i = int(norm_pred in norm_golds)
+                per_example.append((example.qid, em_i, _f1_normalized(norm_pred, norm_golds)))
+                if hallucination_check(pred, context):
+                    hallucinated.append(example.qid)
+                if norm_pred not in norm_context:
+                    hallucinated_normalized.append(example.qid)
 
     # a missing prediction's row adds 0 to the sums; qids are unique, so
     # every prediction not unknown was scored. fsum rounds alike on every
@@ -171,7 +171,7 @@ class SignificanceResult:
     p_value: float
     statistic: float
     resamples: int
-    seed: int
+    seed: int | None  # None for the exact test, which draws nothing
     method: str
 
 
@@ -191,8 +191,8 @@ def paired_significance(
     """Two-sided paired randomization (sign-flip) test on score differences.
 
     When all 2**n sign assignments fit within the resample budget the test
-    enumerates them (p = hits / 2**n) and draws nothing: ``seed`` is only
-    echoed. Otherwise it samples, p = (1 + hits) / (resamples + 1), a sign
+    enumerates them (p = hits / 2**n), draws nothing and reports ``seed``
+    as None. Otherwise it samples, p = (1 + hits) / (resamples + 1), a sign
     per top bit of each 32-bit half of the generator's raw words, low half
     first: the draws of ``integers(0, 2)``, so p-values match earlier
     releases. One ``copysign`` turns 64 rows at a time into a reused float64
@@ -243,6 +243,6 @@ def paired_significance(
         p_value=hits / total if exact else (1 + hits) / (total + 1),
         statistic=observed_sum / n,
         resamples=total,
-        seed=seed,
+        seed=None if exact else seed,
         method="exact" if exact else "monte_carlo",
     )

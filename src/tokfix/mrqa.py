@@ -111,8 +111,8 @@ def read_dataset(
     the line number.
 
     The stream yields one example per question, in file order; the
-    examples of one record share one ``context`` object (the record rule
-    of ``write_fixed_dataset``).
+    examples of one record share one ``context`` object, so ``records``
+    gives them back as one record.
     """
     report = on_error if on_error is not None else logger.warning
     lines = _numbered_lines(path)
@@ -123,6 +123,25 @@ def read_dataset(
         lines.close()
         raise
     return header, _examples(lines, report)
+
+
+def records(examples: Iterable[ExtractiveExample]) -> Iterator[list[ExtractiveExample]]:
+    """Yield one list per run of consecutive examples that share one
+    ``context`` object, as ``read_dataset`` yields each input record.
+
+    It reads at most one example past the record it yields. Records with
+    equal text but distinct objects stay apart; Python may share one object
+    between equal empty or one-character strings, so adjacent records with
+    such a context can merge.
+    """
+    record: list[ExtractiveExample] = []
+    for example in examples:
+        if record and example.context is not record[0].context:
+            yield record
+            record = []
+        record.append(example)
+    if record:
+        yield record
 
 
 def unique_qids(examples: Iterable[ExtractiveExample]) -> Iterator[ExtractiveExample]:
@@ -265,21 +284,16 @@ def _parse_qa(
 def write_fixed_dataset(
     path: Union[str, Path],
     header: dict,
-    pairs: Iterable[tuple[ExtractiveExample, dict | None]],
+    records: Iterable[list[tuple[ExtractiveExample, dict]]],
 ) -> None:
-    """Write one ``(example, extra)`` pair per question, grouped into records.
+    """Write the header, then one line per record of ``(example, extra)`` pairs.
 
-    A record is a run of consecutive examples that share one ``context``
-    object, as ``read_dataset`` yields them, so each input record comes
-    back as one record. (Python may share one object between equal empty
-    or one-character strings, so adjacent records with such a context can
-    merge.) A qa holds the example's MRQA fields, then the ``extra``
-    fields. An example whose ``extra`` is None is not written, and a
-    record left without qas is dropped. Only one record's qas are held at
-    a time. A path ending in ``.gz`` is gzipped with a zero timestamp, so
-    reruns give identical bytes. The file is written through
-    ``replace_on_success``, so an error while ``pairs`` is consumed leaves
-    no partial output.
+    The line's context is the first example's, and each qa holds an
+    example's MRQA fields, then its ``extra`` fields. A record without
+    pairs is dropped. Only one record is held at a time. A path ending in
+    ``.gz`` is gzipped with a zero timestamp, so reruns give identical
+    bytes. The file is written through ``replace_on_success``, so an error
+    while ``records`` is consumed leaves no partial output.
     """
     path = Path(path)
     with replace_on_success(path) as stream, contextlib.ExitStack() as stack:
@@ -288,21 +302,12 @@ def write_fixed_dataset(
         out = stack.enter_context(io.TextIOWrapper(stream, encoding="utf-8"))
         out.write(json.dumps({"header": header}, ensure_ascii=False))
         out.write("\n")
-        context: str | None = None
-        qas: list[dict] = []
-        for example, extra in pairs:
-            if example.context is not context:
-                _write_record(out, context, qas)
-                context, qas = example.context, []
-            if extra is not None:
-                qas.append({**_mrqa_qa(example), **extra})
-        _write_record(out, context, qas)
-
-
-def _write_record(out: IO[str], context: str | None, qas: list[dict]) -> None:
-    if qas:
-        out.write(json.dumps({"context": context, "qas": qas}, ensure_ascii=False))
-        out.write("\n")
+        for pairs in records:
+            if pairs:
+                qas = [{**_mrqa_qa(example), **extra} for example, extra in pairs]
+                line = {"context": pairs[0][0].context, "qas": qas}
+                out.write(json.dumps(line, ensure_ascii=False))
+                out.write("\n")
 
 
 @contextlib.contextmanager

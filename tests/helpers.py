@@ -243,7 +243,7 @@ def paired_significance_integers(scores_a, scores_b, *, resamples: int = 10_000,
         p_value=hits / total if exact else (1 + hits) / (total + 1),
         statistic=observed_sum / n,
         resamples=total,
-        seed=seed,
+        seed=None if exact else seed,
         method="exact" if exact else "monte_carlo",
     )
 

@@ -67,7 +67,7 @@ def record_encodes(monkeypatch):
     texts encoded for it outside ``answer_variants``."""
     log = []
     in_variants = []
-    encode_, variants, unique = consist.encode, consist.answer_variants, consist.unique_qids
+    encode_, variants, records = consist.encode, consist.answer_variants, consist.records
 
     def logging_encode(tok, text):
         if not in_variants:
@@ -82,16 +82,13 @@ def record_encodes(monkeypatch):
             in_variants.pop()
 
     def marking(examples):
-        context = None
-        for ex in unique(examples):
-            if ex.context is not context:
-                context = ex.context
-                log.append((context, []))
-            yield ex
+        for record in records(examples):
+            log.append((record[0].context, []))
+            yield record
 
     monkeypatch.setattr(consist, "encode", logging_encode)
     monkeypatch.setattr(consist, "answer_variants", flagged_variants)
-    monkeypatch.setattr(consist, "unique_qids", marking)
+    monkeypatch.setattr(consist, "records", marking)
     return log
 
 
@@ -417,25 +414,6 @@ def full_context_tally(tok, examples, *, sample_size=None, seed=42, answer_polic
     return ConsistencyStats(*(counts[status] for status in verdicts))
 
 
-def tiles_one_span(context, pieces):
-    """Whether pieces, each put at the left or the right edge of the span
-    before it, tile one span of context without overlap."""
-
-    def grow(lo, hi, rest):
-        if not rest:
-            return True
-        piece, rest = rest[0], rest[1:]
-        return (context.endswith(piece, 0, lo) and grow(lo - len(piece), hi, rest)) or (
-            context.startswith(piece, hi) and grow(lo, hi + len(piece), rest)
-        )
-
-    if not pieces:
-        return True
-    first = pieces[0]
-    starts = [i for i in range(len(context)) if context.startswith(first, i)]
-    return all(pieces) and any(grow(i, i + len(first), pieces[1:]) for i in starts)
-
-
 class TestAnalyzeDataset:
     def test_corpus_totals_match_hand_tally(self, corpus_tok, corpus_examples):
         stats = analyze_dataset(corpus_tok, corpus_examples)
@@ -483,20 +461,20 @@ class TestAnalyzeDataset:
         _, stream = read_dataset(multi_qa_path)
         stats = analyze_dataset(corpus_tok, stream)
         assert stats.total == 4
-        # a second question grows the stretch by at least its width
+        # from the space before the first answer to the end of the last
         assert log == [
-            (MULTI_QA_RECORDS[0]["context"], [" 1912", " ship was finished in"]),
+            (MULTI_QA_RECORDS[0]["context"], [" ship was finished in 1912"]),
             (MULTI_QA_RECORDS[1]["context"], []),
-            (MULTI_QA_RECORDS[2]["context"], [" treaty.", " museum preserved the"]),
+            (MULTI_QA_RECORDS[2]["context"], [" museum preserved the treaty."]),
         ]
         rng = random.Random(4)
         for _ in range(300):
             del log[:]
             policy = rng.choice(["first", "any"])
             analyze_dataset(corpus_tok, oracle_dataset(rng), answer_policy=policy)
-            for context, pieces in log:
-                assert tiles_one_span(context, pieces), (context, pieces)
-                assert sum(map(len, pieces)) <= len(context)
+            for context, texts in log:
+                assert len(texts) <= 1, (context, texts)
+                assert all(text in context for text in texts), (context, texts)
 
     @pytest.mark.parametrize("answer_policy", ["first", "any"])
     def test_record_whose_answers_are_absent_encodes_nothing(
@@ -567,9 +545,9 @@ class TestAnalyzeScaling:
 
     @pytest.mark.parametrize("order", [1, -1])
     def test_a_stretch_grown_by_each_question_stays_linear(self, number_tok, order):
-        # each answer occurs once, past the stretch of the ones before it;
-        # growing by the needed piece alone rebuilds the ids 1,000 times,
-        # which took 4-5 s on a 2-vCPU host where this takes 0.3-0.4 s
+        # each answer occurs once, past the ones before it, so the record's
+        # stretch spans nearly the whole context and must be encoded once:
+        # rebuilding it per question costs O(q * n)
         context = " ".join(f"w{i:05d}" for i in range(20_000))
         answers = [f"w{i:05d}" for i in range(0, 20_000, 20)][::order]
         examples = [example(f"q{i}", context, answer) for i, answer in enumerate(answers)]

@@ -3,7 +3,8 @@
 Each command runs from ``tests/data`` with relative paths, so a report's
 ``config`` block does not depend on where the repository sits, and its
 stdout must equal the file under ``tests/data/golden`` byte for byte on
-every Python and numpy version the project supports. The two evaluate
+every Python and numpy version the project supports; the dataset ``fix``
+writes must equal ``fixed.jsonl`` there too. The two evaluate
 inputs (written by ``tests/gen_corpus.py``) are tie-heavy: many sign-flip
 sums tie the observed one exactly, so a p-value moves if a tie is missed.
 After an intended change to a report, rewrite the files with
@@ -73,6 +74,8 @@ def render(name: str, scratch: Path) -> str:
 @pytest.mark.parametrize("name", REPORTS)
 def test_report_matches_golden_bytes(name, tmp_path):
     assert render(name, tmp_path).encode("utf-8") == (GOLDEN / name).read_bytes()
+    if REPORTS[name][0] == "fix":
+        assert (tmp_path / "fixed.jsonl").read_bytes() == (GOLDEN / "fixed.jsonl").read_bytes()
 
 
 if __name__ == "__main__":
@@ -80,3 +83,5 @@ if __name__ == "__main__":
         for report in REPORTS:
             (GOLDEN / report).write_bytes(render(report, Path(scratch)).encode("utf-8"))
             print(f"wrote {GOLDEN / report}", file=sys.stderr)
+        (GOLDEN / "fixed.jsonl").write_bytes((Path(scratch) / "fixed.jsonl").read_bytes())
+        print(f"wrote {GOLDEN / 'fixed.jsonl'}", file=sys.stderr)

@@ -568,6 +568,14 @@ class TestPairedSignificance:
             assert result.p_value == significance_oracle(a, b), (a, b)
         assert significance_oracle(*cases[0]) == 1.0
 
+    def test_only_the_sampled_test_reports_its_seed(self):
+        a, b = f1_like_scores(13)
+        exact = [paired_significance(a, b, seed=seed) for seed in (7, 42)]
+        assert exact[0] == exact[1]
+        assert exact[0].method == "exact" and exact[0].seed is None
+        sampled = paired_significance(a, b, resamples=1_000, seed=7)
+        assert sampled.method == "monte_carlo" and sampled.seed == 7
+
     @pytest.mark.parametrize("resamples", [1_000, 2_000, 9_999])
     def test_monte_carlo_matches_exact_sums_over_the_same_draws(self, resamples):
         a, b = f1_like_scores(20)

@@ -8,8 +8,10 @@ import pytest
 from tokfix.mrqa import (
     CharSpan,
     DatasetError,
+    ExtractiveExample,
     read_dataset,
     read_predictions,
+    records,
     write_fixed_dataset,
 )
 
@@ -299,12 +301,57 @@ class TestReadDataset:
         ]
 
 
+def examples_of(*contexts):
+    return [ExtractiveExample(f"q{i}", context, "?") for i, context in enumerate(contexts)]
+
+
+class TestRecords:
+    def test_runs_of_one_context_object_form_one_record(self, tmp_path):
+        _, stream = read_dataset(write_file(tmp_path, dataset_bytes(THREE_QUESTION_RECORDS)))
+        assert [[e.qid for e in r] for r in records(stream)] == [["q1", "q2"], ["q3"]]
+
+    def test_equal_text_in_distinct_objects_stays_apart(self):
+        first = "".join(["The bridge ", "opened."])
+        second = "".join(["The bridge ", "opened."])
+        assert first == second and first is not second
+        examples = examples_of(first, first, second)
+        assert [[e.qid for e in r] for r in records(examples)] == [["q0", "q1"], ["q2"]]
+
+    def test_adjacent_one_character_contexts_merge(self):
+        # CPython keeps one object per one-character Latin-1 string, so
+        # records with such a context can merge, as documented
+        first, second = "ax"[1], "xb"[0]
+        assert first is second
+        examples = examples_of(first, second)
+        assert [[e.qid for e in r] for r in records(examples)] == [["q0", "q1"]]
+
+    def test_empty_input_yields_nothing(self):
+        assert list(records([])) == []
+
+    def test_reads_at_most_one_example_past_the_record_it_yields(self):
+        examples = examples_of("a.", "a.", "b.", "b.", "b.", "c.")
+        read = []
+
+        def counting():
+            for example in examples:
+                read.append(example.qid)
+                yield example
+
+        stream = records(counting())
+        sizes = []
+        for record in stream:
+            sizes.append(len(record))
+            assert len(read) <= sum(sizes) + 1
+        assert sizes == [2, 3, 1]
+        assert len(read) == len(examples)
+
+
 class TestWriteFixedDataset:
     def test_round_trip_preserves_examples(self, tmp_path):
         _, stream = read_dataset(write_file(tmp_path, dataset_bytes(THREE_QUESTION_RECORDS)))
         originals = list(stream)
         out_path = tmp_path / "fixed.jsonl"
-        pairs = [(e, {"fix_method": "exact_slice"}) for e in originals]
+        pairs = [[(e, {"fix_method": "exact_slice"}) for e in r] for r in records(originals)]
         write_fixed_dataset(out_path, {"dataset": "test-set"}, pairs)
         assert len(out_path.read_text().splitlines()) == 1 + len(THREE_QUESTION_RECORDS)
         header, stream = read_dataset(out_path)
@@ -314,23 +361,25 @@ class TestWriteFixedDataset:
     def test_written_records_carry_fix_fields(self, tmp_path):
         _, stream = read_dataset(write_file(tmp_path, dataset_bytes(THREE_QUESTION_RECORDS)))
         q1, q2, q3 = stream
-        q4 = dataclasses.replace(q1, qid="q4")  # the same context object as q1
         out_path = tmp_path / "fixed.jsonl"
         write_fixed_dataset(
             out_path,
             {},
             [
-                (q2, {"target_token_ids": [7], "context_token_span": [3, 4]}),
-                (q1, {"target_token_ids": [9], "context_token_span": None}),
-                (q3, None),
-                (q4, {"target_token_ids": [5], "context_token_span": [0, 1]}),
+                [
+                    (q2, {"target_token_ids": [7], "context_token_span": [3, 4]}),
+                    (q1, {"target_token_ids": [9], "context_token_span": None}),
+                ],
+                [],
+                [(q3, {"target_token_ids": [5], "context_token_span": [0, 1]})],
             ],
         )
         lines = out_path.read_text(encoding="utf-8").splitlines()
-        # the all-None run writes no record and still ends the run before it
+        # the record without pairs is dropped
         assert len(lines) == 3
         record, after = json.loads(lines[1]), json.loads(lines[2])
-        assert record["context"] == after["context"] == q1.context
+        assert record["context"] == q1.context
+        assert after["context"] == q3.context
         first, second = record["qas"]
         assert list(first) == [
             "qid",
@@ -347,7 +396,7 @@ class TestWriteFixedDataset:
         assert second["qid"] == "q1"
         assert second["target_token_ids"] == [9]
         assert second["context_token_span"] is None
-        assert [qa["qid"] for qa in after["qas"]] == ["q4"]
+        assert [qa["qid"] for qa in after["qas"]] == ["q3"]
 
     def test_empty_stream_writes_header_only(self, tmp_path):
         out_path = tmp_path / "empty.jsonl"
@@ -368,10 +417,10 @@ class TestWriteFixedDataset:
         _, stream = read_dataset(write_file(tmp_path, dataset_bytes(THREE_QUESTION_RECORDS)))
         q1 = next(stream)
         out_path = tmp_path / "fixed.jsonl.gz"
-        write_fixed_dataset(out_path, {"dataset": "x"}, [(q1, {})])
+        write_fixed_dataset(out_path, {"dataset": "x"}, [[(q1, {})]])
         first = out_path.read_bytes()
         assert first[4:8] == bytes(4)  # the gzip header's mtime field
-        write_fixed_dataset(out_path, {"dataset": "x"}, [(q1, {})])
+        write_fixed_dataset(out_path, {"dataset": "x"}, [[(q1, {})]])
         assert out_path.read_bytes() == first
 
 
