@@ -21,7 +21,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import regex
 
@@ -41,11 +41,9 @@ _SEGMENT_CACHE_LIMIT = 1 << 17
 # Segments longer than this many characters are merged but not memoized.
 _SEGMENT_MEMO_MAX_CHARS = 256
 
-TextSource = Union[str, Path, IO[str]]
-
 
 class TokenizerError(ValueError):
-    """Raised when vocab/merges sources violate the tokenizer contract."""
+    """Raised when vocab/merges files violate the tokenizer contract."""
 
 
 #: Every byte value 0..255 mapped to a printable unit character. Bytes
@@ -164,11 +162,9 @@ def find_subsequence(haystack: str, needle: Sequence[int]) -> TokenSpan | None:
     return None if start < 0 else TokenSpan(start, start + len(needle))
 
 
-def _read_text(source: TextSource, name: str) -> str:
+def _read_text(path: Union[str, Path], name: str) -> str:
     try:
-        if isinstance(source, (str, Path)):
-            return Path(source).read_text(encoding="utf-8")
-        return source.read()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise TokenizerError(f"{name} is not UTF-8: {exc}") from None
 
@@ -189,17 +185,16 @@ def _parse_merges(text: str) -> list[tuple[str, str]]:
     return merges
 
 
-def load_tokenizer(vocab_source: TextSource, merges_source: TextSource) -> Tokenizer:
-    """Load and validate a tokenizer from vocab.json / merges.txt sources.
+def load_tokenizer(vocab_path: Union[str, Path], merges_path: Union[str, Path]) -> Tokenizer:
+    """Load and validate a tokenizer from vocab.json / merges.txt files.
 
-    Sources may be file paths or open text streams. Raises
-    TokenizerError on bytes that are not UTF-8, malformed JSON, ids
-    that are not integers in ``range(0x110000)``, duplicate ids, missing
-    single-byte units, or a merge whose concatenation is not in the
-    vocabulary.
+    Raises TokenizerError on bytes that are not UTF-8, malformed JSON,
+    ids that are not integers in ``range(0x110000)``, duplicate ids,
+    missing single-byte units, or a merge whose concatenation is not in
+    the vocabulary.
     """
     try:
-        raw = json.loads(_read_text(vocab_source, "vocab"))
+        raw = json.loads(_read_text(vocab_path, "vocab"))
     except json.JSONDecodeError as exc:
         raise TokenizerError(f"vocab is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -227,7 +222,7 @@ def load_tokenizer(vocab_source: TextSource, merges_source: TextSource) -> Token
             f"(first missing: byte {missing[0]!r}); cannot guarantee coverage"
         )
 
-    merges = _parse_merges(_read_text(merges_source, "merges"))
+    merges = _parse_merges(_read_text(merges_path, "merges"))
     for left, right in merges:
         if left + right not in vocab:
             raise TokenizerError(

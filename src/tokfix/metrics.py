@@ -42,18 +42,20 @@ def hallucination_check(pred: str, context: str) -> bool:
 
 
 def _f1_normalized(norm_pred: str, norm_golds: Sequence[str]) -> float:
+    # one Counter per question keeps a question linear in its prediction plus its golds
     pred_tokens = norm_pred.split()
-    return max((_f1_tokens(pred_tokens, g.split()) for g in norm_golds), default=0.0)
+    pred_counts = Counter(pred_tokens)
+    n_pred = len(pred_tokens)
+    return max((_f1_tokens(pred_counts, n_pred, g.split()) for g in norm_golds), default=0.0)
 
 
-def _f1_tokens(pred_tokens: list[str], gold_tokens: list[str]) -> float:
-    if not pred_tokens and not gold_tokens:
+def _f1_tokens(pred_counts: Counter[str], n_pred: int, gold_tokens: list[str]) -> float:
+    if not n_pred and not gold_tokens:
         return 1.0
-    common = Counter(pred_tokens) & Counter(gold_tokens)
-    overlap = sum(common.values())
+    overlap = sum(min(count, pred_counts[t]) for t, count in Counter(gold_tokens).items())
     if overlap == 0:
         return 0.0
-    precision = overlap / len(pred_tokens)
+    precision = overlap / n_pred
     recall = overlap / len(gold_tokens)
     return 2 * precision * recall / (precision + recall)
 

@@ -60,7 +60,7 @@ class ExtractiveExample:
 
 def spans_match(snippet: str, answer: str) -> bool:
     """Span/text agreement modulo trailing-whitespace differences only."""
-    return snippet == answer or snippet.rstrip() == answer.rstrip()
+    return snippet.rstrip() == answer.rstrip()
 
 
 def _numbered_lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:

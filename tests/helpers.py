@@ -6,11 +6,11 @@ differently from the library code so agreement is meaningful.
 
 from __future__ import annotations
 
-import io
 import json
 import random
 import re
 import string
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,11 +38,21 @@ def merges_text(merges: list[tuple[str, str]]) -> str:
     return "#version: test\n" + "\n".join(f"{l} {r}" for l, r in merges) + "\n"
 
 
+def load_tokenizer_texts(vocab_json: str, merges: str) -> Tokenizer:
+    """Write ``vocab.json`` and ``merges.txt`` as UTF-8 into a temporary
+    directory and load them with ``load_tokenizer``, so every test
+    tokenizer passes its validation."""
+    with tempfile.TemporaryDirectory() as directory:
+        vocab_path = Path(directory) / "vocab.json"
+        merges_path = Path(directory) / "merges.txt"
+        vocab_path.write_text(vocab_json, encoding="utf-8")
+        merges_path.write_text(merges, encoding="utf-8")
+        return load_tokenizer(vocab_path, merges_path)
+
+
 def make_tokenizer(merges: list[tuple[str, str]], extra_tokens: tuple[str, ...] = ()) -> Tokenizer:
     vocab = build_vocab(merges, extra_tokens)
-    return load_tokenizer(
-        io.StringIO(json.dumps(vocab)), io.StringIO(merges_text(merges))
-    )
+    return load_tokenizer_texts(json.dumps(vocab), merges_text(merges))
 
 
 def write_file(directory: Path, data: bytes | str, name: str = "data.jsonl") -> Path:

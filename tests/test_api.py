@@ -36,8 +36,8 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch):
     (code,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
     assert "decode" in code.split(")", 1)[0]  # the import names decode
 
-    (tmp_path / "vocab.json").write_text(json.dumps(build_vocab(NUMBER_MERGES)))
-    (tmp_path / "merges.txt").write_text(merges_text(NUMBER_MERGES))
+    (tmp_path / "vocab.json").write_text(json.dumps(build_vocab(NUMBER_MERGES)), encoding="utf-8")
+    (tmp_path / "merges.txt").write_text(merges_text(NUMBER_MERGES), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
     exec(compile(code, str(README), "exec"), namespace)

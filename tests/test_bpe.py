@@ -1,4 +1,3 @@
-import io
 import json
 import random
 import time
@@ -19,7 +18,6 @@ from tokfix.bpe import (
     decode_bytes,
     encode,
     ids_to_pieces,
-    load_tokenizer,
     pretokenize,
     split_point,
 )
@@ -27,15 +25,12 @@ from tokfix.bpe import (
 from helpers import (
     bpe_oracle_ids,
     build_vocab,
+    load_tokenizer_texts,
     make_tokenizer,
     merges_text,
     random_letter_text,
     random_toy_tokenizer,
 )
-
-
-def _sources(vocab, merges_str):
-    return io.StringIO(json.dumps(vocab)), io.StringIO(merges_str)
 
 
 class TestByteMap:
@@ -65,60 +60,53 @@ class TestLoader:
     def test_merge_without_concatenation_in_vocab(self):
         vocab = build_vocab([])
         with pytest.raises(TokenizerError, match="merge"):
-            load_tokenizer(*_sources(vocab, merges_text([("q", "z")])))
+            load_tokenizer_texts(json.dumps(vocab), merges_text([("q", "z")]))
 
     def test_duplicate_ids_rejected(self):
         vocab = build_vocab([])
         vocab["dup"] = 5
         with pytest.raises(TokenizerError, match="duplicate id"):
-            load_tokenizer(*_sources(vocab, merges_text([])))
+            load_tokenizer_texts(json.dumps(vocab), merges_text([]))
 
     def test_missing_single_byte_unit_rejected(self):
         vocab = build_vocab([])
         del vocab[BYTE_TO_UNIT[0x41]]
         with pytest.raises(TokenizerError, match="single-byte"):
-            load_tokenizer(*_sources(vocab, merges_text([])))
+            load_tokenizer_texts(json.dumps(vocab), merges_text([]))
 
     def test_malformed_vocab_json(self):
         with pytest.raises(TokenizerError, match="JSON"):
-            load_tokenizer(io.StringIO("not json"), io.StringIO("#\n"))
+            load_tokenizer_texts("not json", "#\n")
 
     @pytest.mark.parametrize("bad_id", ["7", 7.5, True, -1])
     def test_non_integer_or_negative_ids_rejected(self, bad_id):
         vocab = build_vocab([])
         vocab["zz"] = bad_id
         with pytest.raises(TokenizerError):
-            load_tokenizer(*_sources(vocab, merges_text([])))
+            load_tokenizer_texts(json.dumps(vocab), merges_text([]))
 
     @pytest.mark.parametrize("bad_id", [0x110000, 2**40])
     def test_ids_beyond_the_last_code_point_rejected(self, bad_id):
         vocab = build_vocab([])
         vocab["zz"] = bad_id
         with pytest.raises(TokenizerError, match="invalid id"):
-            load_tokenizer(*_sources(vocab, merges_text([])))
+            load_tokenizer_texts(json.dumps(vocab), merges_text([]))
 
     def test_largest_code_point_id_accepted(self):
         vocab = build_vocab([])
         vocab["zz"] = 0x10FFFF
-        tok = load_tokenizer(*_sources(vocab, merges_text([])))
+        tok = load_tokenizer_texts(json.dumps(vocab), merges_text([]))
         assert tok.inverse_vocab[0x10FFFF] == "zz"
 
     def test_malformed_merge_line(self):
         vocab = build_vocab([("a", "b")])
         with pytest.raises(TokenizerError, match="line 2"):
-            load_tokenizer(*_sources(vocab, "#version\na b c\n"))
+            load_tokenizer_texts(json.dumps(vocab), "#version\na b c\n")
 
     def test_merges_without_comment_line_still_parse(self):
         vocab = build_vocab([("a", "b")])
-        tok = load_tokenizer(*_sources(vocab, "a b\n"))
+        tok = load_tokenizer_texts(json.dumps(vocab), "a b\n")
         assert tok.merges == (("a", "b"),)
-
-    def test_loads_from_file_paths(self, tmp_path):
-        vocab_path = tmp_path / "vocab.json"
-        merges_path = tmp_path / "merges.txt"
-        vocab_path.write_text(json.dumps(build_vocab([("a", "b")])))
-        merges_path.write_text(merges_text([("a", "b")]))
-        tok = load_tokenizer(vocab_path, merges_path)
         assert tok.vocab["ab"] == 256
 
 

@@ -308,6 +308,22 @@ class TestF1:
         for left, right in pairs:
             assert f1(left, [right]) == pytest.approx(f1(right, [left]))
 
+    def test_prediction_tokens_are_counted_once_per_question(self, monkeypatch):
+        counted = []
+
+        def counting(tokens):
+            counted.append(len(tokens))
+            return Counter(tokens)
+
+        monkeypatch.setattr(metrics, "Counter", counting)
+        pred = " ".join(f"w{i}" for i in range(100))
+        golds = [f"w{i} w{i} x" for i in range(40)]
+        expected = f1_oracle(pred.split(), golds[0].split())
+        assert f1(pred, golds) == pytest.approx(float(expected), abs=1e-12)
+        # one question costs its prediction's tokens plus its golds' tokens,
+        # not prediction tokens times golds
+        assert sum(counted) == 100 + 40 * 3
+
 
 class TestHallucinationCheck:
     def test_misspelled_answer_is_out_of_context(self):
