@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, filterfalse
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -69,10 +69,11 @@ class Tokenizer:
     merges first). Every tokenizer shares the byte->unit mapping
     ``BYTE_TO_UNIT`` and segments text with ``SEGMENT_PATTERN``.
     Instances are safe to share across threads; ``encode``/``decode`` are
-    pure. The only internal state is a memo of per-segment merge results
-    keyed by segment text: the segment's token ids and nothing else.
-    Segments longer than ``_SEGMENT_MEMO_MAX_CHARS`` characters are not
-    memoized, so one huge run of letters cannot pin memory.
+    pure. Their only mutable state is a memo of per-segment merge results
+    keyed by segment text: the segment's token ids and nothing else; the
+    other caches are derived from the fields on first use. Segments
+    longer than ``_SEGMENT_MEMO_MAX_CHARS`` characters are not memoized,
+    so one huge run of letters cannot pin memory.
     """
 
     vocab: dict[str, int]
@@ -90,6 +91,25 @@ class Tokenizer:
     def _segment_cache(self) -> dict[str, tuple[int, ...]]:
         return {}
 
+    @cached_property
+    def _byte_lengths(self) -> dict[int, int]:
+        # a token's unit string has one character per source byte
+        return {i: len(unit) for i, unit in self.inverse_vocab.items()}
+
+    @cached_property
+    def separator_id(self) -> int:
+        """The least code point that is no token id, so no id sequence
+        ``encode`` returns holds it; ``consist.analyze_dataset`` joins the
+        ids of context pieces with it. Raises TokenizerError when the ids
+        take every code point."""
+        free = next(filterfalse(self.inverse_vocab.__contains__, range(0x110000)), None)
+        if free is None:
+            raise TokenizerError(
+                "token ids take all 0x110000 code points, so none is left "
+                "to separate the pieces of a context"
+            )
+        return free
+
 
 @dataclass(frozen=True)
 class Encoding:
@@ -106,9 +126,7 @@ class Encoding:
 
     @cached_property
     def offsets(self) -> tuple[tuple[int, int], ...]:
-        # a token's unit string has one character per source byte
-        inverse = self.tok.inverse_vocab
-        ends = list(accumulate(len(inverse[i]) for i in self.ids))
+        ends = list(accumulate(map(self.tok._byte_lengths.__getitem__, self.ids)))
         return tuple(zip([0, *ends], ends))
 
     @cached_property

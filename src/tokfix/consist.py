@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, Union
+from typing import Collection, Iterable, Iterator, Union
 
 from .bpe import (
     Encoding,
@@ -283,14 +283,19 @@ def analyze_dataset(
     fixed seed and input order. Questions without any answer text are
     skipped, and a repeated qid raises DatasetError.
 
-    Each ``records`` run of the (sampled) stream encodes once the stretch
-    of its context that its judged answers occur in: from the
-    ``split_point`` at or before the character ahead of the first answer
-    occurrence to the one at or after the end of the last. No segment
-    crosses a split point, so the stretch's ids are a slice of the
-    context's ids that holds every match of either variant, and the
-    verdicts equal those over the whole context. A record whose context
-    holds none of its answers is not encoded.
+    Each ``records`` run of the (sampled) stream encodes only windows of
+    its context around the occurrences of its distinct judged answers.
+    An occurrence's window runs from the ``split_point`` at or before the
+    character ahead of it to the one at or after its end (``_pieces``).
+    No segment crosses a split point, so a window's ids are a slice of
+    the context's ids that holds every match of either variant there.
+    Overlapping windows are merged into pieces, each piece is encoded
+    once, and their ids are joined with ``Tokenizer.separator_id``, which
+    no needle holds, so no match straddles two pieces and the verdicts
+    equal those over the whole context. A record makes at most one window
+    per 16 characters of its context plus two per answer: past that
+    budget, each answer's remaining occurrences take one window. A record
+    whose context holds none of its answers is not encoded.
     """
     if answer_policy not in ("first", "any"):
         raise ValueError(f"unknown answer policy {answer_policy!r}")
@@ -305,24 +310,55 @@ def analyze_dataset(
         judged = [example.answer_texts() for example in record]
         if answer_policy == "first":
             judged = [answers[:1] for answers in judged]
-        firsts = [(context.find(a), a) for answers in judged for a in answers]
-        spans = [(first, context.rfind(a) + len(a)) for first, a in firsts if first >= 0]
-        stretch = Encoding((), tok)
-        if spans:
-            lo = split_point(context, max(min(spans)[0] - 1, 0), after=False)
-            hi = split_point(context, max(stop for _, stop in spans), after=True)
-            stretch = encode(tok, context[lo:hi])
+        ids: list[int] = []
+        for lo, hi in _pieces(context, dict.fromkeys(a for answers in judged for a in answers)):
+            if ids:
+                ids.append(tok.separator_id)
+            ids.extend(encode(tok, context[lo:hi]).ids)
+        joined = Encoding(tuple(ids), tok)
         for answers in judged:
             if not answers:
                 continue
             best = INCONSISTENT
             for answer in answers:
-                verdict = check_consistency(tok, stretch, answer)
+                verdict = check_consistency(tok, joined, answer)
                 best = min(best, verdict.status, key=_VERDICTS.index)
                 if best == CONSISTENT_RAW:
                     break
             counts[best] += 1
     return ConsistencyStats(*(counts[status] for status in _VERDICTS))
+
+
+def _pieces(context: str, answers: Collection[str]) -> list[tuple[int, int]]:
+    """Disjoint, sorted split-point ranges of context covering, with the
+    character ahead of each, every occurrence of every answer.
+
+    An occurrence's window ends at the first split point at or after its
+    end, and the walk over an answer's occurrences resumes where the next
+    one would end past that window. Each window costs one step of a
+    budget of ``len(context) // 16`` plus one per answer; once it is
+    spent, each answer's remaining occurrences up to its last take one
+    window, so the number of windows stays linear in the record's size.
+    """
+    budget = len(context) // 16 + len(answers)
+    windows = []
+    for answer in answers:
+        at = context.find(answer)
+        while at >= 0:
+            lo = split_point(context, max(at - 1, 0), after=False)
+            if budget <= 0:
+                at = context.rfind(answer)
+            budget -= 1
+            hi = split_point(context, at + len(answer), after=True)
+            windows.append((lo, hi))
+            at = context.find(answer, hi - len(answer) + 1)
+    pieces: list[tuple[int, int]] = []
+    for lo, hi in sorted(windows):
+        if pieces and lo <= pieces[-1][1]:
+            lo, end = pieces.pop()
+            hi = max(hi, end)
+        pieces.append((lo, hi))
+    return pieces
 
 
 def _reservoir_sample(

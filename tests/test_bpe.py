@@ -5,7 +5,6 @@ import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-import regex
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +29,7 @@ from helpers import (
     merges_text,
     random_letter_text,
     random_toy_tokenizer,
+    split_points,
 )
 
 
@@ -102,6 +102,14 @@ class TestLoader:
         vocab = build_vocab([("a", "b")])
         with pytest.raises(TokenizerError, match="line 2"):
             load_tokenizer_texts(json.dumps(vocab), "#version\na b c\n")
+
+    def test_separator_id_is_the_least_code_point_that_is_no_id(self):
+        vocab = build_vocab([])
+        vocab["zz"] = 257
+        tok = load_tokenizer_texts(json.dumps(vocab), merges_text([]))
+        assert tok.separator_id == 256
+        vocab["yy"] = 256
+        assert load_tokenizer_texts(json.dumps(vocab), merges_text([])).separator_id == 258
 
     def test_merges_without_comment_line_still_parse(self):
         vocab = build_vocab([("a", "b")])
@@ -229,12 +237,6 @@ _SPLIT_PIECES = st.sampled_from(
         "e\u0301", "\u0301", "\U0001f642", "\u00e9",
     ]
 )
-
-
-def split_points(text):
-    """Every split point of text, by its definition."""
-    inner = [p for p in range(1, len(text)) if regex.fullmatch(r"\S\s", text[p - 1 : p + 1])]
-    return sorted({0, *inner, len(text)})
 
 
 class TestSplitPoints:

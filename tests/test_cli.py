@@ -14,7 +14,7 @@ from tokfix.cli import main
 from tokfix.mrqa import read_dataset
 
 from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
-from helpers import MULTI_QA_RECORDS
+from helpers import MULTI_QA_RECORDS, every_id_tokenizer
 
 DATA = Path(__file__).parent / "data"
 VOCAB = str(DATA / "fixture_vocab.json")
@@ -299,6 +299,23 @@ class TestAnalyzeCommand:
         assert out == ""
         assert "data error: vocab must be a JSON object" in err
         assert "Traceback" not in err
+
+    def test_tokenizer_whose_ids_take_every_code_point_is_data_error(
+        self, capsys, tmp_path, multi_qa_path, monkeypatch
+    ):
+        load = cli.load_tokenizer
+        monkeypatch.setattr(cli, "load_tokenizer", lambda *paths: every_id_tokenizer(load(*paths)))
+        report = tmp_path / "report.json"
+        code, out, err = run(
+            capsys,
+            "analyze", "--vocab", VOCAB, "--merges", MERGES,
+            "--dataset", str(multi_qa_path), "--output", str(report),
+        )
+        assert code == 2
+        assert out == ""
+        assert "data error: token ids take all 0x110000 code points" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_dataset_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"

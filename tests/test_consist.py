@@ -4,11 +4,19 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import asdict
+from itertools import groupby
 
 import pytest
 
 from tokfix import consist
-from tokfix.bpe import BYTE_TO_UNIT, decode_bytes, encode, find_subsequence, ids_to_pieces
+from tokfix.bpe import (
+    BYTE_TO_UNIT,
+    TokenizerError,
+    decode_bytes,
+    encode,
+    find_subsequence,
+    ids_to_pieces,
+)
 from tokfix.consist import (
     ALREADY_CONSISTENT,
     CONSISTENT_PREFIX_SPACE,
@@ -33,9 +41,11 @@ from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
 from helpers import (
     MULTI_QA_RECORDS,
     NUMBER_MERGES,
+    every_id_tokenizer,
     make_tokenizer,
     naive_find,
     random_toy_tokenizer,
+    split_points,
 )
 
 
@@ -414,6 +424,19 @@ def full_context_tally(tok, examples, *, sample_size=None, seed=42, answer_polic
     return ConsistencyStats(*(counts[status] for status in verdicts))
 
 
+def stretch_length(context, answers):
+    """The length from the split point at or before the character ahead of
+    the first occurrence of any answer to the one at or after the end of
+    the last occurrence; 0 when none occurs."""
+    found = [(context.find(a), context.rfind(a) + len(a)) for a in answers if a in context]
+    if not found:
+        return 0
+    points = split_points(context)
+    first = max(min(at for at, _ in found) - 1, 0)
+    last = max(end for _, end in found)
+    return min(p for p in points if p >= last) - max(p for p in points if p <= first)
+
+
 class TestAnalyzeDataset:
     def test_corpus_totals_match_hand_tally(self, corpus_tok, corpus_examples):
         stats = analyze_dataset(corpus_tok, corpus_examples)
@@ -454,27 +477,46 @@ class TestAnalyzeDataset:
         assert first.inconsistent == 1
         assert any_.consistent_prefix_only == 1
 
-    def test_each_record_encodes_one_stretch_of_its_context(
+    def test_each_record_encodes_disjoint_split_point_pieces_of_its_context(
         self, corpus_tok, multi_qa_path, monkeypatch
     ):
         log = record_encodes(monkeypatch)
         _, stream = read_dataset(multi_qa_path)
         stats = analyze_dataset(corpus_tok, stream)
         assert stats.total == 4
-        # from the space before the first answer to the end of the last
+        # each answer from the space before it to the split point after it
         assert log == [
-            (MULTI_QA_RECORDS[0]["context"], [" ship was finished in 1912"]),
+            (MULTI_QA_RECORDS[0]["context"], [" ship", " 1912"]),
             (MULTI_QA_RECORDS[1]["context"], []),
-            (MULTI_QA_RECORDS[2]["context"], [" museum preserved the treaty."]),
+            (MULTI_QA_RECORDS[2]["context"], [" museum", " treaty."]),
         ]
         rng = random.Random(4)
         for _ in range(300):
             del log[:]
             policy = rng.choice(["first", "any"])
-            analyze_dataset(corpus_tok, oracle_dataset(rng), answer_policy=policy)
-            for context, texts in log:
-                assert len(texts) <= 1, (context, texts)
-                assert all(text in context for text in texts), (context, texts)
+            examples = oracle_dataset(rng)
+            analyze_dataset(corpus_tok, examples, answer_policy=policy)
+            judged = [
+                {a for ex in record for a in ex.answer_texts()[: 1 if policy == "first" else None]}
+                for _, record in groupby(examples, key=lambda ex: id(ex.context))
+            ]
+            assert len(log) == len(judged)
+            for (context, texts), answers in zip(log, judged):
+                points = split_points(context)
+                end = -1
+                for text in texts:
+                    # the leftmost placement past the last piece leaves the
+                    # most room for the pieces after it
+                    end = next(
+                        (
+                            p + len(text)
+                            for p in points
+                            if p > end and p + len(text) in points and context.startswith(text, p)
+                        ),
+                        None,
+                    )
+                    assert end is not None, (context, texts)
+                assert sum(map(len, texts)) <= stretch_length(context, answers), (context, texts)
 
     @pytest.mark.parametrize("answer_policy", ["first", "any"])
     def test_record_whose_answers_are_absent_encodes_nothing(
@@ -489,6 +531,25 @@ class TestAnalyzeDataset:
         stats = analyze_dataset(corpus_tok, examples, answer_policy=answer_policy)
         assert stats.inconsistent == 2
         assert log == [(context, [])]
+
+    def test_no_match_straddles_two_pieces(self, corpus_tok):
+        # "foo" and " bar" are encoded as two pieces, and joined without a
+        # separator their ids would spell the absent "foo bar"
+        context = "foo x bar"
+        raw, _ = answer_variants(corpus_tok, "foo bar")
+        assert raw == encode(corpus_tok, "foo").ids + encode(corpus_tok, " bar").ids
+        examples = [example(f"q{i}", context, a) for i, a in enumerate(["foo", "bar", "foo bar"])]
+        stats = analyze_dataset(corpus_tok, examples)
+        assert stats.inconsistent == 1
+        assert stats == full_context_tally(corpus_tok, examples)
+
+    def test_tokenizer_whose_ids_take_every_code_point_is_refused(self, corpus_tok):
+        tok = every_id_tokenizer(corpus_tok)
+        context = "foo x bar"
+        # one piece needs no separator
+        assert analyze_dataset(tok, [example("q1", context, "foo")]) == ConsistencyStats(1, 0, 0)
+        with pytest.raises(TokenizerError, match="all 0x110000 code points"):
+            analyze_dataset(tok, [example("q1", context, "foo"), example("q2", context, "bar")])
 
     @pytest.mark.parametrize("answer_policy", ["first", "any"])
     def test_counts_equal_a_tally_over_whole_contexts(self, corpus_tok, answer_policy):
@@ -556,6 +617,21 @@ class TestAnalyzeScaling:
         elapsed = time.perf_counter() - start
         assert stats == ConsistencyStats(len(answers), 0, 0)
         assert elapsed < 2.0
+
+    def test_answers_recurring_in_every_word_well_under_a_second(self, number_tok):
+        # 400 answers occur 3,000 times each: a window per occurrence would
+        # take 1.2 million Python steps, so the walk stops at a budget linear
+        # in the record and covers each answer's remaining occurrences at once
+        word = "abcdefghijklmnopqrstuvwxyzABCD"
+        context = " ".join([word] * 3_000)
+        substrings = sorted({word[i:j] for i in range(30) for j in range(i + 1, 31)})
+        answers = random.Random(7).sample(substrings, 400)
+        examples = [example(f"q{i}", context, answer) for i, answer in enumerate(answers)]
+        start = time.perf_counter()
+        stats = analyze_dataset(number_tok, examples)
+        elapsed = time.perf_counter() - start
+        assert stats == full_context_tally(number_tok, examples)
+        assert elapsed < 1.0
 
     def test_answers_inside_a_long_letter_run_well_under_a_second(self, number_tok):
         rng = random.Random(6)
