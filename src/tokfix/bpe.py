@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, filterfalse
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -40,6 +40,12 @@ _SEGMENT_CACHE_LIMIT = 1 << 17
 
 # Segments longer than this many characters are merged but not memoized.
 _SEGMENT_MEMO_MAX_CHARS = 256
+
+
+#: The last code point, a Unicode noncharacter, reserved from token ids:
+#: ``consist.analyze_dataset`` joins the ids of context pieces with it, so
+#: no needle holds it.
+SEPARATOR_ID = 0x10FFFF
 
 
 class TokenizerError(ValueError):
@@ -65,15 +71,15 @@ class Tokenizer:
     """Immutable byte-level BPE model.
 
     Fields mirror the published GPT-2/BART asset layout: a token->id
-    vocabulary, its exact inverse and the ranked merge list (lower index
-    merges first). Every tokenizer shares the byte->unit mapping
-    ``BYTE_TO_UNIT`` and segments text with ``SEGMENT_PATTERN``.
-    Instances are safe to share across threads; ``encode``/``decode`` are
-    pure. Their only mutable state is a memo of per-segment merge results
-    keyed by segment text: the segment's token ids and nothing else; the
-    other caches are derived from the fields on first use. Segments
-    longer than ``_SEGMENT_MEMO_MAX_CHARS`` characters are not memoized,
-    so one huge run of letters cannot pin memory.
+    vocabulary with ids below ``SEPARATOR_ID``, its exact inverse and the
+    ranked merge list (lower index merges first). Every tokenizer shares
+    the byte->unit mapping ``BYTE_TO_UNIT`` and segments text with
+    ``SEGMENT_PATTERN``. Instances are safe to share across threads;
+    ``encode``/``decode`` are pure. Their only mutable state is a memo of
+    per-segment merge results keyed by segment text: the segment's token
+    ids and nothing else; the other caches are derived from the fields on
+    first use. Segments longer than ``_SEGMENT_MEMO_MAX_CHARS`` characters
+    are not memoized, so one huge run of letters cannot pin memory.
     """
 
     vocab: dict[str, int]
@@ -95,20 +101,6 @@ class Tokenizer:
     def _byte_lengths(self) -> dict[int, int]:
         # a token's unit string has one character per source byte
         return {i: len(unit) for i, unit in self.inverse_vocab.items()}
-
-    @cached_property
-    def separator_id(self) -> int:
-        """The least code point that is no token id, so no id sequence
-        ``encode`` returns holds it; ``consist.analyze_dataset`` joins the
-        ids of context pieces with it. Raises TokenizerError when the ids
-        take every code point."""
-        free = next(filterfalse(self.inverse_vocab.__contains__, range(0x110000)), None)
-        if free is None:
-            raise TokenizerError(
-                "token ids take all 0x110000 code points, so none is left "
-                "to separate the pieces of a context"
-            )
-        return free
 
 
 @dataclass(frozen=True)
@@ -173,7 +165,7 @@ def find_subsequence(haystack: str, needle: Sequence[int]) -> TokenSpan | None:
 
     The haystack is an ``Encoding.id_string``, one code point per id, so
     ``str.find`` searches in time linear in it; needle ids must lie in
-    ``range(0x110000)``, as ``load_tokenizer`` guarantees. An empty
+    ``range(SEPARATOR_ID)``, as ``load_tokenizer`` guarantees. An empty
     needle matches at position 0.
     """
     start = haystack.find("".join(map(chr, needle)))
@@ -207,7 +199,7 @@ def load_tokenizer(vocab_path: Union[str, Path], merges_path: Union[str, Path]) 
     """Load and validate a tokenizer from vocab.json / merges.txt files.
 
     Raises TokenizerError on bytes that are not UTF-8, malformed JSON,
-    ids that are not integers in ``range(0x110000)``, duplicate ids,
+    ids that are not integers in ``range(SEPARATOR_ID)``, duplicate ids,
     missing single-byte units, or a merge whose concatenation is not in
     the vocabulary.
     """
@@ -220,8 +212,9 @@ def load_tokenizer(vocab_path: Union[str, Path], merges_path: Union[str, Path]) 
 
     vocab: dict[str, int] = {}
     for token, idx in raw.items():
-        # Encoding.id_string and find_subsequence map each id to one code point
-        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < 0x110000:
+        # Encoding.id_string and find_subsequence map each id to one code
+        # point, and SEPARATOR_ID is kept free to join context pieces
+        if isinstance(idx, bool) or not isinstance(idx, int) or not 0 <= idx < SEPARATOR_ID:
             raise TokenizerError(f"token {token!r} has invalid id {idx!r}")
         vocab[token] = idx
 
@@ -251,7 +244,7 @@ def load_tokenizer(vocab_path: Union[str, Path], merges_path: Union[str, Path]) 
     return Tokenizer(vocab=vocab, inverse_vocab=inverse, merges=tuple(merges))
 
 
-def pretokenize(tok: Tokenizer, text: str) -> list[tuple[str, int]]:
+def pretokenize(text: str) -> list[tuple[str, int]]:
     """Split text into pattern segments, each paired with its start byte.
 
     Between them the pattern's letter, number, other-symbol and
@@ -328,7 +321,7 @@ def encode(tok: Tokenizer, text: str) -> Encoding:
     """Encode valid UTF-8 text into token ids; byte offsets follow on read."""
     ids: list[int] = []
     cache = tok._segment_cache
-    for segment, _ in pretokenize(tok, text):
+    for segment, _ in pretokenize(text):
         seg_ids = cache.get(segment)
         if seg_ids is None:
             seg_ids = _merge_segment(tok, segment)

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Iterator, Union
 
 from .bpe import (
+    SEPARATOR_ID,
     Encoding,
     TokenSpan,
     Tokenizer,
@@ -290,12 +291,13 @@ def analyze_dataset(
     No segment crosses a split point, so a window's ids are a slice of
     the context's ids that holds every match of either variant there.
     Overlapping windows are merged into pieces, each piece is encoded
-    once, and their ids are joined with ``Tokenizer.separator_id``, which
-    no needle holds, so no match straddles two pieces and the verdicts
-    equal those over the whole context. A record makes at most one window
-    per 16 characters of its context plus two per answer: past that
-    budget, each answer's remaining occurrences take one window. A record
-    whose context holds none of its answers is not encoded.
+    once, and their ids are joined with ``SEPARATOR_ID``, an id that
+    ``load_tokenizer`` refuses and so no needle holds: no match straddles
+    two pieces, and the verdicts equal those over the whole context. A
+    record makes at most one window per 16 characters of its context plus
+    two per answer: past that budget, each answer's remaining occurrences
+    take one window. A record whose context holds none of its answers is
+    not encoded.
     """
     if answer_policy not in ("first", "any"):
         raise ValueError(f"unknown answer policy {answer_policy!r}")
@@ -313,7 +315,7 @@ def analyze_dataset(
         ids: list[int] = []
         for lo, hi in _pieces(context, dict.fromkeys(a for answers in judged for a in answers)):
             if ids:
-                ids.append(tok.separator_id)
+                ids.append(SEPARATOR_ID)
             ids.extend(encode(tok, context[lo:hi]).ids)
         joined = Encoding(tuple(ids), tok)
         for answers in judged:

@@ -56,15 +56,6 @@ def make_tokenizer(merges: list[tuple[str, str]], extra_tokens: tuple[str, ...] 
     return load_tokenizer_texts(json.dumps(vocab), merges_text(merges))
 
 
-def every_id_tokenizer(tok: Tokenizer) -> Tokenizer:
-    """``tok`` with its inverse vocabulary padded in memory (about 90 MB)
-    so that its ids take all 0x110000 code points, which files could
-    only do with a vocab.json of over a million entries."""
-    inverse = dict.fromkeys(range(0x110000), "")
-    inverse.update(tok.inverse_vocab)
-    return Tokenizer(vocab=tok.vocab, inverse_vocab=inverse, merges=tok.merges)
-
-
 def split_points(text: str) -> list[int]:
     """Every split point of text, by its definition."""
     inner = [p for p in range(1, len(text)) if regex.fullmatch(r"\S\s", text[p - 1 : p + 1])]

@@ -12,6 +12,7 @@ from tokfix import bpe
 from tokfix.bpe import (
     _SEGMENT_MEMO_MAX_CHARS,
     BYTE_TO_UNIT,
+    SEPARATOR_ID,
     TokenizerError,
     decode,
     decode_bytes,
@@ -85,7 +86,8 @@ class TestLoader:
         with pytest.raises(TokenizerError):
             load_tokenizer_texts(json.dumps(vocab), merges_text([]))
 
-    @pytest.mark.parametrize("bad_id", [0x110000, 2**40])
+    # 0x10FFFF is the last code point, reserved as SEPARATOR_ID
+    @pytest.mark.parametrize("bad_id", [SEPARATOR_ID, 0x110000, 2**40])
     def test_ids_beyond_the_last_code_point_rejected(self, bad_id):
         vocab = build_vocab([])
         vocab["zz"] = bad_id
@@ -94,22 +96,14 @@ class TestLoader:
 
     def test_largest_code_point_id_accepted(self):
         vocab = build_vocab([])
-        vocab["zz"] = 0x10FFFF
+        vocab["zz"] = 0x10FFFE
         tok = load_tokenizer_texts(json.dumps(vocab), merges_text([]))
-        assert tok.inverse_vocab[0x10FFFF] == "zz"
+        assert tok.inverse_vocab[0x10FFFE] == "zz"
 
     def test_malformed_merge_line(self):
         vocab = build_vocab([("a", "b")])
         with pytest.raises(TokenizerError, match="line 2"):
             load_tokenizer_texts(json.dumps(vocab), "#version\na b c\n")
-
-    def test_separator_id_is_the_least_code_point_that_is_no_id(self):
-        vocab = build_vocab([])
-        vocab["zz"] = 257
-        tok = load_tokenizer_texts(json.dumps(vocab), merges_text([]))
-        assert tok.separator_id == 256
-        vocab["yy"] = 256
-        assert load_tokenizer_texts(json.dumps(vocab), merges_text([])).separator_id == 258
 
     def test_merges_without_comment_line_still_parse(self):
         vocab = build_vocab([("a", "b")])
@@ -203,29 +197,26 @@ class TestDecode:
 
 
 class TestPretokenize:
-    def test_splits_words_at_spaces(self, toy_tok):
-        assert pretokenize(toy_tok, "Hello world") == [("Hello", 0), (" world", 5)]
+    def test_splits_words_at_spaces(self):
+        assert pretokenize("Hello world") == [("Hello", 0), (" world", 5)]
 
-    def test_empty(self, toy_tok):
-        assert pretokenize(toy_tok, "") == []
+    def test_empty(self):
+        assert pretokenize("") == []
 
-    def test_separates_number_and_punctuation_runs(self, toy_tok):
-        assert pretokenize(toy_tok, "1912.") == [("1912", 0), (".", 4)]
+    def test_separates_number_and_punctuation_runs(self):
+        assert pretokenize("1912.") == [("1912", 0), (".", 4)]
 
-    def test_byte_starts_account_for_multibyte_codepoints(self, toy_tok):
-        assert pretokenize(toy_tok, "é 12") == [("é", 0), (" 12", 2)]
+    def test_byte_starts_account_for_multibyte_codepoints(self):
+        assert pretokenize("é 12") == [("é", 0), (" 12", 2)]
 
     @given(st.text(max_size=120))
     @settings(max_examples=200, deadline=None)
     def test_segments_partition_text(self, text):
-        tok = _PRETOK_SHARED
-        segments = pretokenize(tok, text)
+        segments = pretokenize(text)
         assert "".join(seg for seg, _ in segments) == text
         starts = [start for _, start in segments]
         assert starts == sorted(set(starts))
 
-
-_PRETOK_SHARED = make_tokenizer([])
 
 #: pieces that meet at and around split points: the spaces SEGMENT_PATTERN's
 #: \s knows, \x1c (a space to str.isspace but not to \s), contractions,
@@ -374,12 +365,14 @@ _OFFSET_PIECES = st.one_of(
     st.text(alphabet="abé", min_size=_SEGMENT_MEMO_MAX_CHARS + 1, max_size=320),
 )
 
+_BYTES_ONLY_TOK = make_tokenizer([])
+
 
 class TestRoundTripProperty:
     @given(st.text(max_size=200))
     @settings(max_examples=250, deadline=None)
     def test_decode_inverts_encode(self, text):
-        tok = _PRETOK_SHARED
+        tok = _BYTES_ONLY_TOK
         enc = encode(tok, text)
         assert decode(tok, enc.ids) == text
         position = 0

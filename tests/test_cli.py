@@ -14,7 +14,7 @@ from tokfix.cli import main
 from tokfix.mrqa import read_dataset
 
 from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
-from helpers import MULTI_QA_RECORDS, every_id_tokenizer
+from helpers import MULTI_QA_RECORDS
 
 DATA = Path(__file__).parent / "data"
 VOCAB = str(DATA / "fixture_vocab.json")
@@ -300,22 +300,22 @@ class TestAnalyzeCommand:
         assert "data error: vocab must be a JSON object" in err
         assert "Traceback" not in err
 
-    def test_tokenizer_whose_ids_take_every_code_point_is_data_error(
-        self, capsys, tmp_path, multi_qa_path, monkeypatch
-    ):
-        load = cli.load_tokenizer
-        monkeypatch.setattr(cli, "load_tokenizer", lambda *paths: every_id_tokenizer(load(*paths)))
-        report = tmp_path / "report.json"
+    def test_vocab_holding_the_reserved_id_is_data_error(self, capsys, tmp_path, multi_qa_path):
+        # 0x10FFFF joins the pieces of a context in analyze, so no token may have it
+        vocab = json.loads(Path(VOCAB).read_text(encoding="utf-8"))
+        vocab["reserved"] = 0x10FFFF
+        vocab_path = tmp_path / "vocab.json"
+        vocab_path.write_text(json.dumps(vocab), encoding="utf-8")
         code, out, err = run(
             capsys,
-            "analyze", "--vocab", VOCAB, "--merges", MERGES,
-            "--dataset", str(multi_qa_path), "--output", str(report),
+            "analyze", "--vocab", str(vocab_path), "--merges", MERGES,
+            "--dataset", str(multi_qa_path), "--output", str(tmp_path / "report.json"),
         )
         assert code == 2
         assert out == ""
-        assert "data error: token ids take all 0x110000 code points" in err
+        assert "data error: token 'reserved' has invalid id 1114111" in err
         assert "Traceback" not in err
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == [vocab_path]
 
     def test_malformed_dataset_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.jsonl"

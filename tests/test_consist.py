@@ -11,7 +11,6 @@ import pytest
 from tokfix import consist
 from tokfix.bpe import (
     BYTE_TO_UNIT,
-    TokenizerError,
     decode_bytes,
     encode,
     find_subsequence,
@@ -41,8 +40,10 @@ from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
 from helpers import (
     MULTI_QA_RECORDS,
     NUMBER_MERGES,
-    every_id_tokenizer,
+    build_vocab,
+    load_tokenizer_texts,
     make_tokenizer,
+    merges_text,
     naive_find,
     random_toy_tokenizer,
     split_points,
@@ -534,22 +535,22 @@ class TestAnalyzeDataset:
 
     def test_no_match_straddles_two_pieces(self, corpus_tok):
         # "foo" and " bar" are encoded as two pieces, and joined without a
-        # separator their ids would spell the absent "foo bar"
+        # separator their ids would spell the absent "foo bar". The second
+        # tokenizer gives "foo" the largest id load_tokenizer accepts, next
+        # to the separator.
+        merges = [("f", "o"), ("fo", "o")]
+        vocab = build_vocab(merges)
+        vocab["foo"] = 0x10FFFE
+        top_tok = load_tokenizer_texts(json.dumps(vocab), merges_text(merges))
+        assert encode(top_tok, "foo").ids == (0x10FFFE,)
         context = "foo x bar"
-        raw, _ = answer_variants(corpus_tok, "foo bar")
-        assert raw == encode(corpus_tok, "foo").ids + encode(corpus_tok, " bar").ids
         examples = [example(f"q{i}", context, a) for i, a in enumerate(["foo", "bar", "foo bar"])]
-        stats = analyze_dataset(corpus_tok, examples)
-        assert stats.inconsistent == 1
-        assert stats == full_context_tally(corpus_tok, examples)
-
-    def test_tokenizer_whose_ids_take_every_code_point_is_refused(self, corpus_tok):
-        tok = every_id_tokenizer(corpus_tok)
-        context = "foo x bar"
-        # one piece needs no separator
-        assert analyze_dataset(tok, [example("q1", context, "foo")]) == ConsistencyStats(1, 0, 0)
-        with pytest.raises(TokenizerError, match="all 0x110000 code points"):
-            analyze_dataset(tok, [example("q1", context, "foo"), example("q2", context, "bar")])
+        for tok in (corpus_tok, top_tok):
+            raw, _ = answer_variants(tok, "foo bar")
+            assert raw == encode(tok, "foo").ids + encode(tok, " bar").ids
+            stats = analyze_dataset(tok, examples)
+            assert stats.inconsistent == 1
+            assert stats == full_context_tally(tok, examples)
 
     @pytest.mark.parametrize("answer_policy", ["first", "any"])
     def test_counts_equal_a_tally_over_whole_contexts(self, corpus_tok, answer_policy):
