@@ -5,7 +5,8 @@ regex pattern, each segment's UTF-8 bytes are remapped to printable "unit"
 characters, and ranked merge rules are applied within each segment. A
 unit stands for one source byte, so each token's half-open byte range
 follows from the ids. ``token_slice_for_span`` and ``find_subsequence``
-locate token runs in an ``Encoding`` by byte range and by ids.
+locate token runs in an ``Encoding`` by code-point range and by ids; this
+module alone maps between code points and UTF-8 bytes.
 
 Because all 256 single-byte units are required to be in the vocabulary,
 encoding is total: any valid UTF-8 string round-trips losslessly through
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from pathlib import Path
@@ -40,6 +41,9 @@ _SEGMENT_CACHE_LIMIT = 1 << 17
 
 # Segments longer than this many characters are merged but not memoized.
 _SEGMENT_MEMO_MAX_CHARS = 256
+
+# ``token_slice_for_span`` keeps the byte offset of every this many code points.
+_CHECKPOINT_EVERY = 1024
 
 
 #: The last code point, a Unicode noncharacter, reserved from token ids:
@@ -111,6 +115,8 @@ class Encoding:
     half-open byte range per id into the UTF-8 source. They are sorted,
     non-overlapping, and partition the source's bytes exactly (byte-level
     BPE drops nothing), so the last offset's end is the source's length.
+    Callers that hold the source text find token runs by code points with
+    ``token_slice_for_span``, which maps them to these bytes.
     """
 
     ids: tuple[int, ...]
@@ -135,28 +141,41 @@ class TokenSpan:
     end: int
 
 
-def token_slice_for_span(
-    enc: Encoding, byte_span: tuple[int, int]
-) -> tuple[TokenSpan, bool] | None:
-    """Find the minimal token run covering a byte range of the source.
+@lru_cache(maxsize=1)
+def _checkpoint_bytes(text: str) -> tuple[int, ...]:
+    """UTF-8 byte offset of every ``_CHECKPOINT_EVERY``-th code point.
 
-    Returns the run and whether its byte range equals the request (it
-    otherwise overshoots on a side), or None for an empty encoding or an
-    empty request.
+    The questions of one context look up their spans one after another,
+    so caching the latest text makes each lookup encode at most
+    ``_CHECKPOINT_EVERY - 1`` code points ahead of its span, not the prefix.
     """
-    start, end = byte_span
-    source_len = enc.offsets[-1][1] if enc.offsets else 0
-    if not (0 <= start <= end <= source_len):
-        raise ValueError(
-            f"byte span {start}:{end} out of range for source of {source_len} bytes"
-        )
+    step = _CHECKPOINT_EVERY
+    sizes = (len(text[i : i + step].encode("utf-8")) for i in range(0, len(text), step))
+    return tuple(accumulate(sizes, initial=0))
+
+
+def token_slice_for_span(
+    enc: Encoding, text: str, start: int, end: int
+) -> tuple[TokenSpan, bool] | None:
+    """Find the minimal token run covering code points [start, end) of text.
+
+    ``text`` must be the source that ``enc`` encodes. Returns the run and
+    whether it covers exactly those characters (it otherwise overshoots
+    on a side), or None for an empty encoding or an empty request. Raises
+    ValueError when the range does not lie within text.
+    """
+    if not (0 <= start <= end <= len(text)):
+        raise ValueError(f"span {start}:{end} out of range for {len(text)} code points")
     if not enc.ids or start == end:
         return None
 
+    index, past = divmod(start, _CHECKPOINT_EVERY)
+    byte_start = _checkpoint_bytes(text)[index] + len(text[start - past : start].encode("utf-8"))
+    byte_end = byte_start + len(text[start:end].encode("utf-8"))
     # offsets partition the source, so binary search on both edges
-    lo = bisect_right(enc.offsets, start, key=lambda o: o[1])
-    hi = bisect_left(enc.offsets, end, key=lambda o: o[0])
-    exact = enc.offsets[lo][0] == start and enc.offsets[hi - 1][1] == end
+    lo = bisect_right(enc.offsets, byte_start, key=lambda o: o[1])
+    hi = bisect_left(enc.offsets, byte_end, key=lambda o: o[0])
+    exact = enc.offsets[lo][0] == byte_start and enc.offsets[hi - 1][1] == byte_end
     return TokenSpan(lo, hi), exact
 
 
@@ -198,14 +217,16 @@ def _parse_merges(text: str) -> list[tuple[str, str]]:
 def load_tokenizer(vocab_path: Union[str, Path], merges_path: Union[str, Path]) -> Tokenizer:
     """Load and validate a tokenizer from vocab.json / merges.txt files.
 
-    Raises TokenizerError on bytes that are not UTF-8, malformed JSON,
-    ids that are not integers in ``range(SEPARATOR_ID)``, duplicate ids,
-    missing single-byte units, or a merge whose concatenation is not in
-    the vocabulary.
+    Raises TokenizerError on bytes that are not UTF-8, JSON that is
+    malformed or too deep or long for the parser, ids that are not
+    integers in ``range(SEPARATOR_ID)``, duplicate ids, missing
+    single-byte units, or a merge whose concatenation is not in the
+    vocabulary.
     """
+    text = _read_text(vocab_path, "vocab")
     try:
-        raw = json.loads(_read_text(vocab_path, "vocab"))
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise TokenizerError(f"vocab is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise TokenizerError("vocab must be a JSON object mapping token -> id")

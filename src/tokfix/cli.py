@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import __version__
-from .bpe import TokenizerError, decode_bytes, encode, ids_to_pieces, load_tokenizer
+from .bpe import TokenizerError, decode, encode, ids_to_pieces, load_tokenizer
 from .consist import (
     FIX_METHODS,
     analyze_dataset,
@@ -68,7 +68,7 @@ def build_parser() -> _Parser:
     add_tokenizer_flags(p_analyze)
     add_io_flags(p_analyze, "write the stats report here instead of stdout")
     p_analyze.add_argument("--format", choices=("json", "tsv"), default="json")
-    p_analyze.add_argument("--seed", type=int, default=42, help="sampling seed")
+    p_analyze.add_argument("--seed", type=int, help="sampling seed (default 42)")
     p_analyze.add_argument("--sample", type=int, default=None, metavar="N")
     p_analyze.add_argument("--answer-policy", choices=("first", "any"), default="first")
     p_analyze.set_defaults(func=cmd_analyze)
@@ -88,7 +88,7 @@ def build_parser() -> _Parser:
     )
     add_io_flags(p_eval, "write the metrics report here instead of stdout")
     p_eval.add_argument("--format", choices=("json", "tsv"), default="json")
-    p_eval.add_argument("--seed", type=int, default=42, help="significance test seed")
+    p_eval.add_argument("--seed", type=int, help="significance test seed (default 42)")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_inspect = sub.add_parser("inspect", help="trace one example end to end")
@@ -152,6 +152,9 @@ class _IssueCounter:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.sample is not None and args.sample < 1:
         raise UsageError(f"--sample must be at least 1, not {args.sample}")
+    if args.seed is not None and args.sample is None:
+        raise UsageError("--seed needs --sample")
+    args.seed = 42 if args.seed is None else args.seed
     with _report_writer(args) as write:
         tok = load_tokenizer(args.vocab, args.merges)
         stats_out = []
@@ -211,6 +214,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("evaluate takes one or two --predictions files")
     if len(args.dataset) != 1:
         raise UsageError("evaluate takes exactly one --dataset")
+    if args.seed is not None and len(args.predictions) == 1:
+        raise UsageError("--seed needs two --predictions files")
+    args.seed = 42 if args.seed is None else args.seed
     if args.seed < 0:
         raise UsageError(f"--seed must be at least 0, not {args.seed}")
 
@@ -304,7 +310,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         if outcome.context_span is not None:
             cs = outcome.context_span
             offsets = list(context_enc.offsets[cs.start : cs.end])
-            decoded = decode_bytes(tok, outcome.target_ids).decode("utf-8", "replace")
+            decoded = decode(tok, outcome.target_ids)
             out.append(f"context span:      tokens [{cs.start}, {cs.end}) offsets {offsets}")
             out.append(f"decoded target:    {decoded!r}")
         out.append(f"note:              {outcome.note}")

@@ -12,8 +12,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import lru_cache
-from itertools import accumulate
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Union
 
@@ -22,7 +20,7 @@ from .bpe import (
     Encoding,
     TokenSpan,
     Tokenizer,
-    decode_bytes,
+    decode,
     encode,
     find_subsequence,
     split_point,
@@ -64,35 +62,6 @@ FIX_METHODS = (
 
 class SpanMismatchError(DatasetError):
     """A gold character span does not point at its answer text."""
-
-
-_CHECKPOINT_EVERY = 1024
-
-
-@lru_cache(maxsize=1)
-def _checkpoint_bytes(text: str) -> tuple[int, ...]:
-    """UTF-8 byte offset of every ``_CHECKPOINT_EVERY``-th code point.
-
-    The questions of one context convert their spans one after another,
-    so caching the latest text makes each conversion encode at most
-    ``_CHECKPOINT_EVERY - 1`` code points instead of the whole prefix.
-    """
-    step = _CHECKPOINT_EVERY
-    sizes = (len(text[i : i + step].encode("utf-8")) for i in range(0, len(text), step))
-    return tuple(accumulate(sizes, initial=0))
-
-
-def codepoint_span_to_byte_span(text: str, span: CharSpan) -> tuple[int, int]:
-    """Convert a codepoint span into the half-open UTF-8 byte range."""
-    start, end = span.start, span.end
-    if not (0 <= start <= end <= len(text)):
-        raise ValueError(
-            f"span {start}:{end} out of range for text of {len(text)} codepoints"
-        )
-    index, past = divmod(start, _CHECKPOINT_EVERY)
-    byte_start = _checkpoint_bytes(text)[index] + len(text[start - past : start].encode("utf-8"))
-    byte_end = byte_start + len(text[start:end].encode("utf-8"))
-    return (byte_start, byte_end)
 
 
 @dataclass(frozen=True)
@@ -190,7 +159,7 @@ def check_consistency(
 def _decoded_matches(tok: Tokenizer, ids: tuple[int, ...], answer: str) -> bool:
     """True when ids decode to the answer modulo edge whitespace."""
     try:
-        decoded = decode_bytes(tok, ids).decode("utf-8")
+        decoded = decode(tok, ids)
     except UnicodeDecodeError:
         return False
     return decoded == answer or decoded.strip() == answer
@@ -206,12 +175,14 @@ def make_consistent_target(
     """Extract target ids from the context encoding; first rung wins.
 
     Ladder: (1) the raw standalone ids already sit at the gold span;
-    (2) some token run covers the gold span's bytes exactly; (3) the
+    (2) some token run covers the gold span's characters exactly; (3) the
     minimal covering run decodes to the answer modulo edge whitespace;
     (4) the context ids are searched for one variant after another: with
     a span the prefix-space variant, then the raw one; without a span
     the raw variant (rung 1 when found), then the prefix-space one;
-    (5) unresolved fallback to the raw standalone ids.
+    (5) unresolved fallback to the raw standalone ids. ``context`` must be
+    the source of ``context_enc``: rungs 1-3 find the gold span's code
+    points among its tokens with ``token_slice_for_span``.
 
     Raises SpanMismatchError when the context text at ``gold_span`` is not
     the answer (corrupt data).
@@ -233,9 +204,7 @@ def make_consistent_target(
             raise SpanMismatchError(
                 f"gold span points at {context[start:stop]!r}, not {answer!r}"
             )
-        found = token_slice_for_span(
-            context_enc, codepoint_span_to_byte_span(context, gold_span)
-        )
+        found = token_slice_for_span(context_enc, context, start, stop)
         if found is not None:
             span, exact = found
             slice_ids = context_enc.ids[span.start : span.end]

@@ -83,15 +83,16 @@ def _numbered_lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
 
 
 def _loads(lineno: int, line: str, what: str) -> object:
-    """Parse one JSON line; malformed JSON or a lone surrogate raise DatasetError."""
+    """Parse one JSON line; JSON that is malformed or too deep or long
+    for the parser, or a lone surrogate, raise DatasetError."""
     try:
         obj = json.loads(line)
         if _SURROGATE_ESCAPE.search(line):
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"line {lineno}: malformed JSON{what}: {exc}") from None
     except UnicodeEncodeError:
         raise DatasetError(f"line {lineno}: unpaired surrogate escape in text") from None
+    except (ValueError, RecursionError) as exc:
+        raise DatasetError(f"line {lineno}: malformed JSON{what}: {exc}") from None
     return obj
 
 
@@ -344,7 +345,8 @@ def _mrqa_qa(example: ExtractiveExample) -> dict:
 
 
 def read_predictions(path: Union[str, Path]) -> dict[str, str]:
-    """Parse a qid -> answer-text JSON object; duplicates and non-strings fail."""
+    """Parse a qid -> answer-text JSON object; duplicates, non-strings and
+    JSON too deep or long for the parser raise DatasetError."""
 
     def reject_duplicates(pairs: list[tuple[str, object]]) -> dict:
         obj: dict = {}
@@ -359,7 +361,7 @@ def read_predictions(path: Union[str, Path]) -> dict[str, str]:
         parsed = json.loads(text, object_pairs_hook=reject_duplicates)
     except UnicodeDecodeError as exc:
         raise DatasetError(f"predictions are not UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DatasetError(f"malformed predictions JSON: {exc}") from None
     if not isinstance(parsed, dict):
         raise DatasetError("predictions must be a JSON object of qid -> text")

@@ -116,11 +116,17 @@ def naive_find(haystack, needle) -> TokenSpan | None:
     return None
 
 
-def slice_oracle(enc: Encoding, byte_span: tuple[int, int]):
-    """Enumerate all O(n^2) token sub-ranges; pick an exact cover if one
-    exists, else the minimal cover. Returns (kind, (start, end)) or
-    ("failed", None)."""
-    start, end = byte_span
+def byte_offset(text: str, index: int) -> int:
+    """The UTF-8 byte offset of code point ``index``, by encoding the prefix."""
+    return len(text[:index].encode("utf-8"))
+
+
+def slice_oracle(enc: Encoding, text: str, char_start: int, char_end: int):
+    """Convert code points [char_start, char_end) of ``enc``'s source text
+    to bytes by encoding prefixes, then enumerate all O(n^2) token
+    sub-ranges; pick an exact cover if one exists, else the minimal cover.
+    Returns (kind, (start, end)) or ("failed", None)."""
+    start, end = byte_offset(text, char_start), byte_offset(text, char_end)
     if not enc.ids or start == end:
         return ("failed", None)
     n = len(enc.ids)

@@ -714,6 +714,38 @@ def test_second_dataset_is_usage_error(capsys, tmp_path, monkeypatch, argv, mess
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--vocab", VOCAB, "--merges", MERGES, "--seed", "7"],
+         "--seed needs --sample"),
+        (["evaluate", "--predictions", "p.json", "--seed", "7"],
+         "--seed needs two --predictions files"),
+    ],
+    ids=["analyze", "evaluate"],
+)
+def test_seed_that_nothing_reads_is_usage_error(capsys, tmp_path, monkeypatch, argv, message):
+    # p.json does not exist, so exit 1 rather than 3 shows the check runs first
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv, "--dataset", CORPUS, "--output", "report.json")
+    assert code == 1
+    assert out == ""
+    assert f"usage error: {message}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "evaluate"])
+def test_seed_that_is_read_is_echoed(capsys, eval_files, command):
+    gold, perfect, worse = eval_files
+    argv = {
+        "analyze": ["--vocab", VOCAB, "--merges", MERGES, "--dataset", CORPUS, "--sample", "20"],
+        "evaluate": ["--dataset", gold, "--predictions", perfect, "--predictions", worse],
+    }[command]
+    code, out, _err = run(capsys, command, *argv, "--seed", "7")
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 7
+
+
 @pytest.mark.parametrize("command", ["analyze", "evaluate", "inspect"])
 def test_report_output_leaves_no_temporary_file(capsys, tmp_path, eval_files, command):
     gold, perfect, _worse = eval_files

@@ -14,10 +14,13 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tokfix.cli import main
+
+from helpers import write_file
 
 DATA = Path(__file__).parent / "data"
 TOKENIZER = ["--vocab", str(DATA / "fixture_vocab.json"), "--merges", str(DATA / "fixture_merges.txt")]
@@ -96,28 +99,39 @@ def invocations(dataset, preds_a, preds_b):
     ]
 
 
+def run_with_output(argv, out_dir):
+    """Run ``argv`` with ``--output`` in a new ``out_dir``; check that no
+    traceback is printed and that the output exists only on success.
+    Return the exit code and stderr."""
+    out_dir.mkdir()
+    output = out_dir / "result"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([*argv, "--output", str(output)])
+    assert "Traceback" not in stderr.getvalue()
+    assert list(out_dir.iterdir()) == ([output] if code == 0 else []), argv[0]
+    output.unlink(missing_ok=True)
+    out_dir.rmdir()
+    return code, stderr.getvalue()
+
+
+def write_predictions(tmp):
+    preds_a = tmp / "a.json"
+    preds_a.write_text(json.dumps({"q1": "1912", "q2": "bridge", "q3": "the treaty"}))
+    preds_b = tmp / "b.json"
+    preds_b.write_text(json.dumps({"q1": "1912", "q2": "window", "q3": "treaty"}))
+    return str(preds_a), str(preds_b)
+
+
 def assert_exits_cleanly(dataset_bytes):
     """Run every invocation on the dataset and check the exit contract."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         dataset = tmp / "data.jsonl"
         dataset.write_bytes(dataset_bytes)
-        preds_a = tmp / "a.json"
-        preds_a.write_text(json.dumps({"q1": "1912", "q2": "bridge", "q3": "the treaty"}))
-        preds_b = tmp / "b.json"
-        preds_b.write_text(json.dumps({"q1": "1912", "q2": "window", "q3": "treaty"}))
-        for argv in invocations(str(dataset), str(preds_a), str(preds_b)):
-            out_dir = tmp / "out"
-            out_dir.mkdir()
-            output = out_dir / "result"
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main([*argv, "--output", str(output)])
-            assert code in (0, 2, 3), (argv[0], stderr.getvalue())
-            assert "Traceback" not in stderr.getvalue()
-            assert list(out_dir.iterdir()) == ([output] if code == 0 else []), argv[0]
-            output.unlink(missing_ok=True)
-            out_dir.rmdir()
+        for argv in invocations(str(dataset), *write_predictions(tmp)):
+            code, stderr = run_with_output(argv, tmp / "out")
+            assert code in (0, 2, 3), (argv[0], stderr)
 
 
 @settings(max_examples=400, deadline=None)
@@ -173,3 +187,49 @@ def test_corrupt_bytes_exit_cleanly(source, kind, edits, cut):
     else:
         data = edited(gzip.compress(data, mtime=0), edits)
     assert_exits_cleanly(data)
+
+
+#: JSON the parser refuses: nesting deeper than the recursion limit, and
+#: an integer longer than Python's int-string conversion limit.
+REFUSED_JSON = {"deep": "[" * 200_000 + "]" * 200_000, "long integer": "1" * 5_000}
+
+
+#: The commands that read each place a value is put in.
+READERS = {
+    "header": {"analyze", "fix", "evaluate", "inspect"},
+    "record": {"analyze", "fix", "evaluate", "inspect"},
+    "predictions": {"evaluate"},
+    "vocab": {"analyze", "fix", "inspect"},
+}
+
+
+@pytest.mark.parametrize("value", sorted(REFUSED_JSON))
+@pytest.mark.parametrize("place", sorted(READERS))
+def test_json_the_parser_refuses_is_a_data_error(tmp_path, place, value):
+    lines = [json.dumps(line) for line in BASE]
+    spliced = f', "extra": {REFUSED_JSON[value]}}}'
+    if place in ("header", "record"):
+        index = 0 if place == "header" else 1
+        lines[index] = lines[index][:-1] + spliced
+    dataset = write_file(tmp_path, "\n".join(lines) + "\n")
+    preds_a, preds_b = write_predictions(tmp_path)
+    if place == "predictions":
+        Path(preds_b).write_text(f'{{"q1": {REFUSED_JSON[value]}}}')
+    vocab_text = json.dumps(json.loads((DATA / "fixture_vocab.json").read_text(encoding="utf-8")))
+    if place == "vocab":
+        vocab_text = vocab_text[:-1] + spliced
+    vocab = write_file(tmp_path, vocab_text, "vocab.json")
+    tokenizer = ["--vocab", str(vocab), "--merges", str(DATA / "fixture_merges.txt")]
+    common = ["--dataset", str(dataset)]
+    for argv in [
+        ["analyze", *tokenizer, *common],
+        ["fix", *tokenizer, *common],
+        ["evaluate", "--predictions", preds_b, *common],
+        ["evaluate", "--predictions", preds_a, "--predictions", preds_b, *common],
+        ["inspect", *tokenizer, "--qid", "q1", *common],
+    ]:
+        if argv[0] not in READERS[place]:
+            continue
+        code, stderr = run_with_output(argv, tmp_path / "out")
+        assert code == 2, (argv, stderr)
+        assert "data error" in stderr
