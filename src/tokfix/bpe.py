@@ -3,8 +3,8 @@
 Implements the GPT-2/BART tokenizer family: text is pre-segmented with a
 regex pattern, each segment's UTF-8 bytes are remapped to printable "unit"
 characters, and ranked merge rules are applied within each segment. A
-unit stands for one source byte, so each token's half-open byte range
-follows from the ids. ``token_slice_for_span`` and ``find_subsequence``
+unit stands for one source byte, so the byte bounds between tokens
+follow from the ids. ``token_slice_for_span`` and ``find_subsequence``
 locate token runs in an ``Encoding`` by code-point range and by ids; this
 module alone maps between code points and UTF-8 bytes.
 
@@ -111,11 +111,11 @@ class Tokenizer:
 class Encoding:
     """Token ids, and the tokenizer that made them (equality is on ids).
 
-    ``offsets`` is derived from the ids on first read, then kept: one
-    half-open byte range per id into the UTF-8 source. They are sorted,
-    non-overlapping, and partition the source's bytes exactly (byte-level
-    BPE drops nothing), so the last offset's end is the source's length.
-    Callers that hold the source text find token runs by code points with
+    ``bounds`` is derived from the ids on first read, then kept: N+1
+    rising UTF-8 byte offsets from 0 to the source's length, token i
+    covering ``[bounds[i], bounds[i + 1])``, so the tokens partition the
+    source's bytes exactly (byte-level BPE drops nothing). Callers that
+    hold the source text find token runs by code points with
     ``token_slice_for_span``, which maps them to these bytes.
     """
 
@@ -123,9 +123,8 @@ class Encoding:
     tok: Tokenizer = field(repr=False, compare=False)
 
     @cached_property
-    def offsets(self) -> tuple[tuple[int, int], ...]:
-        ends = list(accumulate(map(self.tok._byte_lengths.__getitem__, self.ids)))
-        return tuple(zip([0, *ends], ends))
+    def bounds(self) -> tuple[int, ...]:
+        return tuple(accumulate(map(self.tok._byte_lengths.__getitem__, self.ids), initial=0))
 
     @cached_property
     def id_string(self) -> str:
@@ -159,10 +158,11 @@ def token_slice_for_span(
 ) -> tuple[TokenSpan, bool] | None:
     """Find the minimal token run covering code points [start, end) of text.
 
-    ``text`` must be the source that ``enc`` encodes. Returns the run and
-    whether it covers exactly those characters (it otherwise overshoots
-    on a side), or None for an empty encoding or an empty request. Raises
-    ValueError when the range does not lie within text.
+    ``text`` must be the source that ``enc`` encodes. Returns the run
+    from the last of ``enc.bounds`` at or before the range's first byte to
+    the first at or after its end, and whether it is exact (both bounds
+    are those bytes), or None for an empty encoding or an empty request.
+    Raises ValueError when the range does not lie within text.
     """
     if not (0 <= start <= end <= len(text)):
         raise ValueError(f"span {start}:{end} out of range for {len(text)} code points")
@@ -172,11 +172,10 @@ def token_slice_for_span(
     index, past = divmod(start, _CHECKPOINT_EVERY)
     byte_start = _checkpoint_bytes(text)[index] + len(text[start - past : start].encode("utf-8"))
     byte_end = byte_start + len(text[start:end].encode("utf-8"))
-    # offsets partition the source, so binary search on both edges
-    lo = bisect_right(enc.offsets, byte_start, key=lambda o: o[1])
-    hi = bisect_left(enc.offsets, byte_end, key=lambda o: o[0])
-    exact = enc.offsets[lo][0] == byte_start and enc.offsets[hi - 1][1] == byte_end
-    return TokenSpan(lo, hi), exact
+    bounds = enc.bounds
+    lo = bisect_right(bounds, byte_start) - 1
+    hi = bisect_left(bounds, byte_end)
+    return TokenSpan(lo, hi), bounds[lo] == byte_start and bounds[hi] == byte_end
 
 
 def find_subsequence(haystack: str, needle: Sequence[int]) -> TokenSpan | None:
@@ -339,7 +338,7 @@ def _merge_segment(tok: Tokenizer, segment: str) -> tuple[int, ...]:
 
 
 def encode(tok: Tokenizer, text: str) -> Encoding:
-    """Encode valid UTF-8 text into token ids; byte offsets follow on read."""
+    """Encode valid UTF-8 text into token ids; byte bounds follow on read."""
     ids: list[int] = []
     cache = tok._segment_cache
     for segment, _ in pretokenize(text):
@@ -354,19 +353,16 @@ def encode(tok: Tokenizer, text: str) -> Encoding:
     return Encoding(tuple(ids), tok)
 
 
-def decode_bytes(tok: Tokenizer, ids: Iterable[int]) -> bytes:
-    """Concatenate unit strings for ids and invert the byte mapping."""
-    return bytes(_UNIT_TO_BYTE[c] for token in ids_to_pieces(tok, ids) for c in token)
-
-
 def decode(tok: Tokenizer, ids: Iterable[int]) -> str:
     """Decode token ids back to text; exact inverse of ``encode``.
 
-    Raises KeyError for an unknown id and UnicodeDecodeError if the id
-    sequence does not spell valid UTF-8 (impossible for sequences produced
-    by ``encode``).
+    The one decoder: each unit character of the ids' tokens maps back to
+    the source byte it stands for. Raises KeyError for an unknown id and
+    UnicodeDecodeError if the bytes are not valid UTF-8 (impossible for
+    sequences produced by ``encode``).
     """
-    return decode_bytes(tok, ids).decode("utf-8")
+    units = "".join(ids_to_pieces(tok, ids))
+    return bytes(map(_UNIT_TO_BYTE.__getitem__, units)).decode("utf-8")
 
 
 def ids_to_pieces(tok: Tokenizer, ids: Iterable[int]) -> list[str]:

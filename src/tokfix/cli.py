@@ -216,6 +216,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError("evaluate takes exactly one --dataset")
     if args.seed is not None and len(args.predictions) == 1:
         raise UsageError("--seed needs two --predictions files")
+    seed_given = args.seed is not None
     args.seed = 42 if args.seed is None else args.seed
     if args.seed < 0:
         raise UsageError(f"--seed must be at least 0, not {args.seed}")
@@ -238,6 +239,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f1_a, f1_b = ([score for _, _, score in r.per_example] for r in result.reports)
             del result  # the test reads the two F1 columns only
             test = paired_significance(f1_a, f1_b, seed=args.seed)
+            if test.seed is None and seed_given:
+                raise UsageError("--seed is not read: the exact significance test draws nothing")
             body["significance"] = {"metric": "f1", **dataclasses.asdict(test)}
         else:
             body["per_example"] = [
@@ -309,7 +312,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         )
         if outcome.context_span is not None:
             cs = outcome.context_span
-            offsets = list(context_enc.offsets[cs.start : cs.end])
+            bounds = context_enc.bounds
+            offsets = list(zip(bounds[cs.start : cs.end], bounds[cs.start + 1 : cs.end + 1]))
             decoded = decode(tok, outcome.target_ids)
             out.append(f"context span:      tokens [{cs.start}, {cs.end}) offsets {offsets}")
             out.append(f"decoded target:    {decoded!r}")

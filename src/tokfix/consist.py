@@ -31,7 +31,7 @@ from .mrqa import (
     DatasetError,
     ExtractiveExample,
     records,
-    spans_match,
+    span_mismatch,
     unique_qids,
     write_fixed_dataset,
 )
@@ -184,8 +184,8 @@ def make_consistent_target(
     the source of ``context_enc``: rungs 1-3 find the gold span's code
     points among its tokens with ``token_slice_for_span``.
 
-    Raises SpanMismatchError when the context text at ``gold_span`` is not
-    the answer (corrupt data).
+    Raises SpanMismatchError, with ``mrqa.span_mismatch``'s reason, when
+    ``gold_span`` is not a span of the answer in ``context`` (corrupt data).
     """
     raw, prefixed = answer_variants(tok, answer)
 
@@ -196,14 +196,9 @@ def make_consistent_target(
         )
     else:
         start, stop = gold_span.start, gold_span.end
-        if not (0 <= start <= stop <= len(context)):
-            raise SpanMismatchError(
-                f"gold span {start}:{stop} out of range for context"
-            )
-        if not spans_match(context[start:stop], answer):
-            raise SpanMismatchError(
-                f"gold span points at {context[start:stop]!r}, not {answer!r}"
-            )
+        mismatch = span_mismatch(context, start, stop, answer)
+        if mismatch is not None:
+            raise SpanMismatchError(f"gold span {start}:{stop} {mismatch}")
         found = token_slice_for_span(context_enc, context, start, stop)
         if found is not None:
             span, exact = found

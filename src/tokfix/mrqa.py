@@ -42,9 +42,9 @@ class CharSpan:
 class ExtractiveExample:
     """One (context, question) pair with gold answers and detected spans.
 
-    ``detected`` pairs each in-context answer text with its validated
-    character spans, half-open; spans that fail validation are pruned by
-    the reader and reported through its error channel.
+    ``detected`` pairs each in-context answer text with its character
+    spans, half-open. The reader keeps a span only if ``span_mismatch``
+    finds none and reports each one it prunes through its error channel.
     """
 
     qid: str
@@ -58,9 +58,15 @@ class ExtractiveExample:
         return [a for a in self.gold_answers if a] or [t for t, _ in self.detected if t]
 
 
-def spans_match(snippet: str, answer: str) -> bool:
-    """Span/text agreement modulo trailing-whitespace differences only."""
-    return snippet.rstrip() == answer.rstrip()
+def span_mismatch(context: str, start: int, end: int, text: str) -> str | None:
+    """Why code points [start, end) of context are no span of text (out of
+    range, or unequal modulo trailing whitespace); None if they are one."""
+    if not 0 <= start <= end <= len(context):
+        return "out of range"
+    snippet = context[start:end]
+    if snippet.rstrip() != text.rstrip():
+        return f"points at {snippet!r}, not {text!r}"
+    return None
 
 
 def _numbered_lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
@@ -260,15 +266,9 @@ def _parse_qa(
                 continue
             # MRQA ends are inclusive; CharSpan ends are not
             start, end = pair[0], pair[1] + 1
-            if not (0 <= start <= end <= len(context)):
-                report(f"line {lineno}: qid {qid}: span {pair!r} out of range")
-                continue
-            snippet = context[start:end]
-            if not spans_match(snippet, text_):
-                report(
-                    f"line {lineno}: qid {qid}: span {pair!r} points at "
-                    f"{snippet!r}, not {text_!r}"
-                )
+            mismatch = span_mismatch(context, start, end, text_)
+            if mismatch is not None:
+                report(f"line {lineno}: qid {qid}: span {pair!r} {mismatch}")
                 continue
             spans.append(CharSpan(start, end))
         detected.append((text_, tuple(spans)))

@@ -17,9 +17,12 @@ from pathlib import Path
 import numpy as np
 import regex
 
-from tokfix.bpe import BYTE_TO_UNIT, Encoding, TokenSpan, Tokenizer, decode_bytes, load_tokenizer
+from tokfix.bpe import BYTE_TO_UNIT, Encoding, TokenSpan, Tokenizer, load_tokenizer
 from tokfix.metrics import SignificanceResult
 
+
+#: Each unit character back to its byte: ``BYTE_TO_UNIT`` inverted.
+UNIT_TO_BYTE = {unit: b for b, unit in BYTE_TO_UNIT.items()}
 
 #: Splits bare "1912" into 19/12 but fuses " 1912" into one token.
 NUMBER_MERGES = [("1", "9"), ("1", "2"), ("Ġ", "19"), ("Ġ19", "12")]
@@ -116,6 +119,12 @@ def naive_find(haystack, needle) -> TokenSpan | None:
     return None
 
 
+def token_bytes(tok: Tokenizer, ids) -> bytes:
+    """The source bytes of ids, read unit by unit from the vocabulary;
+    one token's bytes need not be valid UTF-8."""
+    return bytes(UNIT_TO_BYTE[unit] for i in ids for unit in tok.inverse_vocab[i])
+
+
 def byte_offset(text: str, index: int) -> int:
     """The UTF-8 byte offset of code point ``index``, by encoding the prefix."""
     return len(text[:index].encode("utf-8"))
@@ -133,8 +142,8 @@ def slice_oracle(enc: Encoding, text: str, char_start: int, char_end: int):
     best = None
     for i in range(n):
         for j in range(i + 1, n + 1):
-            cover_start = enc.offsets[i][0]
-            cover_end = enc.offsets[j - 1][1]
+            cover_start = enc.bounds[i]
+            cover_end = enc.bounds[j]
             if cover_start <= start and end <= cover_end:
                 if (cover_start, cover_end) == (start, end):
                     return ("exact", (i, j))
@@ -159,7 +168,7 @@ def has_faithful_slice(tok: Tokenizer, enc: Encoding, answer: str) -> bool:
     for i in range(n):
         for j in range(i + 1, n + 1):
             try:
-                decoded = decode_bytes(tok, enc.ids[i:j]).decode("utf-8")
+                decoded = token_bytes(tok, enc.ids[i:j]).decode("utf-8")
             except UnicodeDecodeError:
                 continue
             if decoded == answer or decoded.strip() == answer:

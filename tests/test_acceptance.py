@@ -15,7 +15,6 @@ import pytest
 
 from tokfix.bpe import (
     decode,
-    decode_bytes,
     encode,
     find_subsequence,
     load_tokenizer,
@@ -39,6 +38,7 @@ from helpers import (
     random_letter_text,
     random_toy_tokenizer,
     slice_oracle,
+    token_bytes,
 )
 from test_metrics import HAND_CASES, hand_examples, hand_predictions
 
@@ -84,7 +84,7 @@ def test_round_trip_losslessness(corpus_tok):
             failures += 1
             continue
         position = 0
-        for start, end in enc.offsets:
+        for start, end in zip(enc.bounds, enc.bounds[1:]):
             if start != position or end <= start:
                 failures += 1
                 break
@@ -218,7 +218,7 @@ def test_repair_guarantee_on_bundled_corpus(corpus_tok, corpus_path, tmp_path):
                     if qa["detected_answers"]
                     else qa["answers"][0]
                 )
-                decoded = decode_bytes(corpus_tok, target).decode("utf-8")
+                decoded = token_bytes(corpus_tok, target).decode("utf-8")
                 if decoded != answer and decoded.strip() != answer:
                     problems.append(f"{qa['qid']}: decoded {decoded!r} != {answer!r}")
 

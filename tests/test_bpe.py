@@ -15,7 +15,6 @@ from tokfix.bpe import (
     SEPARATOR_ID,
     TokenizerError,
     decode,
-    decode_bytes,
     encode,
     ids_to_pieces,
     pretokenize,
@@ -31,6 +30,7 @@ from helpers import (
     random_letter_text,
     random_toy_tokenizer,
     split_points,
+    token_bytes,
 )
 
 
@@ -116,27 +116,27 @@ class TestEncode:
     def test_toy_merge_chain_to_single_token(self, toy_tok):
         enc = encode(toy_tok, "abc")
         assert enc.ids == (toy_tok.vocab["abc"],)
-        assert enc.offsets == ((0, 3),)
+        assert enc.bounds == (0, 3)
 
     def test_empty_input(self, toy_tok):
         enc = encode(toy_tok, "")
         assert enc.ids == ()
-        assert enc.offsets == ()
+        assert enc.bounds == (0,)
 
     def test_number_splits_differently_alone_and_after_space(self, number_tok):
         standalone = encode(number_tok, "1912")
         assert ids_to_pieces(number_tok, standalone.ids) == ["19", "12"]
-        assert standalone.offsets == ((0, 2), (2, 4))
+        assert standalone.bounds == (0, 2, 4)
 
         spaced = encode(number_tok, " 1912")
         assert ids_to_pieces(number_tok, spaced.ids) == ["Ġ1912"]
-        assert spaced.offsets == ((0, 5),)
+        assert spaced.bounds == (0, 5)
 
     def test_offsets_partition_source_bytes(self, corpus_tok):
         for text in ["héllo wörld", "a b", "tabs\tand\nnewlines", "🎉 1912!"]:
             enc = encode(corpus_tok, text)
             position = 0
-            for start, end in enc.offsets:
+            for start, end in zip(enc.bounds, enc.bounds[1:]):
                 assert start == position
                 assert end > start
                 position = end
@@ -146,11 +146,11 @@ class TestEncode:
         text = "The ship was finished in 1912 after delays."
         enc = encode(corpus_tok, text)
         raw = text.encode("utf-8")
-        for token_id, (start, end) in zip(enc.ids, enc.offsets):
-            assert decode_bytes(corpus_tok, [token_id]) == raw[start:end]
+        for token_id, start, end in zip(enc.ids, enc.bounds, enc.bounds[1:]):
+            assert token_bytes(corpus_tok, [token_id]) == raw[start:end]
 
     def test_encode_holds_only_the_ids(self, corpus_tok):
-        # offsets are built on first read, so an encoding read only for
+        # bounds are built on first read, so an encoding read only for
         # its ids holds about one 8-byte slot per token
         text = "The ship was finished in 1912 after delays. " * 2_500
         encode(corpus_tok, text)  # fill the segment memo first
@@ -376,7 +376,7 @@ class TestRoundTripProperty:
         enc = encode(tok, text)
         assert decode(tok, enc.ids) == text
         position = 0
-        for start, end in enc.offsets:
+        for start, end in zip(enc.bounds, enc.bounds[1:]):
             assert start == position
             position = end
         assert position == len(text.encode("utf-8"))
@@ -387,11 +387,11 @@ class TestRoundTripProperty:
         tok = _OFFSET_TOK
         enc = encode(tok, text)
         raw = text.encode("utf-8")
-        assert len(enc.offsets) == len(enc.ids)
+        assert len(enc.bounds) == len(enc.ids) + 1
         position = 0
-        for token_id, (start, end) in zip(enc.ids, enc.offsets):
+        for token_id, start, end in zip(enc.ids, enc.bounds, enc.bounds[1:]):
             assert start == position < end
-            assert decode_bytes(tok, [token_id]) == raw[start:end]
+            assert token_bytes(tok, [token_id]) == raw[start:end]
             position = end
         assert position == len(raw)
 

@@ -734,16 +734,44 @@ def test_seed_that_nothing_reads_is_usage_error(capsys, tmp_path, monkeypatch, a
     assert list(tmp_path.iterdir()) == []
 
 
+def _golden_evaluate(name: str) -> list[str]:
+    """``evaluate`` of the two prediction files on ``golden/{name}.jsonl``."""
+    golden = DATA / "golden"
+    return [
+        "--dataset", str(golden / f"{name}.jsonl"),
+        "--predictions", str(golden / f"{name}_a.json"),
+        "--predictions", str(golden / f"{name}_b.json"),
+    ]
+
+
 @pytest.mark.parametrize("command", ["analyze", "evaluate"])
-def test_seed_that_is_read_is_echoed(capsys, eval_files, command):
-    gold, perfect, worse = eval_files
+def test_seed_that_is_read_is_echoed(capsys, command):
+    # the 40 questions of ties_sampled take the sampled significance test
     argv = {
         "analyze": ["--vocab", VOCAB, "--merges", MERGES, "--dataset", CORPUS, "--sample", "20"],
-        "evaluate": ["--dataset", gold, "--predictions", perfect, "--predictions", worse],
+        "evaluate": _golden_evaluate("ties_sampled"),
     }[command]
     code, out, _err = run(capsys, command, *argv, "--seed", "7")
     assert code == 0
-    assert json.loads(out)["config"]["seed"] == 7
+    report = json.loads(out)
+    assert report["config"]["seed"] == 7
+    if command == "evaluate":
+        assert report["significance"]["seed"] == 7
+
+
+def test_seed_the_exact_significance_test_ignores_is_usage_error(capsys, tmp_path):
+    # the 13 questions of ties_exact take the exact test, which draws nothing
+    report = tmp_path / "report.json"
+    argv = [*_golden_evaluate("ties_exact"), "--output", str(report)]
+    code, _out, _err = run(capsys, "evaluate", *argv)
+    assert code == 0
+    assert json.loads(report.read_text())["significance"]["seed"] is None
+    report.unlink()
+    code, out, err = run(capsys, "evaluate", *argv, "--seed", "7")
+    assert code == 1
+    assert out == ""
+    assert "usage error: --seed is not read" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["analyze", "evaluate", "inspect"])

@@ -11,7 +11,6 @@ import pytest
 from tokfix import consist
 from tokfix.bpe import (
     BYTE_TO_UNIT,
-    decode_bytes,
     encode,
     find_subsequence,
     ids_to_pieces,
@@ -47,6 +46,7 @@ from helpers import (
     naive_find,
     random_toy_tokenizer,
     split_points,
+    token_bytes,
 )
 
 
@@ -191,7 +191,7 @@ class TestMakeConsistentTarget:
         outcome = make_consistent_target(number_tok, context, enc, "1912", span)
         assert outcome.method == EXPANDED_SLICE
         assert ids_to_pieces(number_tok, outcome.target_ids) == ["Ġ1912"]
-        assert decode_bytes(number_tok, outcome.target_ids) == b" 1912"
+        assert token_bytes(number_tok, outcome.target_ids) == b" 1912"
         assert enc.ids[outcome.context_span.start : outcome.context_span.end] == outcome.target_ids
 
     def test_answer_equal_to_context(self, number_tok):
@@ -234,7 +234,7 @@ class TestMakeConsistentTarget:
         enc = encode(corpus_tok, context)
         outcome = make_consistent_target(corpus_tok, context, enc, "museum", None)
         assert outcome.method == SUBSEQUENCE_SEARCH
-        assert decode_bytes(corpus_tok, outcome.target_ids) == b" museum"
+        assert token_bytes(corpus_tok, outcome.target_ids) == b" museum"
 
     def test_no_span_searches_each_variant_once(self, corpus_tok, monkeypatch):
         searched = []
@@ -257,7 +257,7 @@ class TestMakeConsistentTarget:
         span = CharSpan(second, second + len("bridge"))
         outcome = make_consistent_target(corpus_tok, context, enc, "bridge", span)
         assert outcome.method == EXPANDED_SLICE
-        start_byte = enc.offsets[outcome.context_span.start][0]
+        start_byte = enc.bounds[outcome.context_span.start]
         assert start_byte == second - 1  # the fused leading space
 
     def test_ladder_finds_slice_whenever_one_exists(self):
@@ -287,7 +287,7 @@ class TestMakeConsistentTarget:
             for i in range(n):
                 for j in range(i + 1, n + 1):
                     try:
-                        decoded = decode_bytes(tok, enc.ids[i:j]).decode("utf-8")
+                        decoded = token_bytes(tok, enc.ids[i:j]).decode("utf-8")
                     except UnicodeDecodeError:
                         continue
                     if decoded == answer or decoded.strip() == answer:
@@ -297,7 +297,7 @@ class TestMakeConsistentTarget:
             if outcome.method != UNRESOLVED:
                 span_found = outcome.context_span
                 assert enc.ids[span_found.start : span_found.end] == outcome.target_ids
-                decoded = decode_bytes(tok, outcome.target_ids).decode("utf-8")
+                decoded = token_bytes(tok, outcome.target_ids).decode("utf-8")
                 assert decoded == answer or decoded.strip() == answer
                 checked += 1
         assert checked > 30  # the oracle actually exercised repairs
@@ -685,7 +685,7 @@ class TestFixDataset:
                     assert where is not None, qa_obj["qid"]
                     span = qa_obj["context_token_span"]
                     assert context_ids[span[0] : span[1]] == target
-                    decoded = decode_bytes(corpus_tok, target).decode("utf-8")
+                    decoded = token_bytes(corpus_tok, target).decode("utf-8")
                     answer = qa_obj["detected_answers"][0]["text"] if qa_obj["detected_answers"] else qa_obj["answers"][0]
                     assert decoded == answer or decoded.strip() == answer
 

@@ -7,6 +7,10 @@ every Python and numpy version the project supports; the dataset ``fix``
 writes must equal ``fixed.jsonl`` there too. The two evaluate
 inputs (written by ``tests/gen_corpus.py``) are tie-heavy: many sign-flip
 sums tie the observed one exactly, so a p-value moves if a tie is missed.
+The ``inspect`` reports, the only output that prints token byte ranges,
+cover four ladder rungs of the bundled corpus and, on a record of
+``exact_slice.jsonl`` (also written by ``tests/gen_corpus.py``) whose
+context holds 2-, 3- and 4-byte characters, the ``exact_slice`` rung.
 After an intended change to a report, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -50,6 +54,15 @@ REPORTS = {
     "fix.json": ["fix", *TOKENIZER, "--dataset", "repair_corpus.jsonl"],
     "evaluate_exact.json": _evaluate("ties_exact"),
     "evaluate_sampled.json": _evaluate("ties_sampled"),
+    **{
+        f"inspect_{qid}.txt": [
+            "inspect", *TOKENIZER, "--dataset", "repair_corpus.jsonl", "--qid", qid,
+        ]
+        for qid in ("s01", "p01", "o04", "i01")
+    },
+    "inspect_x01.txt": [
+        "inspect", *TOKENIZER, "--dataset", "golden/exact_slice.jsonl", "--qid", "x01",
+    ],
 }
 
 

@@ -47,8 +47,8 @@ def mixed_width_tokenizer(rng, text):
 
 
 def covered_bytes(text, enc, span):
-    """The bytes of text under a token span, read through the offsets."""
-    return text.encode("utf-8")[enc.offsets[span.start][0] : enc.offsets[span.end - 1][1]]
+    """The bytes of text under a token span, read through the bounds."""
+    return text.encode("utf-8")[enc.bounds[span.start] : enc.bounds[span.end]]
 
 
 class TestCharSpanConversion:
@@ -93,7 +93,7 @@ class TestCharSpanConversionScaling:
         units = [BYTE_TO_UNIT[b] for b in " wörd".encode("utf-8")]
         tok = make_tokenizer([("".join(units[:i]), units[i]) for i in range(1, len(units))])
         enc = encode(tok, text)
-        assert enc.offsets[5] == (5, 11)  # " wörd" after the unmerged first word
+        assert enc.bounds[5:7] == (5, 11)  # " wörd" after the unmerged first word
         rng = random.Random(77)
         starts = [rng.randrange(len(text) - 4) for _ in range(2000)]
         begin = time.perf_counter()
@@ -150,8 +150,8 @@ class TestTokenSliceForSpan:
         span, exact = token_slice_for_span(enc, text, start, end)
         assert not exact
         # dropping either edge token would uncover part of the request
-        assert enc.offsets[span.start][1] > start
-        assert enc.offsets[span.end - 1][0] < end
+        assert enc.bounds[span.start + 1] > start
+        assert enc.bounds[span.end - 1] < end
 
     def test_agrees_with_exhaustive_slice_enumeration(self):
         rng = random.Random(2405)
