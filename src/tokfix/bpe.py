@@ -40,7 +40,7 @@ SEGMENT_PATTERN = (
 _SEGMENT_CACHE_LIMIT = 1 << 17
 
 # Segments longer than this many characters are merged but not memoized.
-_SEGMENT_MEMO_MAX_CHARS = 256
+_SEGMENT_MEMO_MAX_CHARS = 32
 
 # ``token_slice_for_span`` keeps the byte offset of every this many code points.
 _CHECKPOINT_EVERY = 1024
@@ -82,8 +82,8 @@ class Tokenizer:
     ``encode``/``decode`` are pure. Their only mutable state is a memo of
     per-segment merge results keyed by segment text: the segment's token
     ids and nothing else; the other caches are derived from the fields on
-    first use. Segments longer than ``_SEGMENT_MEMO_MAX_CHARS`` characters
-    are not memoized, so one huge run of letters cannot pin memory.
+    first use. Segments over ``_SEGMENT_MEMO_MAX_CHARS`` characters are not
+    memoized, so an entry holds at most about 1.1 KB and the memo 140 MB.
     """
 
     vocab: dict[str, int]

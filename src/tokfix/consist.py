@@ -182,19 +182,16 @@ def make_consistent_target(
     the raw variant (rung 1 when found), then the prefix-space one;
     (5) unresolved fallback to the raw standalone ids. ``context`` must be
     the source of ``context_enc``: rungs 1-3 find the gold span's code
-    points among its tokens with ``token_slice_for_span``.
+    points among its tokens with ``token_slice_for_span``. The answer is
+    encoded (at most once) only where ids are compared: for an exact run,
+    rung 1 or 2, and at rungs 4-5; rung 3 reads the context's ids alone.
 
-    Raises SpanMismatchError, with ``mrqa.span_mismatch``'s reason, when
-    ``gold_span`` is not a span of the answer in ``context`` (corrupt data).
+    Raises ValueError for an empty answer, and SpanMismatchError with
+    ``mrqa.span_mismatch``'s reason when ``gold_span`` misses the answer.
     """
-    raw, prefixed = answer_variants(tok, answer)
-
-    if gold_span is None:
-        searches = (
-            (raw, ALREADY_CONSISTENT, "raw standalone ids found in context"),
-            (prefixed, SUBSEQUENCE_SEARCH, "prefix-space variant found in context"),
-        )
-    else:
+    if not answer:
+        raise ValueError("answer must be non-empty")
+    if gold_span is not None:
         start, stop = gold_span.start, gold_span.end
         mismatch = span_mismatch(context, start, stop, answer)
         if mismatch is not None:
@@ -203,9 +200,9 @@ def make_consistent_target(
         if found is not None:
             span, exact = found
             slice_ids = context_enc.ids[span.start : span.end]
-            if exact and slice_ids == raw:
+            if exact and slice_ids == answer_variants(tok, answer)[0]:
                 return FixOutcome(
-                    raw, ALREADY_CONSISTENT, span, "raw standalone ids sit at the gold span"
+                    slice_ids, ALREADY_CONSISTENT, span, "raw standalone ids sit at the gold span"
                 )
             if exact:
                 return FixOutcome(
@@ -218,11 +215,13 @@ def make_consistent_target(
                     span,
                     "minimal covering run matches modulo edge whitespace",
                 )
-        searches = (
-            (prefixed, SUBSEQUENCE_SEARCH, "prefix-space variant found in context"),
-            (raw, SUBSEQUENCE_SEARCH, "raw variant found in context"),
-        )
 
+    raw, prefixed = answer_variants(tok, answer)
+    prefix_search = (prefixed, SUBSEQUENCE_SEARCH, "prefix-space variant found in context")
+    if gold_span is None:
+        searches = ((raw, ALREADY_CONSISTENT, "raw standalone ids found in context"), prefix_search)
+    else:
+        searches = (prefix_search, (raw, SUBSEQUENCE_SEARCH, "raw variant found in context"))
     for ids, method, note in searches:
         location = find_subsequence(context_enc.id_string, ids)
         if location is not None:
@@ -286,7 +285,7 @@ def analyze_dataset(
             if not answers:
                 continue
             best = INCONSISTENT
-            for answer in answers:
+            for answer in dict.fromkeys(answers):
                 verdict = check_consistency(tok, joined, answer)
                 best = min(best, verdict.status, key=_VERDICTS.index)
                 if best == CONSISTENT_RAW:

@@ -321,6 +321,21 @@ class TestScaling:
         assert short in tok._segment_cache
         assert " " + long not in tok._segment_cache
 
+    def test_memo_of_long_distinct_words_stays_small(self):
+        # 255 four-byte letters would hold about 8 KB an entry if memoized
+        tok = make_tokenizer([])
+        rng = random.Random(0)
+        letters = [chr(c) for c in range(0x10400, 0x10450)]
+        words = ["".join(rng.choices(letters, k=255)) for _ in range(500)]
+        tracemalloc.start()
+        try:
+            for word in words:
+                encode(tok, word)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000
+
     def test_memo_clears_at_its_limit(self, monkeypatch):
         merges = [("a", "b"), ("ab", "c")]
         words = [a + b + c for a in "abc" for b in "abc" for c in "abc"]

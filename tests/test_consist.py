@@ -229,6 +229,15 @@ class TestMakeConsistentTarget:
         with pytest.raises(SpanMismatchError, match="out of range"):
             make_consistent_target(number_tok, context, enc, "abc", CharSpan(*span))
 
+    def test_empty_answer_rejected(self):
+        # the span check passes an empty answer over whitespace, and the
+        # covering run of "a   b"[1:2] is "ĠĠ", which decodes to "  "
+        tok = make_tokenizer([("Ġ", "Ġ")])
+        context = "a   b"
+        enc = encode(tok, context)
+        with pytest.raises(ValueError, match="non-empty"):
+            make_consistent_target(tok, context, enc, "", CharSpan(1, 2))
+
     def test_no_span_falls_back_to_prefixed_variant(self, corpus_tok):
         context = "The museum wing of the museum closed."
         enc = encode(corpus_tok, context)
@@ -303,31 +312,31 @@ class TestMakeConsistentTarget:
         assert checked > 30  # the oracle actually exercised repairs
 
     @pytest.mark.parametrize(
-        "context, answer, span, method, note, pieces, context_span",
+        "context, answer, span, method, note, pieces, context_span, variant_calls",
         [
             # without a gold span: the two searches, then the fallback
             ("1912", "1912", None, ALREADY_CONSISTENT,
-             "raw standalone ids found in context", ["19", "12"], (0, 2)),
+             "raw standalone ids found in context", ["19", "12"], (0, 2), 1),
             ("Year 1912", "1912", None, SUBSEQUENCE_SEARCH,
-             "prefix-space variant found in context", ["Ġ1912"], (4, 5)),
+             "prefix-space variant found in context", ["Ġ1912"], (4, 5), 1),
             ("Year 1912", "912", None, UNRESOLVED,
-             "no faithful context slice found; raw standalone ids kept", ["9", "12"], None),
+             "no faithful context slice found; raw standalone ids kept", ["9", "12"], None, 1),
             # with a gold span: the three slice rungs, the two searches, the fallback
             ("1912", "1912", (0, 4), ALREADY_CONSISTENT,
-             "raw standalone ids sit at the gold span", ["19", "12"], (0, 2)),
+             "raw standalone ids sit at the gold span", ["19", "12"], (0, 2), 1),
             ("1912 was the year", "1912 ", (0, 4), EXACT_SLICE,
-             "token run covers the gold span exactly", ["19", "12"], (0, 2)),
+             "token run covers the gold span exactly", ["19", "12"], (0, 2), 1),
             ("Year 1912", "1912", (5, 9), EXPANDED_SLICE,
-             "minimal covering run matches modulo edge whitespace", ["Ġ1912"], (4, 5)),
+             "minimal covering run matches modulo edge whitespace", ["Ġ1912"], (4, 5), 0),
             ("Year 1912 or 912", "912", (6, 9), SUBSEQUENCE_SEARCH,
-             "prefix-space variant found in context", ["Ġ", "9", "12"], (8, 11)),
+             "prefix-space variant found in context", ["Ġ", "9", "12"], (8, 11), 1),
             ("Year 1912 or x912", "912", (6, 9), SUBSEQUENCE_SEARCH,
-             "raw variant found in context", ["9", "12"], (10, 12)),
+             "raw variant found in context", ["9", "12"], (10, 12), 1),
             ("Year 1912", "912", (6, 9), UNRESOLVED,
-             "no faithful context slice found; raw standalone ids kept", ["9", "12"], None),
+             "no faithful context slice found; raw standalone ids kept", ["9", "12"], None, 1),
             # the covering run starts inside "é", so it does not decode
             ("éa", "a", (1, 2), UNRESOLVED,
-             "no faithful context slice found; raw standalone ids kept", ["a"], None),
+             "no faithful context slice found; raw standalone ids kept", ["a"], None, 1),
         ],
         ids=[
             "raw-found",
@@ -343,14 +352,24 @@ class TestMakeConsistentTarget:
         ],
     )
     def test_every_ladder_outcome(
-        self, context, answer, span, method, note, pieces, context_span
+        self, monkeypatch, context, answer, span, method, note, pieces, context_span, variant_calls
     ):
         # number_tok's merges plus one fusing the last byte of "é" with "a"
         tok = make_tokenizer([*NUMBER_MERGES, (BYTE_TO_UNIT[0xA9], "a")])
         enc = encode(tok, context)
         gold_span = CharSpan(*span) if span is not None else None
+        encoded = []
+        variants = consist.answer_variants
+
+        def counted_variants(tok, answer):
+            encoded.append(answer)
+            return variants(tok, answer)
+
+        monkeypatch.setattr(consist, "answer_variants", counted_variants)
         outcome = make_consistent_target(tok, context, enc, answer, gold_span)
         assert (outcome.method, outcome.note) == (method, note)
+        # only the rungs that compare ids encode the answer, once
+        assert len(encoded) == variant_calls
         assert ids_to_pieces(tok, outcome.target_ids) == pieces
         if context_span is None:
             assert outcome.context_span is None
@@ -477,6 +496,21 @@ class TestAnalyzeDataset:
         any_ = analyze_dataset(corpus_tok, [ex], answer_policy="any")
         assert first.inconsistent == 1
         assert any_.consistent_prefix_only == 1
+
+    def test_answer_policy_any_judges_each_distinct_answer_once(self, number_tok, monkeypatch):
+        checked = []
+        check = consist.check_consistency
+
+        def counted_check(tok, enc, answer):
+            checked.append(answer)
+            return check(tok, enc, answer)
+
+        monkeypatch.setattr(consist, "check_consistency", counted_check)
+        context = "The ship was finished in 1912."
+        ex = example("q1", context, "1912", gold=["1912", "1912", "1912"])
+        stats = analyze_dataset(number_tok, [ex], answer_policy="any")
+        assert stats.consistent_prefix_only == 1
+        assert checked == ["1912"]
 
     def test_each_record_encodes_disjoint_split_point_pieces_of_its_context(
         self, corpus_tok, multi_qa_path, monkeypatch
