@@ -177,10 +177,19 @@ class SignificanceResult:
     method: str
 
 
-#: Sign rows per chunk; even, so only the last drawn chunk can end on half a raw word.
+#: Bytes one chunk of sign rows may hold: 4 a sign for its raw words and 8
+#: for its float64 signs (the exact test's int64 row bits take 8, not 4).
 #: Hits count ties within the tolerance below, so neither chunk shape nor a
-#: row's place in the matrix product, which can move a sum's last bits, moves a p-value.
-_CHUNK_ROWS = 64
+#: row's place in the matrix product, which can move a sum's last bits,
+#: moves a p-value.
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunk_rows(n: int) -> int:
+    """Sign rows per chunk for n pairs: the most that fit in ``_CHUNK_BYTES``
+    at 12 bytes a sign, at least 2. Even, so only the last drawn chunk can
+    end on half a raw word."""
+    return max(2, _CHUNK_BYTES // (24 * n) * 2)
 
 
 def paired_significance(
@@ -197,8 +206,10 @@ def paired_significance(
     as None. Otherwise it samples, p = (1 + hits) / (resamples + 1), a sign
     per top bit of each 32-bit half of the generator's raw words, low half
     first: the draws of ``integers(0, 2)``, so p-values match earlier
-    releases. One ``copysign`` turns 64 rows at a time into a reused float64
-    buffer: 64 x n x 12 bytes for n pairs. Deterministic for a fixed seed.
+    releases. Both tests work in chunks of the most rows, an even number and
+    at least 2, whose raw words and float64 signs fit in 1 MiB (12 bytes a
+    sign; 8 rows at n = 10,530). One ``copysign`` turns a chunk into a
+    reused float64 buffer. Deterministic for a fixed seed.
 
     A row is a hit when |signs @ d| >= |sum(d)| - n * 2**-50 * sum(|d|) for
     the differences d. The tolerance is four times the bound on how far
@@ -227,11 +238,12 @@ def paired_significance(
 
     exact = n <= 62 and 2**n <= resamples
     total = 2**n if exact else resamples
+    chunk_rows = _chunk_rows(n)
     bits = np.random.default_rng(seed).bit_generator
-    buffer = np.empty((min(_CHUNK_ROWS, total), n), dtype=np.float64)
+    buffer = np.empty((min(chunk_rows, total), n), dtype=np.float64)
     hits = 0
-    for first in range(0, total, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, total - first)
+    for first in range(0, total, chunk_rows):
+        rows = min(chunk_rows, total - first)
         if exact:
             marks = -((np.arange(first, first + rows, dtype=np.int64)[:, None] >> np.arange(n)) & 1)
         else:

@@ -642,18 +642,58 @@ class TestPairedSignificance:
         assert result.method == "monte_carlo"
         assert result.p_value == monte_carlo_p_2048_rows(a, b, resamples=resamples, seed=42)
 
-    def test_memory_stays_bounded_at_full_size(self):
-        # one 64-row chunk of raw words (4 B a sign) and float64 signs
-        # (8 B), plus 25%; drawing every row at once would take ~420 MB
-        n = 10_530
+    @staticmethod
+    def traced_peak(n: int, resamples: int) -> int:
         a, b = f1_like_scores(n)
         tracemalloc.start()
         try:
-            paired_significance(a, b, resamples=10_000, seed=42)
+            paired_significance(a, b, resamples=resamples, seed=42)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 64 * n * 12
+        return peak
+
+    @staticmethod
+    def memory_bound(n: int) -> int:
+        """One chunk of raw words (4 B a sign) and float64 signs (8 B),
+        which is 1 MiB or, when a row is larger, 2 rows; plus four n-length
+        float64 vectors: the two score vectors, their differences and one
+        temporary."""
+        return max(1 << 20, 2 * 12 * n) + 4 * 8 * n
+
+    def test_memory_stays_bounded_at_full_size(self):
+        # 64-row chunks took 8.2 MB here; drawing every row at once ~420 MB
+        n = 10_530
+        assert self.traced_peak(n, resamples=10_000) <= self.memory_bound(n)
+
+    def test_memory_does_not_grow_with_n(self):
+        # a row of 100,000 signs outgrows the budget, so a chunk is 2 rows,
+        # not 64 (77.7 MB here)
+        n = 100_000
+        assert self.traced_peak(n, resamples=200) <= self.memory_bound(n)
+
+    @pytest.mark.parametrize("n", [1, 13, 14, 10_530, 10**6])
+    def test_chunk_rows_are_even_and_at_least_two(self, n):
+        rows = metrics._chunk_rows(n)
+        assert rows >= 2 and rows % 2 == 0
+        assert rows * n * 12 <= metrics._CHUNK_BYTES or rows == 2
+        assert (rows + 2) * n * 12 > metrics._CHUNK_BYTES
+
+    @pytest.mark.parametrize("resamples", [63, 1_001, 9_999])
+    @pytest.mark.parametrize("n", [13, 15, 65, 1_001])
+    def test_chunk_rows_do_not_move_a_p_value(self, n, resamples, monkeypatch):
+        # each budget fits one row more than asked, an odd count that must
+        # round down: odd rows of an odd n would end a chunk on half a raw word
+        rng = random.Random(n)
+        non_dyadic = [[rng.choice(NON_DYADIC_F1) for _ in range(n)] for _ in range(2)]
+        inputs = [f1_like_scores(n), non_dyadic]
+        for a, b in inputs:
+            results = set()
+            for rows in (2, 4, 8, 64, 2_048):
+                monkeypatch.setattr(metrics, "_CHUNK_BYTES", (rows + 1) * 12 * n)
+                assert metrics._chunk_rows(n) == rows
+                results.add(paired_significance(a, b, resamples=resamples, seed=42))
+            assert len(results) == 1, results
 
     @pytest.mark.parametrize("n", [1, 2, 13, 14, 63, 64, 65, 1_001])
     def test_raw_word_signs_equal_the_integers_draws(self, n):
