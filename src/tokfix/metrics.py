@@ -108,10 +108,10 @@ def evaluate(
     0 on EM and F1. Out-of-context rates are computed over predicted
     answers only. Predictions whose qid matches no gold question are
     excluded and listed in ``unknown_qids``. ``per_example`` holds one
-    ``(qid, em, f1)`` triple per gold question, in input order. A
-    question's golds and the context of a ``records`` run are normalized
-    once whatever the number of files, and only when some file predicted
-    one of their questions.
+    ``(qid, em, f1)`` triple per gold question, in input order; an exact
+    match scores F1 1.0 without counting tokens. A question's golds and
+    the context of a ``records`` run are normalized once whatever the
+    number of files, and only when some file predicted one of them.
     """
     # per file: its predictions, score rows, and the qids out of context
     # before and after normalization
@@ -133,7 +133,8 @@ def evaluate(
                     norm_context = normalize_answer(context)
                 norm_pred = normalize_answer(pred)
                 em_i = int(norm_pred in norm_golds)
-                per_example.append((example.qid, em_i, _f1_normalized(norm_pred, norm_golds)))
+                f1_i = 1.0 if em_i else _f1_normalized(norm_pred, norm_golds)  # no F1 exceeds 1.0
+                per_example.append((example.qid, em_i, f1_i))
                 if hallucination_check(pred, context):
                     hallucinated.append(example.qid)
                 if norm_pred not in norm_context:
@@ -192,6 +193,15 @@ def _chunk_rows(n: int) -> int:
     return max(2, _CHUNK_BYTES // (24 * n) * 2)
 
 
+def _signs(marks, out):
+    """Write ``np.copysign(1.0, marks)`` into float64 ``out``, bit for bit."""
+    bits = out.view("i8")
+    bits[...] = marks  # sign-extends int32 raw-word halves and int64 row bits
+    bits &= -(1 << 63)  # keeps each mark's sign bit
+    bits |= 0x3FF0000000000000  # under the bits of 1.0
+    return out
+
+
 def paired_significance(
     scores_a: Sequence[float],
     scores_b: Sequence[float],
@@ -206,9 +216,8 @@ def paired_significance(
     as None. Otherwise it samples, p = (1 + hits) / (resamples + 1), a sign
     per top bit of each 32-bit half of the generator's raw words, low half
     first: the draws of ``integers(0, 2)``, so p-values match earlier
-    releases. Both tests work in chunks of the most rows, an even number and
-    at least 2, whose raw words and float64 signs fit in 1 MiB (12 bytes a
-    sign; 8 rows at n = 10,530). One ``copysign`` turns a chunk into a
+    releases. Both tests work in chunks of ``_chunk_rows(n)`` rows (8 at
+    n = 10,530), and ``_signs`` writes each chunk's signs as ±1.0 into one
     reused float64 buffer. Deterministic for a fixed seed.
 
     A row is a hit when |signs @ d| >= |sum(d)| - n * 2**-50 * sum(|d|) for
@@ -250,7 +259,7 @@ def paired_significance(
             marks = bits.random_raw((rows * n + 1) // 2).astype("<u8", copy=False)
             marks = marks.view("<i4")[: rows * n].reshape(rows, n)
         # a 1 bit gives -1; negating a row negates its sum exactly, so hits do not change
-        signs = np.copysign(1.0, marks, out=buffer[:rows])
+        signs = _signs(marks, buffer[:rows])
         del marks  # so the next chunk's words are drawn after these are freed
         hits += int(np.count_nonzero(np.abs(signs @ diffs) >= threshold))
     return SignificanceResult(

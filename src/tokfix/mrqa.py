@@ -292,14 +292,15 @@ def write_fixed_dataset(
     The line's context is the first example's, and each qa holds an
     example's MRQA fields, then its ``extra`` fields. A record without
     pairs is dropped. Only one record is held at a time. A path ending in
-    ``.gz`` is gzipped with a zero timestamp, so reruns give identical
-    bytes. The file is written through ``replace_on_success``, so an error
-    while ``records`` is consumed leaves no partial output.
+    ``.gz`` is gzipped at level 6 with a zero timestamp, so reruns give
+    identical bytes. The file is written through ``replace_on_success``,
+    so an error while ``records`` is consumed leaves no partial output.
     """
     path = Path(path)
     with replace_on_success(path) as stream, contextlib.ExitStack() as stack:
         if path.suffix == ".gz":
-            stream = stack.enter_context(gzip.GzipFile(str(path), "wb", fileobj=stream, mtime=0))  # type: ignore[assignment]
+            gz = gzip.GzipFile(str(path), "wb", compresslevel=6, fileobj=stream, mtime=0)
+            stream = stack.enter_context(gz)  # type: ignore[assignment]
         out = stack.enter_context(io.TextIOWrapper(stream, encoding="utf-8"))
         out.write(json.dumps({"header": header}, ensure_ascii=False))
         out.write("\n")

@@ -909,23 +909,29 @@ def test_surrogate_vocab_token_loads(capsys, tmp_path, command):
 
 def test_numpy_is_loaded_only_by_the_significance_test(tmp_path, eval_files):
     """Each step runs in one fresh interpreter and reports whether numpy
-    was imported by then; only the two-file ``evaluate`` should load it."""
+    was imported by then; only the two-file ``evaluate`` should load it.
+    Importing numpy costs ``analyze`` and ``fix`` start-up time and RSS."""
     gold, perfect, worse = eval_files
     out = str(tmp_path / "report")
+    tokenizer = ["--vocab", VOCAB, "--merges", MERGES, "--dataset", CORPUS]
     steps = {
-        "analyze": ["analyze", "--vocab", VOCAB, "--merges", MERGES, "--dataset", CORPUS],
-        "evaluate_one": ["evaluate", "--dataset", gold, "--predictions", perfect],
+        "analyze": ["analyze", *tokenizer, "--output", out],
+        # fix writes its summary to stdout, which the script silences
+        "fix": ["fix", *tokenizer, "--output", str(tmp_path / "fixed.jsonl.gz")],
+        "evaluate_one": ["evaluate", "--dataset", gold, "--predictions", perfect, "--output", out],
         "evaluate_two": [
             "evaluate", "--dataset", gold, "--predictions", perfect, "--predictions", worse,
+            "--output", out,
         ],
     }
     script = "\n".join(
         [
-            "import json, sys",
+            "import contextlib, io, json, sys",
             "from tokfix.cli import main",
             "loaded = {'import': 'numpy' in sys.modules}",
             f"for name, argv in {steps!r}.items():",
-            f"    assert main(argv + ['--output', {out!r}]) == 0, name",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        assert main(argv) == 0, name",
             "    loaded[name] = 'numpy' in sys.modules",
             "print(json.dumps(loaded))",
         ]
@@ -939,6 +945,7 @@ def test_numpy_is_loaded_only_by_the_significance_test(tmp_path, eval_files):
     assert json.loads(proc.stdout) == {
         "import": False,
         "analyze": False,
+        "fix": False,
         "evaluate_one": False,
         "evaluate_two": True,
     }

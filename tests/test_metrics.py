@@ -356,6 +356,26 @@ class TestHallucinationCheck:
             assert hallucination_check(context[i:j], context) is False
 
 
+#: Answer words: articles, punctuation-only and empty pieces, and words
+#: that differ only in case or punctuation.
+_ANSWER_WORDS = ["ship", "Ship,", "old", "harbor", "the", "A", "...", "!", "", "1912"]
+
+
+@st.composite
+def scored_questions(draw):
+    """A prediction and its golds: random texts with duplicates, empty and
+    punctuation-only strings, and at times a gold that overlaps the
+    prediction in part listed before one that matches it."""
+    texts = st.lists(st.sampled_from(_ANSWER_WORDS), max_size=4).map(" ".join)
+    pred = draw(texts)
+    golds = draw(st.lists(texts, max_size=4))
+    if draw(st.booleans()):
+        golds += [f"{pred} harbor", pred.upper()]
+    if golds and draw(st.booleans()):
+        golds.append(draw(st.sampled_from(golds)))
+    return pred, golds
+
+
 class TestEvaluate:
     def test_perfect_predictions(self):
         # cases whose first gold answer is a verbatim slice of its context
@@ -505,6 +525,38 @@ class TestEvaluate:
             assert report.hallucinated_qids == hallucinated
             assert report.hallucination_rate == 100.0 * len(hallucinated) / len(preds)
             assert report.hallucination_rate_normalized == 100.0 * halluc_norm / len(preds)
+
+    @given(st.lists(scored_questions(), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_are_exact_match_and_full_token_f1(self, questions):
+        examples = [
+            ExtractiveExample(qid=f"q{i}", context="x", question="?", gold_answers=tuple(golds))
+            for i, (_pred, golds) in enumerate(questions)
+        ]
+        preds = {f"q{i}": pred for i, (pred, _golds) in enumerate(questions)}
+        expected = []
+        for e in examples:
+            # full counting scores every gold, the matching one included
+            pred, golds = preds[e.qid], e.answer_texts()
+            expected.append((e.qid, exact_match(pred, golds), f1(pred, golds)))
+        assert evaluate_one(preds, examples).per_example == expected
+
+    def test_exact_matches_count_no_tokens(self, multi_qa_path, monkeypatch):
+        _, stream = read_dataset(multi_qa_path)
+        examples = list(stream)
+        counted = []
+
+        def counting(tokens):
+            counted.append(tokens)
+            return Counter(tokens)
+
+        monkeypatch.setattr(metrics, "Counter", counting)
+        # each prediction normalizes equal to a gold of its question
+        first = {"m1": "1912", "m3": "The Ship", "m5": "treaty", "m6": "museum"}
+        second = {"m1": "1912.", "m3": "ship", "m6": "a museum"}
+        result = evaluate([first, second], examples)
+        assert [(r.em, r.f1) for r in result.reports] == [(400 / 6, 400 / 6), (50.0, 50.0)]
+        assert counted == []
 
 
 def rational_diffs(scores_a, scores_b) -> list[int]:
@@ -722,6 +774,24 @@ class TestPairedSignificance:
             assert result == expected, (a, b, resamples, seed)
             methods[result.method] += 1
         assert min(methods["exact"], methods["monte_carlo"]) >= 10, methods
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_signs_equal_copysign_bit_for_bit(self, seed):
+        edges = np.iinfo(np.int32).min, -1, 0, 1, np.iinfo(np.int32).max
+        raw = np.random.default_rng(seed).bit_generator.random_raw(4 * 1_001 // 2)
+        exact_rows = np.arange(seed, seed + 64, dtype=np.int64)[:, None]
+        for marks in (
+            np.array([edges], dtype=np.int32),
+            raw.astype("<u8", copy=False).view("<i4").reshape(4, 1_001),
+            -((exact_rows >> np.arange(13)) & 1),  # the exact test's int64 0/-1 row bits
+        ):
+            # a slice of a larger reused buffer, as in paired_significance
+            buffer = np.full((len(marks) + 1, marks.shape[1]), np.nan)
+            signs = metrics._signs(marks, buffer[: len(marks)])
+            assert signs.dtype == np.float64
+            expected = np.copysign(1.0, marks)
+            assert np.array_equal(signs.view(np.int64), expected.view(np.int64))
+            assert np.isnan(buffer[-1]).all()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):

@@ -423,6 +423,16 @@ class TestWriteFixedDataset:
         write_fixed_dataset(out_path, {"dataset": "x"}, [[(q1, {})]])
         assert out_path.read_bytes() == first
 
+    def test_gz_and_plain_outputs_hold_the_same_bytes(self, tmp_path):
+        _, stream = read_dataset(write_file(tmp_path, dataset_bytes(THREE_QUESTION_RECORDS)))
+        pairs = [[(e, {"fix_method": "exact_slice"}) for e in r] for r in records(stream)]
+        plain, packed = tmp_path / "fixed.jsonl", tmp_path / "fixed.jsonl.gz"
+        write_fixed_dataset(plain, {"dataset": "x"}, pairs)
+        write_fixed_dataset(packed, {"dataset": "x"}, pairs)
+        assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+        # the gzip header's XFL byte: 0 between levels 1 and 9, 2 at level 9
+        assert packed.read_bytes()[8] == 0
+
 
 class TestReadPredictions:
     def test_single_entry(self, tmp_path):
