@@ -24,8 +24,6 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-import regex
-
 # Pre-tokenization pattern (GPT-2 convention): contractions, optionally
 # space-prefixed letter/number/symbol runs, then whitespace. No segment holds
 # a non-space followed by a space, so text segments as its two sides do at
@@ -65,9 +63,13 @@ BYTE_TO_UNIT.update(
     (b, chr(256 + i)) for i, b in enumerate([b for b in range(256) if b not in BYTE_TO_UNIT])
 )
 _UNIT_TO_BYTE = {unit: b for b, unit in BYTE_TO_UNIT.items()}
-_SEGMENTER = regex.compile(SEGMENT_PATTERN)
-_SPLIT = regex.compile(r"\S\s")
-_SPLIT_BACKWARD = regex.compile(r"(?r)\S\s")
+
+
+@lru_cache(maxsize=None)
+def _patterns():
+    """Segmenter and split-point searches, built on first use: ``evaluate`` never loads regex."""
+    import regex
+    return regex.compile(SEGMENT_PATTERN), regex.compile(r"\S\s"), regex.compile(r"(?r)\S\s")
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,6 +256,7 @@ def load_tokenizer(vocab_path: Union[str, Path], merges_path: Union[str, Path]) 
         )
 
     merges = _parse_merges(_read_text(merges_path, "merges"))
+    _patterns()  # regex loads with the tokenizer, not on the first encode
     for left, right in merges:
         if left + right not in vocab:
             raise TokenizerError(
@@ -271,7 +274,7 @@ def pretokenize(text: str) -> list[tuple[str, int]]:
     whitespace alternatives match every character, so the concatenation
     of segments equals the input; start bytes are strictly increasing.
     """
-    segments = _SEGMENTER.findall(text)
+    segments = _patterns()[0].findall(text)
     sizes = [len(seg.encode("utf-8")) for seg in segments]
     return list(zip(segments, accumulate(sizes, initial=0)))
 
@@ -280,11 +283,12 @@ def split_point(text: str, index: int, *, after: bool) -> int:
     """The first split point of text at or after ``index > 0``, or the
     last at or before ``index < len(text)``: 0, ``len(text)``, or a p with
     ``text[p - 1]`` not whitespace and ``text[p]`` whitespace (``\\s``)."""
+    _, forward, backward = _patterns()
     if after:
-        split = _SPLIT.search(text, index - 1)
+        split = forward.search(text, index - 1)
         return split.start() + 1 if split else len(text)
     # regex reads a negative endpos from the end of the text
-    split = _SPLIT_BACKWARD.search(text, 0, max(index + 1, 0))
+    split = backward.search(text, 0, max(index + 1, 0))
     return split.start() + 1 if split else 0
 
 

@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -323,6 +324,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # the significance test's products gain nothing from a second BLAS thread; OpenBLAS
+    # reads its own variable before OMP_NUM_THREADS, so one the user set leaves both alone
+    blas_threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    if not any(name in os.environ for name in blas_threads):
+        os.environ.update(dict.fromkeys(blas_threads, "1"))
     logging.basicConfig(
         stream=sys.stderr, level=logging.WARNING, format="%(message)s", force=True
     )

@@ -18,7 +18,9 @@ from typing import Iterable, Sequence
 
 from .mrqa import ExtractiveExample, records, unique_qids
 
-_ARTICLES = re.compile(r"\b(a|an|the)\b")
+#: SQuAD v1.1's ``\b(a|an|the)\b``, faster: each lookbehind, like the first ``\b``,
+#: wants no word character before the article, and ``(?!\w)`` is the second.
+_ARTICLES = re.compile(r"(?:a(?<!\wa)n?|t(?<!\wt)he)(?!\w)")
 #: The 32 ASCII characters of ``string.punctuation``, as in the SQuAD v1.1
 #: script; curly quotes, dashes and other non-ASCII marks are kept.
 _PUNCT = re.compile("[" + re.escape(string.punctuation) + "]")

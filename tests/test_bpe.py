@@ -236,9 +236,10 @@ class TestSplitPoints:
     def test_text_segments_as_its_two_sides_at_every_split_point(self, text):
         # consist.analyze_dataset encodes only a stretch between two split
         # points and relies on its ids being that slice of the whole ids
-        segments = bpe._SEGMENTER.findall(text)
+        segmenter = bpe._patterns()[0]
+        segments = segmenter.findall(text)
         for p in split_points(text):
-            assert bpe._SEGMENTER.findall(text[:p]) + bpe._SEGMENTER.findall(text[p:]) == segments
+            assert segmenter.findall(text[:p]) + segmenter.findall(text[p:]) == segments
 
     @given(st.lists(_SPLIT_PIECES, max_size=14).map("".join))
     @settings(max_examples=200, deadline=None)

@@ -907,32 +907,22 @@ def test_surrogate_vocab_token_loads(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
-def test_numpy_is_loaded_only_by_the_significance_test(tmp_path, eval_files):
-    """Each step runs in one fresh interpreter and reports whether numpy
-    was imported by then; only the two-file ``evaluate`` should load it.
-    Importing numpy costs ``analyze`` and ``fix`` start-up time and RSS."""
-    gold, perfect, worse = eval_files
-    out = str(tmp_path / "report")
-    tokenizer = ["--vocab", VOCAB, "--merges", MERGES, "--dataset", CORPUS]
-    steps = {
-        "analyze": ["analyze", *tokenizer, "--output", out],
-        # fix writes its summary to stdout, which the script silences
-        "fix": ["fix", *tokenizer, "--output", str(tmp_path / "fixed.jsonl.gz")],
-        "evaluate_one": ["evaluate", "--dataset", gold, "--predictions", perfect, "--output", out],
-        "evaluate_two": [
-            "evaluate", "--dataset", gold, "--predictions", perfect, "--predictions", worse,
-            "--output", out,
-        ],
-    }
+def _module_loaded_after_each_step(module, steps):
+    """Run ``steps`` (name -> CLI argv, or None to call ``load_tokenizer``
+    alone) in one fresh interpreter, in order; report whether ``module`` was
+    imported once ``tokfix.cli`` was, and after each step."""
     script = "\n".join(
         [
             "import contextlib, io, json, sys",
-            "from tokfix.cli import main",
-            "loaded = {'import': 'numpy' in sys.modules}",
+            "from tokfix.cli import load_tokenizer, main",
+            f"loaded = {{'import': {module!r} in sys.modules}}",
             f"for name, argv in {steps!r}.items():",
             "    with contextlib.redirect_stdout(io.StringIO()):",
-            "        assert main(argv) == 0, name",
-            "    loaded[name] = 'numpy' in sys.modules",
+            "        if argv is None:",
+            f"            load_tokenizer({VOCAB!r}, {MERGES!r})",
+            "        else:",
+            "            assert main(argv) == 0, name",
+            f"    loaded[name] = {module!r} in sys.modules",
             "print(json.dumps(loaded))",
         ]
     )
@@ -942,13 +932,73 @@ def test_numpy_is_loaded_only_by_the_significance_test(tmp_path, eval_files):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
+    return json.loads(proc.stdout)
+
+
+def _start_up_steps(tmp_path, eval_files):
+    gold, perfect, worse = eval_files
+    out = str(tmp_path / "report")
+    tokenizer = ["--vocab", VOCAB, "--merges", MERGES, "--dataset", CORPUS]
+    return {
+        "load_tokenizer": None,
+        "analyze": ["analyze", *tokenizer, "--output", out],
+        # fix writes its summary to stdout, which the script silences
+        "fix": ["fix", *tokenizer, "--output", str(tmp_path / "fixed.jsonl.gz")],
+        "evaluate_one": ["evaluate", "--dataset", gold, "--predictions", perfect, "--output", out],
+        "evaluate_two": [
+            "evaluate", "--dataset", gold, "--predictions", perfect, "--predictions", worse,
+            "--output", out,
+        ],
+    }
+
+
+def test_numpy_is_loaded_only_by_the_significance_test(tmp_path, eval_files):
+    """Only the two-file ``evaluate`` should load numpy. Importing numpy
+    costs ``analyze`` and ``fix`` start-up time and RSS."""
+    steps = _start_up_steps(tmp_path, eval_files)
+    del steps["load_tokenizer"]
+    assert _module_loaded_after_each_step("numpy", steps) == {
         "import": False,
         "analyze": False,
         "fix": False,
         "evaluate_one": False,
         "evaluate_two": True,
     }
+
+
+@pytest.mark.parametrize("tokenizing", ["load_tokenizer", "analyze", "fix"])
+def test_regex_is_loaded_only_with_a_tokenizer(tmp_path, eval_files, tokenizing):
+    """``evaluate`` tokenizes nothing, so it starts without ``regex``; the
+    first tokenizer loads it, whichever command loads that tokenizer."""
+    every = _start_up_steps(tmp_path, eval_files)
+    steps = {name: every[name] for name in ("evaluate_one", "evaluate_two", tokenizing)}
+    assert _module_loaded_after_each_step("regex", steps) == {
+        "import": False,
+        "evaluate_one": False,
+        "evaluate_two": False,
+        tokenizing: True,
+    }
+
+
+@pytest.mark.parametrize(
+    "user, expected",
+    [
+        ({}, ["1", "1"]),
+        ({"OPENBLAS_NUM_THREADS": "4"}, ["4", None]),
+        # OpenBLAS would read a default OPENBLAS_NUM_THREADS before this
+        ({"OMP_NUM_THREADS": "4"}, [None, "4"]),
+    ],
+)
+def test_blas_runs_on_one_thread_unless_the_user_sets_it(monkeypatch, eval_files, user, expected):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    for name in names:
+        monkeypatch.setenv(name, "")  # so the test's end restores the value from before it
+        monkeypatch.delenv(name)
+    for name, value in user.items():
+        monkeypatch.setenv(name, value)
+    gold, perfect, _ = eval_files
+    assert main(["evaluate", "--dataset", gold, "--predictions", perfect]) == 0
+    assert [os.environ.get(name) for name in names] == expected
 
 
 class TestInspectCommand:

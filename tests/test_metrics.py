@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 import string
 import tracemalloc
 from collections import Counter
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokfix import metrics
@@ -255,6 +256,23 @@ class TestNormalize:
     @settings(max_examples=1000)
     def test_agrees_with_the_per_character_rule_near_its_edges(self, text):
         assert normalize_answer(text) == normalize_answer_per_char(text)
+
+
+#: articles, words that start or end like one, and the characters that may
+#: sit next to one: non-ASCII letters, digits, ``_`` and a curly apostrophe
+_ARTICLE_PIECES = st.sampled_from(
+    ["a", "an", "the", "and", "theme", "tthe", "ta"]
+    + ["é", "ñ", "ß", "Σ", "3", "_", "’", " ", "-"]
+)
+
+
+class TestArticles:
+    @given(st.lists(st.one_of(_ARTICLE_PIECES, st.characters()), max_size=12).map("".join))
+    @example("the an a")
+    @example("an’tthe_a3éthe")
+    @settings(max_examples=1000)
+    def test_removes_what_the_squad_v11_pattern_removes(self, text):
+        assert metrics._ARTICLES.sub(" ", text) == re.sub(r"\b(a|an|the)\b", " ", text)
 
 
 class TestExactMatch:
