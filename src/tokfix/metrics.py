@@ -180,8 +180,8 @@ class SignificanceResult:
     method: str
 
 
-#: Bytes one chunk of sign rows may hold: 4 a sign for its raw words and 8
-#: for its float64 signs (the exact test's int64 row bits take 8, not 4).
+#: Bytes one chunk of flip rows may hold: 4 a flip for its raw words and 8
+#: for its float64 flips (the exact test's int64 row bits take 8, not 4).
 #: Hits count ties within the tolerance below, so neither chunk shape nor a
 #: row's place in the matrix product, which can move a sum's last bits,
 #: moves a p-value.
@@ -189,19 +189,10 @@ _CHUNK_BYTES = 1 << 20
 
 
 def _chunk_rows(n: int) -> int:
-    """Sign rows per chunk for n pairs: the most that fit in ``_CHUNK_BYTES``
-    at 12 bytes a sign, at least 2. Even, so only the last drawn chunk can
+    """Flip rows per chunk for n pairs: the most that fit in ``_CHUNK_BYTES``
+    at 12 bytes a flip, at least 2. Even, so only the last drawn chunk can
     end on half a raw word."""
     return max(2, _CHUNK_BYTES // (24 * n) * 2)
-
-
-def _signs(marks, out):
-    """Write ``np.copysign(1.0, marks)`` into float64 ``out``, bit for bit."""
-    bits = out.view("i8")
-    bits[...] = marks  # sign-extends int32 raw-word halves and int64 row bits
-    bits &= -(1 << 63)  # keeps each mark's sign bit
-    bits |= 0x3FF0000000000000  # under the bits of 1.0
-    return out
 
 
 def paired_significance(
@@ -213,21 +204,23 @@ def paired_significance(
 ) -> SignificanceResult:
     """Two-sided paired randomization (sign-flip) test on score differences.
 
-    When all 2**n sign assignments fit within the resample budget the test
+    When all 2**n flip patterns fit within the resample budget the test
     enumerates them (p = hits / 2**n), draws nothing and reports ``seed``
-    as None. Otherwise it samples, p = (1 + hits) / (resamples + 1), a sign
+    as None. Otherwise it samples, p = (1 + hits) / (resamples + 1), a flip
     per top bit of each 32-bit half of the generator's raw words, low half
     first: the draws of ``integers(0, 2)``, so p-values match earlier
     releases. Both tests work in chunks of ``_chunk_rows(n)`` rows (8 at
-    n = 10,530), and ``_signs`` writes each chunk's signs as ±1.0 into one
-    reused float64 buffer. Deterministic for a fixed seed.
+    n = 10,530), each written as 0.0/1.0 flips into one reused float64
+    buffer. Deterministic for a fixed seed.
 
-    A row is a hit when |signs @ d| >= |sum(d)| - n * 2**-50 * sum(|d|) for
-    the differences d. The tolerance is four times the bound on how far
-    two float sums of the same n differences, added in any order and
-    counting each difference's own rounding, can drift apart, so a row
-    that ties the observed sum exactly always counts. Raises ValueError on
-    non-finite scores.
+    A row is a hit when |D - 2 * (flips @ d)| >= |D| - n * 2**-50 * sum(|d|)
+    for the differences d and their float sum D; D - 2 * (flips @ d) is the
+    row's signed sum. With u = 2**-53, the computed row value lies within
+    about 3 * n * u * sum(|d|) of the exact signed sum, and D within
+    n * u * sum(|d|) of its exact value, so a row that ties the observed sum
+    exactly falls at most about 4 * n * u * sum(|d|) short of |D|: half the
+    tolerance of 8 * n * u * sum(|d|), so it always counts. Raises
+    ValueError on non-finite scores.
     """
     if len(scores_a) != len(scores_b):
         raise ValueError(
@@ -250,7 +243,8 @@ def paired_significance(
     exact = n <= 62 and 2**n <= resamples
     total = 2**n if exact else resamples
     chunk_rows = _chunk_rows(n)
-    bits = np.random.default_rng(seed).bit_generator
+    if not exact:
+        bits = np.random.default_rng(seed).bit_generator
     buffer = np.empty((min(chunk_rows, total), n), dtype=np.float64)
     hits = 0
     for first in range(0, total, chunk_rows):
@@ -260,10 +254,10 @@ def paired_significance(
         else:
             marks = bits.random_raw((rows * n + 1) // 2).astype("<u8", copy=False)
             marks = marks.view("<i4")[: rows * n].reshape(rows, n)
-        # a 1 bit gives -1; negating a row negates its sum exactly, so hits do not change
-        signs = _signs(marks, buffer[:rows])
+        # a 1 bit flips; flipping a whole row negates its sum exactly, so hits do not change
+        flips = np.less(marks, 0, out=buffer[:rows])
         del marks  # so the next chunk's words are drawn after these are freed
-        hits += int(np.count_nonzero(np.abs(signs @ diffs) >= threshold))
+        hits += int(np.count_nonzero(np.abs(observed_sum - 2 * (flips @ diffs)) >= threshold))
     return SignificanceResult(
         p_value=hits / total if exact else (1 + hits) / (total + 1),
         statistic=observed_sum / n,

@@ -612,9 +612,12 @@ class TestEvaluateCommand:
         assert code == 2
         assert "data error" in err
 
-    def test_memory_grows_by_about_one_record_with_context_length(self, capsys, tmp_path):
+    @pytest.mark.parametrize("files", [1, 2])
+    def test_memory_grows_by_about_one_record_with_context_length(self, capsys, tmp_path, files):
         """Contexts 10x longer raise the peak by about one record, not by
-        one record per question: the dataset is streamed, not held."""
+        one record per question: the dataset is streamed, not held. With two
+        files the significance test's chunk may top the peak, so one file
+        checks the scoring pass alone."""
 
         def peak(words: int, records: int = 200) -> tuple[int, int]:
             lines = [json.dumps({"header": {}})]
@@ -628,7 +631,9 @@ class TestEvaluateCommand:
             right.write_text(json.dumps({f"q{i}": f"w{i}x1" for i in range(records)}))
             partial = tmp_path / "partial.json"
             partial.write_text(json.dumps({f"q{i}": f"w{i}x2 w{i}x3" for i in range(records)}))
-            argv = ["evaluate", "--dataset", gold, "--predictions", right, "--predictions", partial]
+            argv = ["evaluate", "--dataset", gold]
+            for predictions in (right, partial)[:files]:
+                argv += ["--predictions", predictions]
             tracemalloc.start()
             try:
                 code, _out, _err = run(capsys, *map(str, argv))
@@ -638,7 +643,7 @@ class TestEvaluateCommand:
             assert code == 0
             return traced_peak, len(lines[1])
 
-        peak(100)  # the first two-file run imports numpy
+        peak(100)  # warm-up: the first two-file run imports numpy
         short_peak, short_record = peak(100)
         long_peak, long_record = peak(1000)
         # holding every example would add 200 records' growth
@@ -964,6 +969,44 @@ def test_numpy_is_loaded_only_by_the_significance_test(tmp_path, eval_files):
         "evaluate_one": False,
         "evaluate_two": True,
     }
+
+
+def test_only_the_sampled_significance_test_loads_numpy_random(tmp_path, eval_files):
+    """The exact test (n <= 13) draws nothing, so it builds no generator and
+    leaves ``numpy.random`` unloaded; 14 questions need the sampled test."""
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    if probe.stdout.strip() != "False":
+        pytest.skip("a fresh `import numpy` loads numpy.random here (numpy 1.x does)")
+    gold, perfect, worse = eval_files
+    big_gold = tmp_path / "gold14.jsonl"
+    qas = [{"qid": f"q{i}", "question": "?", "answers": ["1912"]} for i in range(14)]
+    records = [{"header": {}}, {"context": "The bridge opened in 1912.", "qas": qas}]
+    big_gold.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    right = tmp_path / "right14.json"
+    right.write_text(json.dumps({f"q{i}": "1912" for i in range(14)}))
+    wrong = tmp_path / "wrong14.json"
+    wrong.write_text(json.dumps({f"q{i}": "bridge" for i in range(0, 14, 2)}))
+    out = str(tmp_path / "report")
+    steps = {
+        "exact": [
+            "evaluate", "--dataset", gold, "--predictions", perfect, "--predictions", worse,
+            "--output", out,
+        ],
+        "sampled": [
+            "evaluate", "--dataset", str(big_gold), "--predictions", str(right),
+            "--predictions", str(wrong), "--output", out,
+        ],
+    }
+    assert _module_loaded_after_each_step("numpy.random", steps) == {
+        "import": False,
+        "exact": False,
+        "sampled": True,
+    }
+    report = json.loads(Path(out).read_text())
+    assert report["significance"]["method"] == "monte_carlo"
 
 
 @pytest.mark.parametrize("tokenizing", ["load_tokenizer", "analyze", "fix"])

@@ -725,7 +725,7 @@ class TestPairedSignificance:
 
     @staticmethod
     def memory_bound(n: int) -> int:
-        """One chunk of raw words (4 B a sign) and float64 signs (8 B),
+        """One chunk of raw words (4 B a flip) and float64 flips (8 B),
         which is 1 MiB or, when a row is larger, 2 rows; plus four n-length
         float64 vectors: the two score vectors, their differences and one
         temporary."""
@@ -737,7 +737,7 @@ class TestPairedSignificance:
         assert self.traced_peak(n, resamples=10_000) <= self.memory_bound(n)
 
     def test_memory_does_not_grow_with_n(self):
-        # a row of 100,000 signs outgrows the budget, so a chunk is 2 rows,
+        # a row of 100,000 flips outgrows the budget, so a chunk is 2 rows,
         # not 64 (77.7 MB here)
         n = 100_000
         assert self.traced_peak(n, resamples=200) <= self.memory_bound(n)
@@ -792,24 +792,6 @@ class TestPairedSignificance:
             assert result == expected, (a, b, resamples, seed)
             methods[result.method] += 1
         assert min(methods["exact"], methods["monte_carlo"]) >= 10, methods
-
-    @pytest.mark.parametrize("seed", [0, 42])
-    def test_signs_equal_copysign_bit_for_bit(self, seed):
-        edges = np.iinfo(np.int32).min, -1, 0, 1, np.iinfo(np.int32).max
-        raw = np.random.default_rng(seed).bit_generator.random_raw(4 * 1_001 // 2)
-        exact_rows = np.arange(seed, seed + 64, dtype=np.int64)[:, None]
-        for marks in (
-            np.array([edges], dtype=np.int32),
-            raw.astype("<u8", copy=False).view("<i4").reshape(4, 1_001),
-            -((exact_rows >> np.arange(13)) & 1),  # the exact test's int64 0/-1 row bits
-        ):
-            # a slice of a larger reused buffer, as in paired_significance
-            buffer = np.full((len(marks) + 1, marks.shape[1]), np.nan)
-            signs = metrics._signs(marks, buffer[: len(marks)])
-            assert signs.dtype == np.float64
-            expected = np.copysign(1.0, marks)
-            assert np.array_equal(signs.view(np.int64), expected.view(np.int64))
-            assert np.isnan(buffer[-1]).all()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
