@@ -83,8 +83,8 @@ class FixOutcome:
 
     For every method except ``unresolved``, ``target_ids`` is the
     contiguous slice of the context encoding at ``context_span``; the
-    unresolved fallback keeps the raw standalone tokenization so dataset
-    size stays fixed.
+    unresolved fallback keeps the stripped answer's standalone ids so
+    dataset size stays fixed.
     """
 
     target_ids: tuple[int, ...]
@@ -157,12 +157,12 @@ def check_consistency(
 
 
 def _decoded_matches(tok: Tokenizer, ids: tuple[int, ...], answer: str) -> bool:
-    """True when ids decode to the answer modulo edge whitespace."""
+    """True when ids decode to the stripped answer modulo edge whitespace."""
     try:
         decoded = decode(tok, ids)
     except UnicodeDecodeError:
         return False
-    return decoded == answer or decoded.strip() == answer
+    return decoded.strip() == answer
 
 
 def make_consistent_target(
@@ -174,33 +174,38 @@ def make_consistent_target(
 ) -> FixOutcome:
     """Extract target ids from the context encoding; first rung wins.
 
-    Ladder: (1) the raw standalone ids already sit at the gold span;
-    (2) some token run covers the gold span's characters exactly; (3) the
-    minimal covering run decodes to the answer modulo edge whitespace;
-    (4) the context ids are searched for one variant after another: with
-    a span the prefix-space variant, then the raw one; without a span
-    the raw variant (rung 1 when found), then the prefix-space one;
-    (5) unresolved fallback to the raw standalone ids. ``context`` must be
-    the source of ``context_enc``: rungs 1-3 find the gold span's code
-    points among its tokens with ``token_slice_for_span``. The answer is
-    encoded (at most once) only where ids are compared: for an exact run,
-    rung 1 or 2, and at rungs 4-5; rung 3 reads the context's ids alone.
+    Edge whitespace is decided once, here: the gold span is checked
+    against the answer as given and then narrowed to ``answer.strip()``,
+    which every rung works on. Ladder: (1) the raw standalone ids already
+    sit at the gold span; (2) some token run covers the gold span's
+    characters exactly; (3) the minimal covering run decodes to the
+    answer modulo edge whitespace; (4) the context ids are searched for
+    one variant after another: with a span the prefix-space variant, then
+    the raw one; without a span the raw variant (rung 1 when found), then
+    the prefix-space one; (5) unresolved fallback to the stripped answer's
+    standalone ids. ``context`` must be the source of ``context_enc``:
+    rungs 1-3 find the gold span's code points among its tokens with
+    ``token_slice_for_span``. The answer is encoded (at most once) only
+    where ids are compared: for an exact run, rung 1 or 2, and at rungs
+    4-5; rung 3 reads the context's ids alone.
 
-    Raises ValueError for an empty answer, and SpanMismatchError with
+    Raises ValueError for a blank answer, and SpanMismatchError with
     ``mrqa.span_mismatch``'s reason when ``gold_span`` misses the answer.
     """
-    if not answer:
-        raise ValueError("answer must be non-empty")
+    stripped = answer.strip()
+    if not stripped:
+        raise ValueError("answer must not be blank")
     if gold_span is not None:
         start, stop = gold_span.start, gold_span.end
         mismatch = span_mismatch(context, start, stop, answer)
         if mismatch is not None:
             raise SpanMismatchError(f"gold span {start}:{stop} {mismatch}")
-        found = token_slice_for_span(context_enc, context, start, stop)
+        start += len(answer) - len(answer.lstrip())
+        found = token_slice_for_span(context_enc, context, start, start + len(stripped))
         if found is not None:
             span, exact = found
             slice_ids = context_enc.ids[span.start : span.end]
-            if exact and slice_ids == answer_variants(tok, answer)[0]:
+            if exact and slice_ids == answer_variants(tok, stripped)[0]:
                 return FixOutcome(
                     slice_ids, ALREADY_CONSISTENT, span, "raw standalone ids sit at the gold span"
                 )
@@ -208,7 +213,7 @@ def make_consistent_target(
                 return FixOutcome(
                     slice_ids, EXACT_SLICE, span, "token run covers the gold span exactly"
                 )
-            if _decoded_matches(tok, slice_ids, answer):
+            if _decoded_matches(tok, slice_ids, stripped):
                 return FixOutcome(
                     slice_ids,
                     EXPANDED_SLICE,
@@ -216,7 +221,7 @@ def make_consistent_target(
                     "minimal covering run matches modulo edge whitespace",
                 )
 
-    raw, prefixed = answer_variants(tok, answer)
+    raw, prefixed = answer_variants(tok, stripped)
     prefix_search = (prefixed, SUBSEQUENCE_SEARCH, "prefix-space variant found in context")
     if gold_span is None:
         searches = ((raw, ALREADY_CONSISTENT, "raw standalone ids found in context"), prefix_search)
@@ -345,15 +350,16 @@ def repair_answer_choice(
     example: ExtractiveExample,
 ) -> tuple[str, CharSpan | None] | None:
     """Pick the answer to repair: first detected text with a valid span,
-    else the first detected text, else the first gold answer."""
+    else the first detected text, else the first gold answer; a blank
+    text is no answer."""
     for text, spans in example.detected:
-        if text and spans:
+        if text.strip() and spans:
             return text, spans[0]
     for text, _ in example.detected:
-        if text:
+        if text.strip():
             return text, None
     for text in example.gold_answers:
-        if text:
+        if text.strip():
             return text, None
     return None
 

@@ -319,16 +319,16 @@ def tie_records(scores: str) -> tuple[list[dict], dict, dict]:
     return records, preds_a, preds_b
 
 
-def exact_slice_record() -> dict:
-    """One record whose gold span takes the ``exact_slice`` rung, in a
-    context holding 2-, 3- and 4-byte characters ahead of the answer.
+def trailing_space_record() -> dict:
+    """One record whose gold span also covers the space after its answer,
+    in a context holding 2-, 3- and 4-byte characters ahead of it.
 
     "年" is a letter and "1912" digits, so "年1912" segments as "年" then
-    "1912", which merges to 19/12 as it does standalone. The MRQA span
-    also covers the space after "1912" (the reader ignores trailing
-    whitespace), and " in" stays Ġ/i/n, since no merge starts Ġi. So the
-    run 19/12/Ġ covers the span's bytes exactly but is not the
-    standalone 19/12.
+    "1912", which merges to 19/12 as it does standalone. The MRQA span's
+    end is inclusive, so it covers "1912 " (the reader ignores trailing
+    whitespace). The ladder narrows it to the stripped answer and finds
+    the standalone 19/12 there, not the run 19/12/Ġ, since no merge
+    starts Ġi.
     """
     context = "The café’s 🎉 menu lists 年1912 in ink."
     start = context.index("1912")
@@ -394,12 +394,12 @@ def main() -> None:
             (golden / f"{name}_{suffix}.json").write_text(
                 json.dumps(preds, indent=0) + "\n", encoding="utf-8"
             )
-    with open(golden / "exact_slice.jsonl", "w", encoding="utf-8") as out:
-        out.write(json.dumps({"header": {"dataset": "exact_slice"}}) + "\n")
-        out.write(json.dumps(exact_slice_record(), ensure_ascii=False) + "\n")
+    with open(golden / "trailing_space.jsonl", "w", encoding="utf-8") as out:
+        out.write(json.dumps({"header": {"dataset": "trailing_space"}}) + "\n")
+        out.write(json.dumps(trailing_space_record(), ensure_ascii=False) + "\n")
     print(
         f"wrote {len(records)} records, the tie-heavy evaluate inputs and the "
-        f"exact-slice record to {DATA_DIR}"
+        f"trailing-space record to {DATA_DIR}"
     )
 
 

@@ -19,6 +19,7 @@ import regex
 
 from tokfix.bpe import BYTE_TO_UNIT, Encoding, TokenSpan, Tokenizer, load_tokenizer
 from tokfix.metrics import SignificanceResult
+from tokfix.mrqa import CharSpan
 
 
 #: Each unit character back to its byte: ``BYTE_TO_UNIT`` inverted.
@@ -163,7 +164,7 @@ def as_oracle_result(found) -> tuple:
 
 def has_faithful_slice(tok: Tokenizer, enc: Encoding, answer: str) -> bool:
     """Brute force: does any run of context ids decode to the answer
-    modulo edge whitespace?"""
+    once both are stripped of edge whitespace?"""
     n = len(enc.ids)
     for i in range(n):
         for j in range(i + 1, n + 1):
@@ -171,7 +172,7 @@ def has_faithful_slice(tok: Tokenizer, enc: Encoding, answer: str) -> bool:
                 decoded = token_bytes(tok, enc.ids[i:j]).decode("utf-8")
             except UnicodeDecodeError:
                 continue
-            if decoded == answer or decoded.strip() == answer:
+            if decoded.strip() == answer.strip():
                 return True
     return False
 
@@ -196,6 +197,45 @@ def random_toy_tokenizer(rng: random.Random, alphabet: str = "abc") -> Tokenizer
 
 def random_letter_text(rng: random.Random, alphabet: str = "abc", max_len: int = 12) -> str:
     return "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, max_len + 1)))
+
+
+#: Units for ``random_toy_tokenizer`` under the whitespace oracles: two
+#: letters, the space and newline units and the two bytes of "é". "Ġ"
+#: comes twice, so that more merges fuse spaces, "ĠĠ" among them.
+SPACE_UNITS = "abĠĠĊ" + BYTE_TO_UNIT[0xC3] + BYTE_TO_UNIT[0xA9]
+
+
+def random_spaced_text(rng: random.Random) -> str:
+    """Words over "a", "b" and "é", each followed by a run of spaces or
+    newlines; a run may also lead, and half the time the last is cut."""
+    gaps = [" ", " ", "  ", "   ", "\n", " \n"]
+    text = rng.choice(["", "", " ", "\n"]) + "".join(
+        random_letter_text(rng, "abé", 4) + rng.choice(gaps) for _ in range(rng.randrange(1, 6))
+    )
+    return text if rng.random() < 0.5 else text.rstrip()
+
+
+def random_edge_answer(rng: random.Random, context: str) -> tuple[str, CharSpan | None] | None:
+    """A slice of context, as an answer that may have edge whitespace, and
+    a gold span or None; None when the slice is blank.
+
+    Half the time the slice's trailing whitespace is swapped for a run
+    drawn anew, which may be empty. A span (70%) starts where the slice
+    does and ends anywhere in the context's whitespace after the answer's
+    last non-space character, so ``mrqa.span_mismatch`` passes it.
+    """
+    start = rng.randrange(len(context))
+    answer = context[start : rng.randrange(start + 1, len(context) + 1)]
+    if not answer.strip():
+        return None
+    core = answer.rstrip()
+    if rng.random() < 0.5:
+        answer = core + rng.choice(["", " ", "  ", "\n"])
+    if rng.random() < 0.3:
+        return answer, None
+    end = start + len(core)
+    tail = len(context) - end - len(context[end:].lstrip())
+    return answer, CharSpan(start, end + rng.randrange(tail + 1))
 
 
 def f1_oracle(pred_tokens: list[str], gold_tokens: list[str]) -> Fraction:

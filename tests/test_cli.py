@@ -435,6 +435,21 @@ class TestFixCommand:
         ]
         assert all(qa["fix_method"] != "unresolved" for r in records for qa in r["qas"])
 
+    def test_blank_answer_is_skipped_as_no_answer(self, capsys, tmp_path):
+        qa = {"qid": "q", "question": "?", "answers": ["  "]}
+        lines = [{"header": {}}, {"context": "a   b", "qas": [qa]}]
+        path = tmp_path / "blank.jsonl"
+        path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+        code, out, err = run(
+            capsys,
+            "fix", "--vocab", VOCAB, "--merges", MERGES,
+            "--dataset", str(path), "--output", str(tmp_path / "fixed.jsonl"),
+        )
+        assert code == 0
+        assert "Traceback" not in err
+        summary = json.loads(out)["summary"]
+        assert (summary["total"], summary["written"], summary["skipped_no_answer"]) == (1, 0, 1)
+
     def test_gzip_output(self, capsys, tmp_path):
         fixed = tmp_path / "fixed.jsonl.gz"
         code, _out, _err = run(
@@ -1077,18 +1092,20 @@ class TestInspectCommand:
         assert "not found" in err
 
     def test_question_without_usable_answer_is_data_error(self, capsys, tmp_path):
-        qa = {"qid": "q", "question": "When?", "answers": []}
-        lines = [{"header": {}}, {"context": "It opened in 1912.", "qas": [qa]}]
-        path = tmp_path / "unanswered.jsonl"
-        path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
-        code, out, err = run(
-            capsys,
-            "inspect", "--vocab", VOCAB, "--merges", MERGES,
-            "--dataset", str(path), "--qid", "q",
-        )
-        assert code == 2
-        assert out == ""
-        assert "data error: qid 'q' has no usable answer" in err
+        # a blank answer is no answer
+        for answers in ([], ["  "]):
+            qa = {"qid": "q", "question": "When?", "answers": answers}
+            lines = [{"header": {}}, {"context": "It opened in 1912.", "qas": [qa]}]
+            path = tmp_path / "unanswered.jsonl"
+            path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+            code, out, err = run(
+                capsys,
+                "inspect", "--vocab", VOCAB, "--merges", MERGES,
+                "--dataset", str(path), "--qid", "q",
+            )
+            assert code == 2
+            assert out == ""
+            assert "data error: qid 'q' has no usable answer" in err
 
     def test_repeated_qid_shows_first_occurrence(self, capsys, tmp_path):
         # inspect stops at the first match, so a repeat is not an error here

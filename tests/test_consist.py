@@ -39,11 +39,14 @@ from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
 from helpers import (
     MULTI_QA_RECORDS,
     NUMBER_MERGES,
+    SPACE_UNITS,
     build_vocab,
     load_tokenizer_texts,
     make_tokenizer,
     merges_text,
     naive_find,
+    random_edge_answer,
+    random_spaced_text,
     random_toy_tokenizer,
     split_points,
     token_bytes,
@@ -230,13 +233,34 @@ class TestMakeConsistentTarget:
             make_consistent_target(number_tok, context, enc, "abc", CharSpan(*span))
 
     def test_empty_answer_rejected(self):
-        # the span check passes an empty answer over whitespace, and the
-        # covering run of "a   b"[1:2] is "ĠĠ", which decodes to "  "
+        # the span check passes an empty or blank answer over whitespace, and
+        # the covering run of "a   b"[1:2] is "ĠĠ", which decodes to "  "
         tok = make_tokenizer([("Ġ", "Ġ")])
         context = "a   b"
         enc = encode(tok, context)
-        with pytest.raises(ValueError, match="non-empty"):
-            make_consistent_target(tok, context, enc, "", CharSpan(1, 2))
+        for answer, span in (("", CharSpan(1, 2)), ("  ", CharSpan(2, 3))):
+            with pytest.raises(ValueError, match="blank"):
+                make_consistent_target(tok, context, enc, answer, span)
+
+    def test_answer_with_trailing_spaces_resolves_to_its_stripped_slice(self):
+        # standalone, "a  " ends in the segment "  " and merges to a/ĠĠ; in
+        # the context that run splits into " " and " b"
+        tok = make_tokenizer([("Ġ", "Ġ")])
+        context = " a  b"
+        enc = encode(tok, context)
+        outcome = make_consistent_target(tok, context, enc, "a  ")
+        assert outcome.method == ALREADY_CONSISTENT
+        assert ids_to_pieces(tok, outcome.target_ids) == ["a"]
+        assert (outcome.context_span.start, outcome.context_span.end) == (1, 2)
+
+    def test_prefix_space_target_carries_no_edge_space_of_the_answer(self):
+        tok = make_tokenizer([("Ġ", "a")])
+        context = "x a b"
+        enc = encode(tok, context)
+        outcome = make_consistent_target(tok, context, enc, "a ")
+        assert outcome.method == SUBSEQUENCE_SEARCH
+        assert ids_to_pieces(tok, outcome.target_ids) == ["Ġa"]
+        assert (outcome.context_span.start, outcome.context_span.end) == (1, 2)
 
     def test_no_span_falls_back_to_prefixed_variant(self, corpus_tok):
         context = "The museum wing of the museum closed."
@@ -271,23 +295,16 @@ class TestMakeConsistentTarget:
 
     def test_ladder_finds_slice_whenever_one_exists(self):
         rng = random.Random(424242)
-        checked = 0
-        for _ in range(60):
-            tok = random_toy_tokenizer(rng)
-            words = [
-                "".join(rng.choice("abc") for _ in range(rng.randrange(1, 5)))
-                for _ in range(rng.randrange(2, 6))
-            ]
-            context = " ".join(words)
+        drawn = Counter()
+        for trial in range(1600):
+            if trial % 4 == 0:
+                tok = random_toy_tokenizer(rng, SPACE_UNITS)
+            context = random_spaced_text(rng)
             enc = encode(tok, context)
-            answer = rng.choice(words)
-            occurrence = context.index(answer)
-            with_span = rng.random() < 0.7
-            span = (
-                CharSpan(occurrence, occurrence + len(answer))
-                if with_span
-                else None
-            )
+            case = random_edge_answer(rng, context)
+            if case is None:
+                continue
+            answer, span = case
             outcome = make_consistent_target(tok, context, enc, answer, span)
 
             # oracle: enumerate every contiguous slice and look for a match
@@ -299,17 +316,23 @@ class TestMakeConsistentTarget:
                         decoded = token_bytes(tok, enc.ids[i:j]).decode("utf-8")
                     except UnicodeDecodeError:
                         continue
-                    if decoded == answer or decoded.strip() == answer:
+                    if decoded.strip() == answer.strip():
                         slices.append((i, j))
             if slices:
-                assert outcome.method != UNRESOLVED, (context, answer, tok.merges)
+                assert outcome.method != UNRESOLVED, (context, answer, span, tok.merges)
             if outcome.method != UNRESOLVED:
                 span_found = outcome.context_span
                 assert enc.ids[span_found.start : span_found.end] == outcome.target_ids
                 decoded = token_bytes(tok, outcome.target_ids).decode("utf-8")
-                assert decoded == answer or decoded.strip() == answer
-                checked += 1
-        assert checked > 30  # the oracle actually exercised repairs
+                assert decoded.strip() == answer.strip(), (context, answer, span, tok.merges)
+                drawn["checked"] += 1
+            drawn["edge whitespace"] += answer != answer.strip()
+            if span is not None:
+                covered = span.end - span.start
+                drawn["span over trailing whitespace"] += covered > len(answer.rstrip())
+            drawn["fused spaces"] += ("Ġ", "Ġ") in tok.merges
+        # the oracle actually exercised repairs of every kind it draws
+        assert min(drawn.values()) > 100, drawn
 
     @pytest.mark.parametrize(
         "context, answer, span, method, note, pieces, context_span, variant_calls",
@@ -324,8 +347,12 @@ class TestMakeConsistentTarget:
             # with a gold span: the three slice rungs, the two searches, the fallback
             ("1912", "1912", (0, 4), ALREADY_CONSISTENT,
              "raw standalone ids sit at the gold span", ["19", "12"], (0, 2), 1),
-            ("1912 was the year", "1912 ", (0, 4), EXACT_SLICE,
-             "token run covers the gold span exactly", ["19", "12"], (0, 2), 1),
+            # every rung sees the stripped answer "1912" at span 0:4
+            ("1912 was the year", "1912 ", (0, 4), ALREADY_CONSISTENT,
+             "raw standalone ids sit at the gold span", ["19", "12"], (0, 2), 1),
+            # "!'" is one punctuation segment, but "'s" alone is a contraction and merges
+            ("x!'s y", "'s", (2, 4), EXACT_SLICE,
+             "token run covers the gold span exactly", ["'", "s"], (2, 4), 1),
             ("Year 1912", "1912", (5, 9), EXPANDED_SLICE,
              "minimal covering run matches modulo edge whitespace", ["Ġ1912"], (4, 5), 0),
             ("Year 1912 or 912", "912", (6, 9), SUBSEQUENCE_SEARCH,
@@ -343,6 +370,7 @@ class TestMakeConsistentTarget:
             "prefixed-found",
             "unresolved",
             "span-raw-at-span",
+            "span-covers-trailing-space",
             "span-exact-slice",
             "span-expanded-slice",
             "span-prefixed-found",
@@ -354,8 +382,8 @@ class TestMakeConsistentTarget:
     def test_every_ladder_outcome(
         self, monkeypatch, context, answer, span, method, note, pieces, context_span, variant_calls
     ):
-        # number_tok's merges plus one fusing the last byte of "é" with "a"
-        tok = make_tokenizer([*NUMBER_MERGES, (BYTE_TO_UNIT[0xA9], "a")])
+        # number_tok's merges plus one fusing the last byte of "é" with "a", and "'s"
+        tok = make_tokenizer([*NUMBER_MERGES, (BYTE_TO_UNIT[0xA9], "a"), ("'", "s")])
         enc = encode(tok, context)
         gold_span = CharSpan(*span) if span is not None else None
         encoded = []
@@ -721,7 +749,7 @@ class TestFixDataset:
                     assert context_ids[span[0] : span[1]] == target
                     decoded = token_bytes(corpus_tok, target).decode("utf-8")
                     answer = qa_obj["detected_answers"][0]["text"] if qa_obj["detected_answers"] else qa_obj["answers"][0]
-                    assert decoded == answer or decoded.strip() == answer
+                    assert decoded.strip() == answer.strip()
 
     def test_rechecking_fixed_targets_finds_no_inconsistency(
         self, corpus_tok, corpus_path, tmp_path

@@ -8,9 +8,10 @@ writes must equal ``fixed.jsonl`` there too. The two evaluate
 inputs (written by ``tests/gen_corpus.py``) are tie-heavy: many sign-flip
 sums tie the observed one exactly, so a p-value moves if a tie is missed.
 The ``inspect`` reports, the only output that prints token byte ranges,
-cover four ladder rungs of the bundled corpus and, on a record of
-``exact_slice.jsonl`` (also written by ``tests/gen_corpus.py``) whose
-context holds 2-, 3- and 4-byte characters, the ``exact_slice`` rung.
+cover four ladder rungs of the bundled corpus and a record of
+``trailing_space.jsonl`` (also written by ``tests/gen_corpus.py``) whose
+gold span covers a space after the answer and whose context holds 2-,
+3- and 4-byte characters.
 After an intended change to a report, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -61,7 +62,7 @@ REPORTS = {
         for qid in ("s01", "p01", "o04", "i01")
     },
     "inspect_x01.txt": [
-        "inspect", *TOKENIZER, "--dataset", "golden/exact_slice.jsonl", "--qid", "x01",
+        "inspect", *TOKENIZER, "--dataset", "golden/trailing_space.jsonl", "--qid", "x01",
     ],
 }
 
