@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -35,8 +34,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_IO = 3
-
-logger = logging.getLogger("tokfix")
 
 
 class UsageError(Exception):
@@ -139,18 +136,24 @@ def _render_report(
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+def _warn(message: str) -> None:
+    """Write one diagnostic line to stderr."""
+    print(message, file=sys.stderr)
+
+
 class _IssueCounter:
-    """``read_dataset``'s ``on_error``: logs each data issue and counts it."""
+    """``read_dataset``'s ``on_error``: warns of each data issue and counts it."""
 
     def __init__(self) -> None:
         self.count = 0
 
     def __call__(self, message: str) -> None:
         self.count += 1
-        logger.warning("%s", message)
+        _warn(message)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    """Report a row per dataset: its name and path, ``analyze_dataset``'s row, span issues."""
     if args.sample is not None and args.sample < 1:
         raise UsageError(f"--sample must be at least 1, not {args.sample}")
     if args.seed is not None and args.sample is None:
@@ -164,17 +167,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             header, stream = read_dataset(path, on_error=issues)
             name = header.get("dataset", "")
             if not isinstance(name, str):
-                logger.warning("line 1: non-string dataset name %r; using the file name", name)
+                _warn(f"line 1: non-string dataset name {name!r}; using the file name")
                 name = ""
-            stats = analyze_dataset(
+            row = analyze_dataset(
                 tok,
                 stream,
                 sample_size=args.sample,
                 seed=args.seed,
                 answer_policy=args.answer_policy,
             )
-            entry = {"dataset": name or Path(path).name, "path": path}
-            entry.update(stats.to_dict())
+            entry = {"dataset": name or Path(path).name, "path": path, **row}
             entry["span_issues"] = issues.count
             stats_out.append(entry)
 
@@ -192,6 +194,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_fix(args: argparse.Namespace) -> int:
+    """Write the repaired dataset to ``--output`` and ``fix_dataset``'s summary to stdout."""
     if len(args.dataset) != 1:
         raise UsageError("fix takes exactly one --dataset")
     if not args.output:
@@ -211,6 +214,7 @@ def cmd_fix(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    """Report EM/F1 per predictions file, plus the paired F1 test when there are two."""
     if not 1 <= len(args.predictions) <= 2:
         raise UsageError("evaluate takes one or two --predictions files")
     if len(args.dataset) != 1:
@@ -223,7 +227,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise UsageError(f"--seed must be at least 0, not {args.seed}")
 
     with _report_writer(args) as write:
-        _, stream = read_dataset(args.dataset[0])
+        _, stream = read_dataset(args.dataset[0], on_error=_warn)
         with contextlib.closing(stream):
             result = evaluate([read_predictions(path) for path in args.predictions], stream)
         if len(result.reports) == 2 and not result.n:
@@ -234,7 +238,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ]
         for entry in reports:
             for qid in entry["unknown_qids"]:
-                logger.warning("prediction for unknown qid %r ignored", qid)
+                _warn(f"prediction for unknown qid {qid!r} ignored")
         body: dict = {"metrics": reports}
         if len(result.reports) == 2:
             f1_a, f1_b = ([score for _, _, score in r.per_example] for r in result.reports)
@@ -266,11 +270,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    """Trace one qid: its answer, both standalone tokenizations, verdict and repair."""
     with _report_writer(args) as write:
         tok = load_tokenizer(args.vocab, args.merges)
         found = None
         for path in args.dataset:
-            _, stream = read_dataset(path)
+            _, stream = read_dataset(path, on_error=_warn)
             with contextlib.closing(stream):
                 for example in stream:
                     if example.qid == args.qid:
@@ -329,25 +334,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     blas_threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
     if not any(name in os.environ for name in blas_threads):
         os.environ.update(dict.fromkeys(blas_threads, "1"))
-    logging.basicConfig(
-        stream=sys.stderr, level=logging.WARNING, format="%(message)s", force=True
-    )
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _warn(f"usage error: {exc}")
         return EXIT_USAGE
     except (DatasetError, TokenizerError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        _warn(f"data error: {exc}")
         return EXIT_DATA
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        _warn(f"i/o error: {exc}")
         return EXIT_IO
 
 

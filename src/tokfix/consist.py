@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Union
 
@@ -93,42 +93,6 @@ class FixOutcome:
     note: str
 
 
-@dataclass(frozen=True)
-class ConsistencyStats:
-    """Dataset-level consistency tallies, one field per verdict in
-    ``_VERDICTS`` order; the three counts partition ``total``."""
-
-    consistent_raw: int
-    consistent_prefix_only: int
-    inconsistent: int
-
-    @property
-    def total(self) -> int:
-        return self.consistent_raw + self.consistent_prefix_only + self.inconsistent
-
-    @property
-    def pct_inconsistent_raw(self) -> float:
-        """Share whose raw standalone ids are absent from the context ids."""
-        if self.total == 0:
-            return 0.0
-        return 100.0 * (self.consistent_prefix_only + self.inconsistent) / self.total
-
-    @property
-    def pct_inconsistent_after_prefix(self) -> float:
-        """Share still inconsistent once the prefix-space variant is allowed."""
-        if self.total == 0:
-            return 0.0
-        return 100.0 * self.inconsistent / self.total
-
-    def to_dict(self) -> dict:
-        return {
-            **asdict(self),
-            "total": self.total,
-            "pct_inconsistent_raw": round(self.pct_inconsistent_raw, 4),
-            "pct_inconsistent_after_prefix": round(self.pct_inconsistent_after_prefix, 4),
-        }
-
-
 def answer_variants(
     tok: Tokenizer, answer: str
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -201,25 +165,19 @@ def make_consistent_target(
         if mismatch is not None:
             raise SpanMismatchError(f"gold span {start}:{stop} {mismatch}")
         start += len(answer) - len(answer.lstrip())
-        found = token_slice_for_span(context_enc, context, start, start + len(stripped))
-        if found is not None:
-            span, exact = found
-            slice_ids = context_enc.ids[span.start : span.end]
-            if exact and slice_ids == answer_variants(tok, stripped)[0]:
-                return FixOutcome(
-                    slice_ids, ALREADY_CONSISTENT, span, "raw standalone ids sit at the gold span"
-                )
-            if exact:
-                return FixOutcome(
-                    slice_ids, EXACT_SLICE, span, "token run covers the gold span exactly"
-                )
-            if _decoded_matches(tok, slice_ids, stripped):
-                return FixOutcome(
-                    slice_ids,
-                    EXPANDED_SLICE,
-                    span,
-                    "minimal covering run matches modulo edge whitespace",
-                )
+        end = start + len(stripped)
+        span, exact = token_slice_for_span(context_enc, context, start, end)
+        slice_ids = context_enc.ids[span.start : span.end]
+        if exact and slice_ids == answer_variants(tok, stripped)[0]:
+            return FixOutcome(
+                slice_ids, ALREADY_CONSISTENT, span, "raw standalone ids sit at the gold span"
+            )
+        if exact:
+            note = "token run covers the gold span exactly"
+            return FixOutcome(slice_ids, EXACT_SLICE, span, note)
+        if _decoded_matches(tok, slice_ids, stripped):
+            note = "minimal covering run matches modulo edge whitespace"
+            return FixOutcome(slice_ids, EXPANDED_SLICE, span, note)
 
     raw, prefixed = answer_variants(tok, stripped)
     prefix_search = (prefixed, SUBSEQUENCE_SEARCH, "prefix-space variant found in context")
@@ -243,14 +201,21 @@ def analyze_dataset(
     sample_size: int | None = None,
     seed: int = 42,
     answer_policy: str = "first",
-) -> ConsistencyStats:
-    """Tally consistency verdicts over a dataset, one per question.
+) -> dict:
+    """Tally consistency verdicts over a dataset, one per question; return
+    the ``analyze`` report row.
 
+    The row holds the three verdict counts (``consistent_raw``,
+    ``consistent_prefix_only``, ``inconsistent``), their ``total``, and
+    as percentages of the total rounded to 4 places (0.0 when it is 0)
+    ``pct_inconsistent_raw``, the share whose raw standalone ids are
+    absent from the context ids, and ``pct_inconsistent_after_prefix``,
+    the share still absent once the prefix-space variant is allowed.
     ``answer_policy="first"`` judges the first gold answer;
     ``"any"`` counts the most favorable verdict across all gold answers.
-    ``sample_size`` takes a uniform reservoir sample, deterministic for a
-    fixed seed and input order. Questions without any answer text are
-    skipped, and a repeated qid raises DatasetError.
+    ``sample_size`` takes a uniform reservoir sample in stream order,
+    deterministic for a fixed seed and input order. Questions without any
+    answer text are skipped, and a repeated qid raises DatasetError.
 
     Each ``records`` run of the (sampled) stream encodes only windows of
     its context around the occurrences of its distinct judged answers.
@@ -296,7 +261,17 @@ def analyze_dataset(
                 if best == CONSISTENT_RAW:
                     break
             counts[best] += 1
-    return ConsistencyStats(*(counts[status] for status in _VERDICTS))
+    raw, prefix_only, inconsistent = (counts[status] for status in _VERDICTS)
+    total = raw + prefix_only + inconsistent
+    pct = [round(100.0 * n / total, 4) if total else 0.0 for n in (total - raw, inconsistent)]
+    return {
+        "consistent_raw": raw,
+        "consistent_prefix_only": prefix_only,
+        "inconsistent": inconsistent,
+        "total": total,
+        "pct_inconsistent_raw": pct[0],
+        "pct_inconsistent_after_prefix": pct[1],
+    }
 
 
 def _pieces(context: str, answers: Collection[str]) -> list[tuple[int, int]]:
@@ -334,16 +309,18 @@ def _pieces(context: str, answers: Collection[str]) -> list[tuple[int, int]]:
 def _reservoir_sample(
     stream: Iterable[ExtractiveExample], k: int, seed: int
 ) -> list[ExtractiveExample]:
+    """A uniform sample of k items, in stream order, so each ``records``
+    run of it holds every sampled question of one record."""
     rng = random.Random(seed)
-    sample: list[ExtractiveExample] = []
+    sample: list[tuple[int, ExtractiveExample]] = []
     for i, item in enumerate(stream):
         if i < k:
-            sample.append(item)
+            sample.append((i, item))
         else:
             j = rng.randint(0, i)
             if j < k:
-                sample[j] = item
-    return sample
+                sample[j] = (i, item)
+    return [item for _, item in sorted(sample, key=lambda pair: pair[0])]
 
 
 def repair_answer_choice(

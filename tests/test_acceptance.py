@@ -312,17 +312,17 @@ def test_published_asset_rate_reproduction():
     elapsed = time.perf_counter() - started
 
     checks = {
-        "squad raw": abs(squad.pct_inconsistent_raw - 96.1) <= 3.0,
-        "squad after-prefix": abs(squad.pct_inconsistent_after_prefix - 3.9) <= 3.0,
-        "nq after-prefix": abs(nq.pct_inconsistent_after_prefix - 0.1) <= 1.0,
+        "squad raw": abs(squad["pct_inconsistent_raw"] - 96.1) <= 3.0,
+        "squad after-prefix": abs(squad["pct_inconsistent_after_prefix"] - 3.9) <= 3.0,
+        "nq after-prefix": abs(nq["pct_inconsistent_after_prefix"] - 0.1) <= 1.0,
         "runtime": elapsed < 60.0,
     }
     report(
         "published-asset rate reproduction",
         all(checks.values()),
-        f"squad raw={squad.pct_inconsistent_raw:.1f} "
-        f"after={squad.pct_inconsistent_after_prefix:.1f} "
-        f"nq after={nq.pct_inconsistent_after_prefix:.1f} {elapsed:.1f}s",
+        f"squad raw={squad['pct_inconsistent_raw']:.1f} "
+        f"after={squad['pct_inconsistent_after_prefix']:.1f} "
+        f"nq after={nq['pct_inconsistent_after_prefix']:.1f} {elapsed:.1f}s",
     )
 
 
@@ -337,13 +337,13 @@ def test_monotonicity_of_prefix_resolution(corpus_tok, corpus_path):
         datasets.append(random.Random(size).sample(examples, size))
     for batch in datasets:
         stats = analyze_dataset(corpus_tok, batch)
-        if stats.pct_inconsistent_after_prefix > stats.pct_inconsistent_raw:
+        if stats["pct_inconsistent_after_prefix"] > stats["pct_inconsistent_raw"]:
             holds = False
     for _ in range(20):
         stats = analyze_dataset(
             corpus_tok, rng.sample(examples, rng.randrange(1, len(examples)))
         )
-        if stats.pct_inconsistent_after_prefix > stats.pct_inconsistent_raw:
+        if stats["pct_inconsistent_after_prefix"] > stats["pct_inconsistent_raw"]:
             holds = False
     report("monotonicity after prefix resolution", holds)
 

@@ -1,5 +1,6 @@
 import gzip
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -1057,6 +1058,31 @@ def test_blas_runs_on_one_thread_unless_the_user_sets_it(monkeypatch, eval_files
     gold, perfect, _ = eval_files
     assert main(["evaluate", "--dataset", gold, "--predictions", perfect]) == 0
     assert [os.environ.get(name) for name in names] == expected
+
+
+@pytest.mark.parametrize("command", ["analyze", "evaluate", "inspect"])
+def test_main_leaves_the_root_logger_alone(capsys, tmp_path, command):
+    # a host that runs main in process keeps its own logging handlers, and
+    # the bundled corpus's one span issue still reaches stderr as one line
+    preds = tmp_path / "preds.json"
+    preds.write_text("{}")
+    flags = {
+        "analyze": ["--vocab", VOCAB, "--merges", MERGES],
+        "evaluate": ["--predictions", str(preds)],
+        "inspect": ["--vocab", VOCAB, "--merges", MERGES, "--qid", "i04"],
+    }[command]
+    root = logging.getLogger()
+    host = logging.NullHandler()
+    root.addHandler(host)
+    before = list(root.handlers)
+    try:
+        code, _out, err = run(capsys, command, "--dataset", CORPUS, *flags)
+        after = list(root.handlers)
+    finally:
+        root.removeHandler(host)
+    assert code == 0
+    assert err == "line 41: qid i04: span [4, 10] points at 'fenwick', not 'Fenwick'\n"
+    assert after == before
 
 
 class TestInspectCommand:

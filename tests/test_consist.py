@@ -3,7 +3,6 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict
 from itertools import groupby
 
 import pytest
@@ -24,7 +23,6 @@ from tokfix.consist import (
     INCONSISTENT,
     SUBSEQUENCE_SEARCH,
     UNRESOLVED,
-    ConsistencyStats,
     SpanMismatchError,
     _reservoir_sample,
     analyze_dataset,
@@ -453,8 +451,25 @@ def oracle_dataset(rng):
     return examples
 
 
+def report_row(raw, prefix_only, inconsistent):
+    """The ``analyze`` report row for these verdict counts."""
+    total = raw + prefix_only + inconsistent
+
+    def pct(count):
+        return round(100.0 * count / total, 4) if total else 0.0
+
+    return {
+        "consistent_raw": raw,
+        "consistent_prefix_only": prefix_only,
+        "inconsistent": inconsistent,
+        "total": total,
+        "pct_inconsistent_raw": pct(prefix_only + inconsistent),
+        "pct_inconsistent_after_prefix": pct(inconsistent),
+    }
+
+
 def full_context_tally(tok, examples, *, sample_size=None, seed=42, answer_policy="first"):
-    """``analyze_dataset``'s counts, from every context encoded in full."""
+    """``analyze_dataset``'s row, from every context encoded in full."""
     if sample_size is not None:
         examples = _reservoir_sample(examples, sample_size, seed)
     verdicts = (CONSISTENT_RAW, CONSISTENT_PREFIX_SPACE, INCONSISTENT)
@@ -469,7 +484,7 @@ def full_context_tally(tok, examples, *, sample_size=None, seed=42, answer_polic
         enc = encodings[ex.context]
         statuses = [check_consistency(tok, enc, answer).status for answer in answers]
         counts[min(statuses, key=verdicts.index)] += 1
-    return ConsistencyStats(*(counts[status] for status in verdicts))
+    return report_row(*(counts[status] for status in verdicts))
 
 
 def stretch_length(context, answers):
@@ -488,22 +503,22 @@ def stretch_length(context, answers):
 class TestAnalyzeDataset:
     def test_corpus_totals_match_hand_tally(self, corpus_tok, corpus_examples):
         stats = analyze_dataset(corpus_tok, corpus_examples)
-        assert stats.total == EXPECTED_TOTALS["total"]
-        assert stats.consistent_raw == EXPECTED_TOTALS["consistent_raw"]
-        assert stats.consistent_prefix_only == EXPECTED_TOTALS["consistent_prefix_only"]
-        assert stats.inconsistent == EXPECTED_TOTALS["inconsistent"]
-        assert stats.pct_inconsistent_raw == pytest.approx(78.0)
-        assert stats.pct_inconsistent_after_prefix == pytest.approx(10.0)
+        assert stats["total"] == EXPECTED_TOTALS["total"]
+        assert stats["consistent_raw"] == EXPECTED_TOTALS["consistent_raw"]
+        assert stats["consistent_prefix_only"] == EXPECTED_TOTALS["consistent_prefix_only"]
+        assert stats["inconsistent"] == EXPECTED_TOTALS["inconsistent"]
+        assert stats["pct_inconsistent_raw"] == pytest.approx(78.0)
+        assert stats["pct_inconsistent_after_prefix"] == pytest.approx(10.0)
 
     def test_monotonicity(self, corpus_tok, corpus_examples):
         stats = analyze_dataset(corpus_tok, corpus_examples)
-        assert stats.pct_inconsistent_after_prefix <= stats.pct_inconsistent_raw
+        assert stats["pct_inconsistent_after_prefix"] <= stats["pct_inconsistent_raw"]
 
     def test_empty_stream(self, corpus_tok):
         stats = analyze_dataset(corpus_tok, [])
-        assert stats.total == 0
-        assert stats.pct_inconsistent_raw == 0.0
-        assert stats.pct_inconsistent_after_prefix == 0.0
+        assert stats["total"] == 0
+        assert stats["pct_inconsistent_raw"] == 0.0
+        assert stats["pct_inconsistent_after_prefix"] == 0.0
 
     def test_sampling_is_deterministic_for_fixed_seed(self, corpus_path):
         def run(seed):
@@ -512,6 +527,22 @@ class TestAnalyzeDataset:
 
         assert run(7) == run(7)
         assert run(7) != run(8)  # different seed picks a different sample
+
+    def test_sample_keeps_stream_order_so_each_record_is_one_run(self, corpus_tok, monkeypatch):
+        # a sample out of stream order splits a record into several runs,
+        # and each run encodes the record's context again
+        stream = []
+        for r in range(60):
+            context = f"Record {r} names the bridge and the year 1912."
+            stream += [example(f"r{r}q{q}", context, "1912") for q in range(4)]
+        positions = [stream.index(ex) for ex in _reservoir_sample(stream, 100, 3)]
+        assert len(positions) == 100
+        assert positions == sorted(positions)
+        log = record_encodes(monkeypatch)
+        stats = analyze_dataset(corpus_tok, stream, sample_size=100, seed=3)
+        assert stats["total"] == 100
+        run_contexts = [id(context) for context, _ in log]
+        assert len(run_contexts) == len(set(run_contexts))
 
     def test_answer_policy_any_takes_best_verdict(self, corpus_tok):
         ex = example(
@@ -522,8 +553,8 @@ class TestAnalyzeDataset:
         )
         first = analyze_dataset(corpus_tok, [ex], answer_policy="first")
         any_ = analyze_dataset(corpus_tok, [ex], answer_policy="any")
-        assert first.inconsistent == 1
-        assert any_.consistent_prefix_only == 1
+        assert first["inconsistent"] == 1
+        assert any_["consistent_prefix_only"] == 1
 
     def test_answer_policy_any_judges_each_distinct_answer_once(self, number_tok, monkeypatch):
         checked = []
@@ -537,7 +568,7 @@ class TestAnalyzeDataset:
         context = "The ship was finished in 1912."
         ex = example("q1", context, "1912", gold=["1912", "1912", "1912"])
         stats = analyze_dataset(number_tok, [ex], answer_policy="any")
-        assert stats.consistent_prefix_only == 1
+        assert stats["consistent_prefix_only"] == 1
         assert checked == ["1912"]
 
     def test_each_record_encodes_disjoint_split_point_pieces_of_its_context(
@@ -546,7 +577,7 @@ class TestAnalyzeDataset:
         log = record_encodes(monkeypatch)
         _, stream = read_dataset(multi_qa_path)
         stats = analyze_dataset(corpus_tok, stream)
-        assert stats.total == 4
+        assert stats["total"] == 4
         # each answer from the space before it to the split point after it
         assert log == [
             (MULTI_QA_RECORDS[0]["context"], [" ship", " 1912"]),
@@ -592,7 +623,7 @@ class TestAnalyzeDataset:
             example("q2", context, "ships"),
         ]
         stats = analyze_dataset(corpus_tok, examples, answer_policy=answer_policy)
-        assert stats.inconsistent == 2
+        assert stats["inconsistent"] == 2
         assert log == [(context, [])]
 
     def test_no_match_straddles_two_pieces(self, corpus_tok):
@@ -611,7 +642,7 @@ class TestAnalyzeDataset:
             raw, _ = answer_variants(tok, "foo bar")
             assert raw == encode(tok, "foo").ids + encode(tok, " bar").ids
             stats = analyze_dataset(tok, examples)
-            assert stats.inconsistent == 1
+            assert stats["inconsistent"] == 1
             assert stats == full_context_tally(tok, examples)
 
     @pytest.mark.parametrize("answer_policy", ["first", "any"])
@@ -629,7 +660,8 @@ class TestAnalyzeDataset:
                 corpus_tok, examples, sample_size=sample_size, seed=trial,
                 answer_policy=answer_policy,
             ), examples
-            total.update(asdict(stats))
+            for key in ("consistent_raw", "consistent_prefix_only", "inconsistent"):
+                total[key] += stats[key]
         # every verdict occurs often enough to tell
         assert min(total.values()) >= 40, total
 
@@ -662,7 +694,7 @@ class TestAnalyzeScaling:
         stats = analyze_dataset(number_tok, examples)
         elapsed = time.perf_counter() - start
         tally = Counter(expected[answer] for answer in answers)
-        assert stats == ConsistencyStats(
+        assert stats == report_row(
             tally[CONSISTENT_RAW], tally[CONSISTENT_PREFIX_SPACE], tally[INCONSISTENT]
         )
         assert elapsed < 1.0
@@ -678,7 +710,7 @@ class TestAnalyzeScaling:
         start = time.perf_counter()
         stats = analyze_dataset(number_tok, examples)
         elapsed = time.perf_counter() - start
-        assert stats == ConsistencyStats(len(answers), 0, 0)
+        assert stats == report_row(len(answers), 0, 0)
         assert elapsed < 2.0
 
     def test_answers_recurring_in_every_word_well_under_a_second(self, number_tok):
