@@ -293,8 +293,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
         context_enc = encode(tok, found.context)
         raw, prefixed = answer_variants(tok, answer)
-        verdict = check_consistency(tok, context_enc, answer)
-        outcome = make_consistent_target(tok, found.context, context_enc, answer, span)
+        verdict = check_consistency(context_enc, answer)
+        outcome = make_consistent_target(found.context, context_enc, answer, span)
 
         out = []
         out.append(f"qid:               {found.qid}")

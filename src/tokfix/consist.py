@@ -96,23 +96,23 @@ class FixOutcome:
 def answer_variants(
     tok: Tokenizer, answer: str
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Tokenize the answer as-is and with one prepended space."""
-    if not answer:
-        raise ValueError("answer must be non-empty")
+    """Tokenize the answer as-is and with one prepended space; refuse a blank one."""
+    if not answer.strip():
+        raise ValueError("answer must not be blank")
     raw = encode(tok, answer).ids
     prefixed = encode(tok, " " + answer).ids
     return raw, prefixed
 
 
-def check_consistency(
-    tok: Tokenizer, context_enc: Encoding, answer: str
-) -> ConsistencyVerdict:
-    """Test whether the answer's ids occur verbatim in the context ids.
+def check_consistency(context_enc: Encoding, answer: str) -> ConsistencyVerdict:
+    """Test whether the answer's ids under ``context_enc.tok`` occur
+    verbatim in the context ids; a blank answer raises ValueError.
 
-    The raw variant is tried first; the prefix-space variant only decides
+    The answer is judged as given, edge whitespace included. The raw
+    variant is tried first; the prefix-space variant only decides
     between ``consistent_prefix_space`` and ``inconsistent``.
     """
-    raw, prefixed = answer_variants(tok, answer)
+    raw, prefixed = answer_variants(context_enc.tok, answer)
     for ids, status in ((raw, CONSISTENT_RAW), (prefixed, CONSISTENT_PREFIX_SPACE)):
         location = find_subsequence(context_enc.id_string, ids)
         if location is not None:
@@ -130,7 +130,6 @@ def _decoded_matches(tok: Tokenizer, ids: tuple[int, ...], answer: str) -> bool:
 
 
 def make_consistent_target(
-    tok: Tokenizer,
     context: str,
     context_enc: Encoding,
     answer: str,
@@ -149,13 +148,14 @@ def make_consistent_target(
     the prefix-space one; (5) unresolved fallback to the stripped answer's
     standalone ids. ``context`` must be the source of ``context_enc``:
     rungs 1-3 find the gold span's code points among its tokens with
-    ``token_slice_for_span``. The answer is encoded (at most once) only
-    where ids are compared: for an exact run, rung 1 or 2, and at rungs
-    4-5; rung 3 reads the context's ids alone.
+    ``token_slice_for_span``. The answer is encoded with ``context_enc.tok``,
+    at most once and only where ids are compared: for an exact run, rung 1
+    or 2, and at rungs 4-5; rung 3 reads the context's ids alone.
 
     Raises ValueError for a blank answer, and SpanMismatchError with
     ``mrqa.span_mismatch``'s reason when ``gold_span`` misses the answer.
     """
+    tok = context_enc.tok
     stripped = answer.strip()
     if not stripped:
         raise ValueError("answer must not be blank")
@@ -211,11 +211,11 @@ def analyze_dataset(
     ``pct_inconsistent_raw``, the share whose raw standalone ids are
     absent from the context ids, and ``pct_inconsistent_after_prefix``,
     the share still absent once the prefix-space variant is allowed.
-    ``answer_policy="first"`` judges the first gold answer;
-    ``"any"`` counts the most favorable verdict across all gold answers.
-    ``sample_size`` takes a uniform reservoir sample in stream order,
-    deterministic for a fixed seed and input order. Questions without any
-    answer text are skipped, and a repeated qid raises DatasetError.
+    ``answer_policy="first"`` judges the first of ``answer_texts()``, as
+    given; ``"any"`` counts the most favorable verdict across all of them,
+    and a question without one is skipped. ``sample_size`` takes a uniform
+    reservoir sample in stream order, deterministic for a fixed seed and
+    input order. A repeated qid raises DatasetError.
 
     Each ``records`` run of the (sampled) stream encodes only windows of
     its context around the occurrences of its distinct judged answers.
@@ -256,7 +256,7 @@ def analyze_dataset(
                 continue
             best = INCONSISTENT
             for answer in dict.fromkeys(answers):
-                verdict = check_consistency(tok, joined, answer)
+                verdict = check_consistency(joined, answer)
                 best = min(best, verdict.status, key=_VERDICTS.index)
                 if best == CONSISTENT_RAW:
                     break
@@ -383,7 +383,7 @@ def fix_dataset(
                 if context_enc is None:
                     context_enc = encode(tok, context)
                 try:
-                    outcome = make_consistent_target(tok, context, context_enc, *choice)
+                    outcome = make_consistent_target(context, context_enc, *choice)
                 except SpanMismatchError:
                     counts["skipped_span_mismatch"] += 1
                     continue

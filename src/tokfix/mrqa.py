@@ -54,8 +54,8 @@ class ExtractiveExample:
     detected: tuple[tuple[str, tuple[CharSpan, ...]], ...] = ()
 
     def answer_texts(self) -> list[str]:
-        """The non-empty gold texts, or else the non-empty detected texts."""
-        return [a for a in self.gold_answers if a] or [t for t, _ in self.detected if t]
+        """The non-blank gold texts, or else the non-blank detected texts."""
+        return [*filter(str.strip, self.gold_answers)] or [t for t, _ in self.detected if t.strip()]
 
 
 def span_mismatch(context: str, start: int, end: int, text: str) -> str | None:

@@ -178,7 +178,7 @@ def test_repair_guarantee_against_brute_force_oracle():
             if case is None:
                 continue
             answer, span = case
-            outcome = make_consistent_target(tok, context, enc, answer, span)
+            outcome = make_consistent_target(context, enc, answer, span)
             cases += 1
             if outcome.method == UNRESOLVED:
                 unresolved += 1

@@ -199,6 +199,26 @@ class TestAnalyzeCommand:
         (stats,) = json.loads(out)["stats"]
         assert stats["total"] == 1  # judged on "1912", as evaluate and fix use it
 
+    def test_blank_only_question_is_skipped_as_answerless(self, capsys, tmp_path):
+        qas = [
+            {"qid": "blank", "question": "When?", "answers": ["  "]},
+            {"qid": "year", "question": "When?", "answers": ["1912"]},
+        ]
+        lines = [
+            {"header": {"dataset": "blank"}},
+            {"context": "The ship was finished in 1912 after delays.", "qas": qas},
+        ]
+        dataset = tmp_path / "blank.jsonl"
+        dataset.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+        code, out, err = run(
+            capsys,
+            "analyze", "--vocab", VOCAB, "--merges", MERGES, "--dataset", str(dataset),
+        )
+        assert code == 0
+        assert "Traceback" not in err
+        (stats,) = json.loads(out)["stats"]
+        assert (stats["total"], stats["inconsistent"]) == (1, 0)
+
     def test_empty_dataset_reports_zero_stats(self, capsys, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text('{"header": {"dataset": "none"}}\n')

@@ -415,6 +415,15 @@ class TestEvaluate:
         assert report.n_predicted == 0
         assert report.hallucination_rate == 0.0
 
+    def test_blank_gold_is_no_gold_as_an_empty_one_is(self):
+        def report(golds):
+            ex = ExtractiveExample("q", "It opened in 1912.", "?", gold_answers=golds)
+            return evaluate_one({"q": ""}, [ex])
+
+        blank, empty = report(("  ", "1912")), report(("", "1912"))
+        assert blank == empty
+        assert (blank.em, blank.f1) == (0.0, 0.0)
+
     def test_hand_fixture_matches_per_example_oracle(self):
         report = evaluate_one(hand_predictions(), hand_examples())
         by_qid = {qid: (em, score) for qid, em, score in report.per_example}
