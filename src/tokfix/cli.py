@@ -233,7 +233,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if len(result.reports) == 2 and not result.n:
             raise DatasetError("dataset has no questions to compare two prediction files on")
         reports = [
-            {"predictions": path, **report.to_dict()}
+            {"predictions": path, **report}
             for path, report in zip(args.predictions, result.reports)
         ]
         for entry in reports:
@@ -241,7 +241,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 _warn(f"prediction for unknown qid {qid!r} ignored")
         body: dict = {"metrics": reports}
         if len(result.reports) == 2:
-            f1_a, f1_b = ([score for _, _, score in r.per_example] for r in result.reports)
+            f1_a, f1_b = ([score for _, _, score in rows] for rows in result.scores)
             del result  # the test reads the two F1 columns only
             test = paired_significance(f1_a, f1_b, seed=args.seed)
             if test.seed is None and seed_given:
@@ -250,7 +250,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         else:
             body["per_example"] = [
                 {"qid": qid, "em": em, "f1": round(score, 6)}
-                for qid, em, score in result.reports[0].per_example
+                for qid, em, score in result.scores[0]
             ]
 
         columns = [

@@ -63,40 +63,13 @@ def _f1_tokens(pred_counts: Counter[str], n_pred: int, gold_tokens: list[str]) -
 
 
 @dataclass
-class MetricsReport:
-    """Macro-averaged EM/F1 percentages with out-of-context rates."""
-
-    em: float
-    f1: float
-    n: int
-    n_predicted: int
-    hallucination_rate: float
-    hallucination_rate_normalized: float
-    hallucinated_qids: list[str]
-    unknown_qids: list[str]
-    per_example: list[tuple[str, int, float]]
-
-    def to_dict(self) -> dict:
-        return {
-            "em": round(self.em, 4),
-            "f1": round(self.f1, 4),
-            "n": self.n,
-            "n_predicted": self.n_predicted,
-            "hallucination_rate": round(self.hallucination_rate, 4),
-            "hallucination_rate_normalized": round(
-                self.hallucination_rate_normalized, 4
-            ),
-            "hallucinated_qids": list(self.hallucinated_qids),
-            "unknown_qids": list(self.unknown_qids),
-        }
-
-
-@dataclass
 class Evaluation:
-    """The gold question count and one report per prediction file, in order."""
+    """The gold question count, then per prediction file, in order, its
+    report row and its ``(qid, em, f1)`` score rows."""
 
     n: int
-    reports: list[MetricsReport]
+    reports: list[dict]
+    scores: list[list[tuple[str, int, float]]]
 
 
 def evaluate(
@@ -105,11 +78,15 @@ def evaluate(
     """Score every prediction file against the gold questions in one pass.
 
     ``examples`` is read once, so it may be a ``read_dataset`` stream; a
-    qid that occurs twice in it raises DatasetError. Every gold question
-    counts toward each report's denominators; a missing prediction scores
-    0 on EM and F1. Out-of-context rates are computed over predicted
+    qid that occurs twice in it raises DatasetError. A file's report row is
+    the dict ``tokfix evaluate`` prints for it: macro-averaged ``em`` and
+    ``f1`` percentages, ``n``, ``n_predicted``, both out-of-context rates,
+    ``hallucinated_qids`` and ``unknown_qids``; percentages are rounded to
+    4 places, and 0.0 when their denominator is 0. Every gold question
+    counts toward each row's EM/F1 denominators; a missing prediction
+    scores 0 on EM and F1. Out-of-context rates are computed over predicted
     answers only. Predictions whose qid matches no gold question are
-    excluded and listed in ``unknown_qids``. ``per_example`` holds one
+    excluded and listed in ``unknown_qids``. A file's score rows hold one
     ``(qid, em, f1)`` triple per gold question, in input order; an exact
     match scores F1 1.0 without counting tokens. A question's golds and
     the context of a ``records`` run are normalized once whatever the
@@ -124,10 +101,10 @@ def evaluate(
         n += len(record)
         for example in record:
             norm_golds = None
-            for preds, per_example, hallucinated, hallucinated_normalized in files:
+            for preds, rows, hallucinated, hallucinated_norm in files:
                 pred = preds.get(example.qid)
                 if pred is None:
-                    per_example.append((example.qid, 0, 0.0))
+                    rows.append((example.qid, 0, 0.0))
                     continue
                 if norm_golds is None:
                     norm_golds = [normalize_answer(g) for g in example.answer_texts()]
@@ -136,37 +113,35 @@ def evaluate(
                 norm_pred = normalize_answer(pred)
                 em_i = int(norm_pred in norm_golds)
                 f1_i = 1.0 if em_i else _f1_normalized(norm_pred, norm_golds)  # no F1 exceeds 1.0
-                per_example.append((example.qid, em_i, f1_i))
+                rows.append((example.qid, em_i, f1_i))
                 if hallucination_check(pred, context):
                     hallucinated.append(example.qid)
                 if norm_pred not in norm_context:
-                    hallucinated_normalized.append(example.qid)
+                    hallucinated_norm.append(example.qid)
+
+    def percent(count: float, total: int) -> float:
+        return round(100.0 * count / total, 4) if total else 0.0
 
     # a missing prediction's row adds 0 to the sums; qids are unique, so
     # every prediction not unknown was scored. fsum rounds alike on every
     # Python version (3.12's sum compensates, 3.11's does not).
     reports = []
-    for preds, per_example, hallucinated, hallucinated_normalized in files:
-        unknown = sorted(preds.keys() - (qid for qid, _, _ in per_example))
+    for preds, rows, hallucinated, hallucinated_norm in files:
+        unknown = sorted(preds.keys() - (qid for qid, _, _ in rows))
         n_predicted = len(preds) - len(unknown)
         reports.append(
-            MetricsReport(
-                em=100.0 * math.fsum(em for _, em, _ in per_example) / n if n else 0.0,
-                f1=100.0 * math.fsum(f1 for _, _, f1 in per_example) / n if n else 0.0,
-                n=n,
-                n_predicted=n_predicted,
-                hallucination_rate=(
-                    100.0 * len(hallucinated) / n_predicted if n_predicted else 0.0
-                ),
-                hallucination_rate_normalized=(
-                    100.0 * len(hallucinated_normalized) / n_predicted if n_predicted else 0.0
-                ),
-                hallucinated_qids=hallucinated,
-                unknown_qids=unknown,
-                per_example=per_example,
-            )
+            {
+                "em": percent(math.fsum(em for _, em, _ in rows), n),
+                "f1": percent(math.fsum(f1 for _, _, f1 in rows), n),
+                "n": n,
+                "n_predicted": n_predicted,
+                "hallucination_rate": percent(len(hallucinated), n_predicted),
+                "hallucination_rate_normalized": percent(len(hallucinated_norm), n_predicted),
+                "hallucinated_qids": hallucinated,
+                "unknown_qids": unknown,
+            }
         )
-    return Evaluation(n, reports)
+    return Evaluation(n, reports, [rows for _, rows, _, _ in files])
 
 
 @dataclass(frozen=True)

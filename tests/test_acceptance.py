@@ -350,14 +350,15 @@ def test_monotonicity_of_prefix_resolution(corpus_tok, corpus_path):
 
 def test_metrics_fidelity_hand_fixture():
     mismatches = []
-    (result,) = evaluate([hand_predictions()], hand_examples()).reports
-    by_qid = {qid: (em, score) for qid, em, score in result.per_example}
+    result = evaluate([hand_predictions()], hand_examples())
+    (row,), (rows,) = result.reports, result.scores
+    by_qid = {qid: (em, score) for qid, em, score in rows}
     for qid, _ctx, _golds, _pred, em, frac, _h in HAND_CASES:
         got_em, got_f1 = by_qid[qid]
         if got_em != em or abs(got_f1 - float(frac)) > 1e-12:
             mismatches.append(qid)
 
-    flagged = set(result.hallucinated_qids)
+    flagged = set(row["hallucinated_qids"])
     if "c02" not in flagged:  # the misspelled answer
         mismatches.append("c02-flag")
     if "c03" not in flagged:  # the paraphrased answer

@@ -12,6 +12,7 @@ import pytest
 import tokfix
 from tokfix import cli
 from tokfix.cli import main
+from tokfix.metrics import evaluate
 from tokfix.mrqa import read_dataset
 
 from gen_corpus import EXPECTED_METHODS, EXPECTED_TOTALS
@@ -565,6 +566,29 @@ class TestEvaluateCommand:
         assert sig["metric"] == "f1"
         assert 0.0 < sig["p_value"] <= 1.0
         assert sig["statistic"] > 0  # the first file scores higher
+
+    def test_library_rows_are_the_printed_rows(self, capsys, tmp_path, multi_qa_path):
+        first = {"m1": "1912", "m2": "ship", "m3": "The Ship", "m6": "museum treaty", "x": "?"}
+        second = {"m1": "in 1912", "m4": "nobody", "m5": "treaty"}
+        for files in ([first], [first, second]):
+            argv = ["evaluate", "--dataset", str(multi_qa_path)]
+            for i, preds in enumerate(files):
+                path = tmp_path / f"preds{i}.json"
+                path.write_text(json.dumps(preds))
+                argv += ["--predictions", str(path)]
+            code, out, _err = run(capsys, *argv)
+            assert code == 0
+            printed = json.loads(out)
+            _, stream = read_dataset(multi_qa_path)
+            result = evaluate(files, stream)
+            assert result.reports == [
+                {k: v for k, v in row.items() if k != "predictions"} for row in printed["metrics"]
+            ]
+            if len(files) == 1:
+                assert printed["per_example"] == [
+                    {"qid": qid, "em": em, "f1": round(score, 6)}
+                    for qid, em, score in result.scores[0]
+                ]
 
     def test_two_prediction_files_on_zero_questions_is_data_error(
         self, capsys, eval_files, tmp_path

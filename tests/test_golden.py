@@ -7,6 +7,8 @@ every Python and numpy version the project supports; the dataset ``fix``
 writes must equal ``fixed.jsonl`` there too. The two evaluate
 inputs (written by ``tests/gen_corpus.py``) are tie-heavy: many sign-flip
 sums tie the observed one exactly, so a p-value moves if a tie is missed.
+The two ``evaluate_one`` reports score one prediction file of those
+inputs, in JSON with its ``per_example`` rows and in TSV.
 The ``inspect`` reports, the only output that prints token byte ranges,
 cover four ladder rungs of the bundled corpus and a record of
 ``trailing_space.jsonl`` (also written by ``tests/gen_corpus.py``) whose
@@ -55,6 +57,14 @@ REPORTS = {
     "fix.json": ["fix", *TOKENIZER, "--dataset", "repair_corpus.jsonl"],
     "evaluate_exact.json": _evaluate("ties_exact"),
     "evaluate_sampled.json": _evaluate("ties_sampled"),
+    "evaluate_one.json": [
+        "evaluate", "--dataset", "golden/ties_exact.jsonl",
+        "--predictions", "golden/ties_exact_b.json",
+    ],
+    "evaluate_one.tsv": [
+        "evaluate", "--dataset", "golden/ties_sampled.jsonl",
+        "--predictions", "golden/ties_sampled_a.json", "--format", "tsv",
+    ],
     **{
         f"inspect_{qid}.txt": [
             "inspect", *TOKENIZER, "--dataset", "repair_corpus.jsonl", "--qid", qid,

@@ -194,11 +194,11 @@ def f1(pred, golds):
 
 
 def evaluate_one(preds, examples):
-    """The report of ``evaluate`` on one prediction file."""
+    """The report row and score rows of ``evaluate`` on one prediction file."""
     result = evaluate([preds], examples)
-    (report,) = result.reports
-    assert report.n == result.n
-    return report
+    (report,), (rows,) = result.reports, result.scores
+    assert report["n"] == result.n
+    return report, rows
 
 
 def hand_examples():
@@ -360,9 +360,9 @@ class TestHallucinationCheck:
         context = "Both sides signed The Treaty that winter."
         assert hallucination_check("the treaty", context) is True
         example = ExtractiveExample(qid="q", context=context, question="?", gold_answers=("x",))
-        report = evaluate_one({"q": "the treaty"}, [example])
-        assert report.hallucination_rate == 100.0
-        assert report.hallucination_rate_normalized == 0.0
+        report, _ = evaluate_one({"q": "the treaty"}, [example])
+        assert report["hallucination_rate"] == 100.0
+        assert report["hallucination_rate_normalized"] == 0.0
 
     def test_random_context_slices_never_flagged(self):
         rng = random.Random(5150)
@@ -400,20 +400,20 @@ class TestEvaluate:
         in_context = {"c01", "c02", "c03", "c04", "c06"}
         examples = [e for e in hand_examples() if e.qid in in_context]
         preds = {e.qid: e.gold_answers[0] for e in examples}
-        report = evaluate_one(preds, examples)
-        assert report.em == 100.0
-        assert report.f1 == 100.0
-        assert report.hallucination_rate == 0.0
-        assert report.n == 5
+        report, _ = evaluate_one(preds, examples)
+        assert report["em"] == 100.0
+        assert report["f1"] == 100.0
+        assert report["hallucination_rate"] == 0.0
+        assert report["n"] == 5
 
     def test_empty_predictions_keep_denominator(self):
         examples = hand_examples()
-        report = evaluate_one({}, examples)
-        assert report.em == 0.0
-        assert report.f1 == 0.0
-        assert report.n == len(examples)
-        assert report.n_predicted == 0
-        assert report.hallucination_rate == 0.0
+        report, _ = evaluate_one({}, examples)
+        assert report["em"] == 0.0
+        assert report["f1"] == 0.0
+        assert report["n"] == len(examples)
+        assert report["n_predicted"] == 0
+        assert report["hallucination_rate"] == 0.0
 
     def test_blank_gold_is_no_gold_as_an_empty_one_is(self):
         def report(golds):
@@ -422,11 +422,11 @@ class TestEvaluate:
 
         blank, empty = report(("  ", "1912")), report(("", "1912"))
         assert blank == empty
-        assert (blank.em, blank.f1) == (0.0, 0.0)
+        assert (blank[0]["em"], blank[0]["f1"]) == (0.0, 0.0)
 
     def test_hand_fixture_matches_per_example_oracle(self):
-        report = evaluate_one(hand_predictions(), hand_examples())
-        by_qid = {qid: (em, score) for qid, em, score in report.per_example}
+        report, rows = evaluate_one(hand_predictions(), hand_examples())
+        by_qid = {qid: (em, score) for qid, em, score in rows}
         em_sum = 0
         f1_sum = Fraction(0)
         for qid, _ctx, _golds, pred, em, frac, _h in HAND_CASES:
@@ -436,28 +436,28 @@ class TestEvaluate:
             em_sum += em
             f1_sum += frac
         n = len(HAND_CASES)
-        assert report.em == pytest.approx(100.0 * em_sum / n, abs=1e-9)
-        assert report.f1 == pytest.approx(float(100 * f1_sum / n), abs=1e-9)
+        assert report["em"] == pytest.approx(round(100.0 * em_sum / n, 4), abs=1e-9)
+        assert report["f1"] == pytest.approx(round(float(100 * f1_sum / n), 4), abs=1e-9)
 
     def test_hand_fixture_hallucination_flags(self):
-        report = evaluate_one(hand_predictions(), hand_examples())
+        report, _ = evaluate_one(hand_predictions(), hand_examples())
         expected = sorted(qid for qid, *_rest, h in HAND_CASES if h)
-        assert sorted(report.hallucinated_qids) == expected
+        assert sorted(report["hallucinated_qids"]) == expected
         n_predicted = sum(1 for case in HAND_CASES if case[3] is not None)
-        assert report.n_predicted == n_predicted
-        assert report.hallucination_rate == pytest.approx(
-            100.0 * len(expected) / n_predicted
+        assert report["n_predicted"] == n_predicted
+        assert report["hallucination_rate"] == pytest.approx(
+            round(100.0 * len(expected) / n_predicted, 4)
         )
 
     def test_unknown_qid_is_reported_and_excluded(self):
         examples = hand_examples()[:3]
         preds = {e.qid: e.gold_answers[0] for e in examples}
         preds["zzz"] = "ghost"
-        report = evaluate_one(preds, examples)
-        assert report.unknown_qids == ["zzz"]
-        assert report.n == 3
-        assert report.n_predicted == 3
-        assert report.em == 100.0
+        report, _ = evaluate_one(preds, examples)
+        assert report["unknown_qids"] == ["zzz"]
+        assert report["n"] == 3
+        assert report["n_predicted"] == 3
+        assert report["em"] == 100.0
 
     def test_repeated_qid_raises(self, tmp_path):
         qa = {"qid": "q", "question": "When?", "answers": ["1912"]}
@@ -488,7 +488,7 @@ class TestEvaluate:
         second = {"m1": "1913", "m3": "The Ship", "m5": "treaty"}
         result = evaluate([first, second], examples)
         assert result.n == 6
-        assert [r.n_predicted for r in result.reports] == [4, 3]
+        assert [r["n_predicted"] for r in result.reports] == [4, 3]
 
         contexts = {e.context for e in examples if e.qid != "m4"}
         golds = [g for e in examples if e.qid != "m4" for g in e.answer_texts()]
@@ -504,20 +504,25 @@ class TestEvaluate:
         first = {"m1": "1912", "m3": "ship", "m6": "the museum", "ghost": "x"}
         second = {"m1": "in 1912", "m2": "Nobody", "m5": "treaty"}
         result = evaluate([first, second], iter(examples))
-        assert result.reports == [evaluate_one(first, examples), evaluate_one(second, examples)]
-        assert result.reports[0].unknown_qids == ["ghost"]
+        assert [*zip(result.reports, result.scores)] == [
+            evaluate_one(first, examples),
+            evaluate_one(second, examples),
+        ]
+        assert result.reports[0]["unknown_qids"] == ["ghost"]
 
     def test_means_do_not_depend_on_summation_order(self):
-        # one prediction token among 19 gold tokens scores F1 0.1, whose
-        # left-to-right sum over ten rows is 0.9999999999999999
+        # one prediction token among 19 gold tokens scores F1 0.1; 53 more
+        # questions have no prediction. The exact sum of the eleven 0.1 rows
+        # gives 100 * 1.1 / 64 = 1.71875, which rounds to 1.7188; their
+        # left-to-right sum, 1.0999999999999999, would round to 1.7187
         gold = " ".join(f"x{j}" for j in range(19))
         examples = [
             ExtractiveExample(qid=f"q{i}", context=gold, question="?", gold_answers=(gold,))
-            for i in range(10)
+            for i in range(64)
         ]
-        report = evaluate_one({e.qid: "x0" for e in examples}, examples)
-        assert [score for _, _, score in report.per_example] == [0.1] * 10
-        assert report.f1 == 10.0
+        report, rows = evaluate_one({e.qid: "x0" for e in examples[:11]}, examples)
+        assert [score for _, _, score in rows] == [0.1] * 11 + [0.0] * 53
+        assert report["f1"] == 1.7188
 
     def test_report_matches_public_functions_per_question(self, multi_qa_path):
         _, stream = read_dataset(multi_qa_path)
@@ -547,11 +552,13 @@ class TestEvaluate:
                     hallucinated.append(e.qid)
                 halluc_norm += normalize_answer(pred) not in normalize_answer(e.context)
 
-            report = evaluate_one(preds, examples)
-            assert report.per_example == per_example
-            assert report.hallucinated_qids == hallucinated
-            assert report.hallucination_rate == 100.0 * len(hallucinated) / len(preds)
-            assert report.hallucination_rate_normalized == 100.0 * halluc_norm / len(preds)
+            report, rows = evaluate_one(preds, examples)
+            assert rows == per_example
+            assert report["hallucinated_qids"] == hallucinated
+            assert report["hallucination_rate"] == round(100.0 * len(hallucinated) / len(preds), 4)
+            assert report["hallucination_rate_normalized"] == round(
+                100.0 * halluc_norm / len(preds), 4
+            )
 
     @given(st.lists(scored_questions(), min_size=1, max_size=8))
     @settings(max_examples=300, deadline=None)
@@ -566,7 +573,7 @@ class TestEvaluate:
             # full counting scores every gold, the matching one included
             pred, golds = preds[e.qid], e.answer_texts()
             expected.append((e.qid, exact_match(pred, golds), f1(pred, golds)))
-        assert evaluate_one(preds, examples).per_example == expected
+        assert evaluate_one(preds, examples)[1] == expected
 
     def test_exact_matches_count_no_tokens(self, multi_qa_path, monkeypatch):
         _, stream = read_dataset(multi_qa_path)
@@ -582,7 +589,10 @@ class TestEvaluate:
         first = {"m1": "1912", "m3": "The Ship", "m5": "treaty", "m6": "museum"}
         second = {"m1": "1912.", "m3": "ship", "m6": "a museum"}
         result = evaluate([first, second], examples)
-        assert [(r.em, r.f1) for r in result.reports] == [(400 / 6, 400 / 6), (50.0, 50.0)]
+        assert [(r["em"], r["f1"]) for r in result.reports] == [
+            (round(400 / 6, 4), round(400 / 6, 4)),
+            (50.0, 50.0),
+        ]
         assert counted == []
 
 
