@@ -342,7 +342,7 @@ def repair_answer_choice(
 
 
 def _fix_fields(outcome: FixOutcome) -> dict:
-    """The fields a repaired qa carries after its MRQA fields."""
+    """The fields a repaired qa carries after the ones it was read with."""
     span = outcome.context_span
     return {
         "target_token_ids": list(outcome.target_ids),
@@ -360,12 +360,14 @@ def fix_dataset(
 ) -> dict:
     """Repair every example and write the fixed dataset; return a summary.
 
-    Each repaired qa gains ``target_token_ids``, ``fix_method`` and
-    ``context_token_span``; ``write_fixed_dataset`` gets one list of
-    repaired ``(example, fields)`` pairs per ``records`` run, so a record
-    whose qas are all skipped is not written. A record's context is
-    encoded once, when its first qa is repaired, so an all-skipped record
-    is never encoded. The summary's method counts plus the skip counts
+    Each repaired qa is written as read plus ``target_token_ids``,
+    ``fix_method`` and ``context_token_span``, which overwrite any already
+    there, so fixing the output again gives the same bytes.
+    ``write_fixed_dataset`` gets one list of repaired ``(example, fields)``
+    pairs per ``records`` run, that is per input line, so a record whose
+    qas are all skipped is not written. A record's context is encoded
+    once, when its first qa is repaired, so an all-skipped record is never
+    encoded. The summary's method counts plus the skip counts
     partition the input total; ``written`` is the sum of the method
     counts. Span mismatches are counted and skipped, never fatal; a
     repeated qid raises DatasetError.

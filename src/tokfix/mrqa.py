@@ -16,7 +16,7 @@ import logging
 import os
 import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Union
 
@@ -45,6 +45,9 @@ class ExtractiveExample:
     ``detected`` pairs each in-context answer text with its character
     spans, half-open. The reader keeps a span only if ``span_mismatch``
     finds none and reports each one it prunes through its error channel.
+    ``record`` and ``qa`` are the parsed line and qa object the example
+    was read from, which ``records`` groups by and ``write_fixed_dataset``
+    writes back; they take no part in equality or ``repr``.
     """
 
     qid: str
@@ -52,6 +55,8 @@ class ExtractiveExample:
     question: str
     gold_answers: tuple[str, ...] = ()
     detected: tuple[tuple[str, tuple[CharSpan, ...]], ...] = ()
+    record: dict = field(kw_only=True, compare=False, repr=False)
+    qa: dict = field(kw_only=True, compare=False, repr=False)
 
     def answer_texts(self) -> list[str]:
         """The non-blank gold texts, or else the non-blank detected texts."""
@@ -118,7 +123,7 @@ def read_dataset(
     the line number.
 
     The stream yields one example per question, in file order; the
-    examples of one record share one ``context`` object, so ``records``
+    examples of one line share its ``record`` object, so ``records``
     gives them back as one record.
     """
     report = on_error if on_error is not None else logger.warning
@@ -134,16 +139,14 @@ def read_dataset(
 
 def records(examples: Iterable[ExtractiveExample]) -> Iterator[list[ExtractiveExample]]:
     """Yield one list per run of consecutive examples that share one
-    ``context`` object, as ``read_dataset`` yields each input record.
+    ``record`` object, so one list per input line of ``read_dataset``.
 
-    It reads at most one example past the record it yields. Records with
-    equal text but distinct objects stay apart; Python may share one object
-    between equal empty or one-character strings, so adjacent records with
-    such a context can merge.
+    It reads at most one example past the record it yields. Records
+    that are equal but distinct objects stay apart.
     """
     record: list[ExtractiveExample] = []
     for example in examples:
-        if record and example.context is not record[0].context:
+        if record and example.record is not record[0].record:
             yield record
             record = []
         record.append(example)
@@ -206,12 +209,13 @@ def _examples(
                 report(f"line {lineno}: record lacks context/qas; skipped")
                 continue
             for qa in qas:
-                example = _parse_qa(context, qa, lineno, report)
+                example = _parse_qa(record, context, qa, lineno, report)
                 if example is not None:
                     yield example
 
 
 def _parse_qa(
+    record: dict,
     context: str,
     qa: object,
     lineno: int,
@@ -279,6 +283,8 @@ def _parse_qa(
         question=question,
         gold_answers=tuple(gold),
         detected=tuple(detected),
+        record=record,
+        qa=qa,
     )
 
 
@@ -289,12 +295,14 @@ def write_fixed_dataset(
 ) -> None:
     """Write the header, then one line per record of ``(example, extra)`` pairs.
 
-    The line's context is the first example's, and each qa holds an
-    example's MRQA fields, then its ``extra`` fields. A record without
-    pairs is dropped. Only one record is held at a time. A path ending in
-    ``.gz`` is gzipped at level 6 with a zero timestamp, so reruns give
-    identical bytes. The file is written through ``replace_on_success``,
-    so an error while ``records`` is consumed leaves no partial output.
+    The line is the first example's ``record`` as read, with its qas
+    replaced by each example's ``qa`` as read updated with its ``extra``
+    fields: an extra field already in the qa keeps its place and takes the
+    new value. A record without pairs is dropped. Only one record is held
+    at a time. A path ending in ``.gz`` is gzipped at level 6 with a zero
+    timestamp, so reruns give identical bytes. The file is written through
+    ``replace_on_success``, so an error while ``records`` is consumed
+    leaves no partial output.
     """
     path = Path(path)
     with replace_on_success(path) as stream, contextlib.ExitStack() as stack:
@@ -306,8 +314,8 @@ def write_fixed_dataset(
         out.write("\n")
         for pairs in records:
             if pairs:
-                qas = [{**_mrqa_qa(example), **extra} for example, extra in pairs]
-                line = {"context": pairs[0][0].context, "qas": qas}
+                qas = [{**example.qa, **extra} for example, extra in pairs]
+                line = {**pairs[0][0].record, "qas": qas}
                 out.write(json.dumps(line, ensure_ascii=False))
                 out.write("\n")
 
@@ -328,21 +336,6 @@ def replace_on_success(path: Union[str, Path]) -> Iterator[IO[bytes]]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _mrqa_qa(example: ExtractiveExample) -> dict:
-    return {
-        "qid": example.qid,
-        "question": example.question,
-        "answers": list(example.gold_answers),
-        "detected_answers": [
-            {
-                "text": text,
-                "char_spans": [[span.start, span.end - 1] for span in spans],
-            }
-            for text, spans in example.detected
-        ],
-    }
 
 
 def read_predictions(path: Union[str, Path]) -> dict[str, str]:

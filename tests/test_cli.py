@@ -396,7 +396,78 @@ class TestAnalyzeCommand:
             assert "line 4" in err
 
 
+#: an MRQA-release record: ids, token offsets and fields tokfix does not
+#: read, a non-text answer the reader drops, a span it prunes, and the
+#: bundled corpus's ``expected``
+MRQA_RECORD = {
+    "id": "rec-1",
+    "context": "The bridge opened in 1912.",
+    "context_tokens": [["The", 0], ["bridge", 4], ["opened", 11], ["in", 18], ["1912", 21]],
+    "qas": [
+        {
+            "id": "qa-1",
+            "qid": "q1",
+            "question": "When did it open?",
+            "question_tokens": [["When", 0], ["did", 5], ["it", 9], ["open", 12]],
+            "answers": ["1912", 1912],
+            "detected_answers": [
+                {"text": "1912", "char_spans": [[21, 24], [0, 3]], "token_spans": [[4, 4]]}
+            ],
+            "expected": {"verdict": "consistent_prefix_space", "method": "expanded_slice"},
+        }
+    ],
+}
+
+
+def write_dataset(path, *records):
+    path.write_text("\n".join(json.dumps(line) for line in [{"header": {}}, *records]) + "\n")
+    return path
+
+
 class TestFixCommand:
+    def fix(self, capsys, dataset, output):
+        code, out, _err = run(
+            capsys,
+            "fix", "--vocab", VOCAB, "--merges", MERGES,
+            "--dataset", str(dataset), "--output", str(output),
+        )
+        assert code == 0
+        return json.loads(out)["summary"]
+
+    def test_mrqa_record_keeps_every_field(self, capsys, tmp_path):
+        dataset = write_dataset(tmp_path / "mrqa.jsonl", MRQA_RECORD)
+        fixed = tmp_path / "fixed.jsonl"
+        assert self.fix(capsys, dataset, fixed)["written"] == 1
+        (record,) = [json.loads(line) for line in fixed.read_text().splitlines()[1:]]
+        (qa,) = record["qas"]
+        added = {key: qa.pop(key) for key in ("target_token_ids", "fix_method", "context_token_span")}
+        assert record == MRQA_RECORD
+        assert list(record) == list(MRQA_RECORD)
+        assert list(qa) == list(MRQA_RECORD["qas"][0])
+        assert added["fix_method"] == qa["expected"]["method"]
+
+    def test_adjacent_one_character_records_stay_apart(self, capsys, tmp_path):
+        qa = {"question": "?", "answers": ["x"]}
+        first = {"id": "r1", "context": "x", "qas": [{"qid": "a", **qa}]}
+        second = {"id": "r2", "context": "x", "qas": [{"qid": "b", **qa}]}
+        dataset = write_dataset(tmp_path / "x.jsonl", first, second)
+        fixed = tmp_path / "fixed.jsonl"
+        assert self.fix(capsys, dataset, fixed)["written"] == 2
+        written = [json.loads(line) for line in fixed.read_text().splitlines()[1:]]
+        assert [r["id"] for r in written] == ["r1", "r2"]
+        assert [[qa["qid"] for qa in r["qas"]] for r in written] == [["a"], ["b"]]
+
+    @pytest.mark.parametrize("source", ["corpus", "mrqa"])
+    def test_fixing_the_output_again_gives_the_same_bytes(self, capsys, tmp_path, source):
+        if source == "corpus":
+            dataset = Path(CORPUS)
+        else:
+            dataset = write_dataset(tmp_path / "mrqa.jsonl", MRQA_RECORD)
+        once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+        summary = self.fix(capsys, dataset, once)
+        assert self.fix(capsys, once, twice) == summary
+        assert twice.read_bytes() == once.read_bytes()
+
     def test_writes_dataset_and_summary(self, capsys, tmp_path):
         fixed = tmp_path / "fixed.jsonl"
         code, out, _err = run(

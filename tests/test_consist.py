@@ -56,20 +56,25 @@ FIXED_QA_KEYS = [
     "question",
     "answers",
     "detected_answers",
+    "expected",
     "target_token_ids",
     "fix_method",
     "context_token_span",
 ]
 
 
-def example(qid, context, answer, span=None, gold=None):
+def example(qid, record, answer, span=None, gold=None):
+    """A question of ``record``, a dict with its ``context``; the examples
+    of one record share that dict, as the reader's do."""
     detected = ((answer, (span,) if span else ()),) if answer else ()
     return ExtractiveExample(
         qid=qid,
-        context=context,
+        context=record["context"],
         question="?",
         gold_answers=tuple(gold) if gold is not None else ((answer,) if answer else ()),
         detected=detected,
+        record=record,
+        qa={"qid": qid},
     )
 
 
@@ -445,6 +450,7 @@ def oracle_dataset(rng):
         if rng.random() < 0.3:
             words = words[: rng.randint(1, 2)] * rng.randint(2, 6)
         context = "".join(word + rng.choice(ORACLE_GAPS) for word in words)
+        record = {"context": context}
         for q in range(rng.randint(1, 4)):
             answers = []
             for _ in range(rng.randint(1, 3)):
@@ -454,7 +460,7 @@ def oracle_dataset(rng):
                 slices.append(context)
                 whole_words = [rng.choice(words), rng.choice(words), word, " " + word]
                 answers.append(rng.choice(rng.choice([slices, whole_words])))
-            examples.append(example(f"r{r}q{q}", context, answers[0], gold=answers))
+            examples.append(example(f"r{r}q{q}", record, answers[0], gold=answers))
     return examples
 
 
@@ -543,8 +549,8 @@ class TestAnalyzeDataset:
         # and each run encodes the record's context again
         stream = []
         for r in range(60):
-            context = f"Record {r} names the bridge and the year 1912."
-            stream += [example(f"r{r}q{q}", context, "1912") for q in range(4)]
+            record = {"context": f"Record {r} names the bridge and the year 1912."}
+            stream += [example(f"r{r}q{q}", record, "1912") for q in range(4)]
         positions = [stream.index(ex) for ex in _reservoir_sample(stream, 100, 3)]
         assert len(positions) == 100
         assert positions == sorted(positions)
@@ -557,7 +563,7 @@ class TestAnalyzeDataset:
     def test_answer_policy_any_takes_best_verdict(self, corpus_tok):
         ex = example(
             "q1",
-            "Work resumed in 1912 on the bridge.",
+            {"context": "Work resumed in 1912 on the bridge."},
             "1912",
             gold=["missing words", "1912"],
         )
@@ -576,7 +582,7 @@ class TestAnalyzeDataset:
 
         monkeypatch.setattr(consist, "check_consistency", counted_check)
         context = "The ship was finished in 1912."
-        ex = example("q1", context, "1912", gold=["1912", "1912", "1912"])
+        ex = example("q1", {"context": context}, "1912", gold=["1912", "1912", "1912"])
         stats = analyze_dataset(number_tok, [ex], answer_policy="any")
         assert stats["consistent_prefix_only"] == 1
         assert checked == ["1912"]
@@ -602,7 +608,7 @@ class TestAnalyzeDataset:
             analyze_dataset(corpus_tok, examples, answer_policy=policy)
             judged = [
                 {a for ex in record for a in ex.answer_texts()[: 1 if policy == "first" else None]}
-                for _, record in groupby(examples, key=lambda ex: id(ex.context))
+                for _, record in groupby(examples, key=lambda ex: id(ex.record))
             ]
             assert len(log) == len(judged)
             for (context, texts), answers in zip(log, judged):
@@ -628,9 +634,10 @@ class TestAnalyzeDataset:
     ):
         log = record_encodes(monkeypatch)
         context = "The ship was finished in 1912 after delays."
+        record = {"context": context}
         examples = [
-            example("q1", context, "1913", gold=["1913", "bridge"]),
-            example("q2", context, "ships"),
+            example("q1", record, "1913", gold=["1913", "bridge"]),
+            example("q2", record, "ships"),
         ]
         stats = analyze_dataset(corpus_tok, examples, answer_policy=answer_policy)
         assert stats["inconsistent"] == 2
@@ -646,8 +653,8 @@ class TestAnalyzeDataset:
         vocab["foo"] = 0x10FFFE
         top_tok = load_tokenizer_texts(json.dumps(vocab), merges_text(merges))
         assert encode(top_tok, "foo").ids == (0x10FFFE,)
-        context = "foo x bar"
-        examples = [example(f"q{i}", context, a) for i, a in enumerate(["foo", "bar", "foo bar"])]
+        record = {"context": "foo x bar"}
+        examples = [example(f"q{i}", record, a) for i, a in enumerate(["foo", "bar", "foo bar"])]
         for tok in (corpus_tok, top_tok):
             raw, _ = answer_variants(tok, "foo bar")
             assert raw == encode(tok, "foo").ids + encode(tok, " bar").ids
@@ -703,7 +710,8 @@ class TestAnalyzeScaling:
             "dröw": INCONSISTENT,
         }
         answers = random.Random(5).choices(list(expected), k=400)
-        examples = [example(f"q{i}", context, answer) for i, answer in enumerate(answers)]
+        record = {"context": context}
+        examples = [example(f"q{i}", record, answer) for i, answer in enumerate(answers)]
         start = time.perf_counter()
         stats = analyze_dataset(number_tok, examples)
         elapsed = time.perf_counter() - start
@@ -720,7 +728,8 @@ class TestAnalyzeScaling:
         # rebuilding it per question costs O(q * n)
         context = " ".join(f"w{i:05d}" for i in range(20_000))
         answers = [f"w{i:05d}" for i in range(0, 20_000, 20)][::order]
-        examples = [example(f"q{i}", context, answer) for i, answer in enumerate(answers)]
+        record = {"context": context}
+        examples = [example(f"q{i}", record, answer) for i, answer in enumerate(answers)]
         start = time.perf_counter()
         stats = analyze_dataset(number_tok, examples)
         elapsed = time.perf_counter() - start
@@ -735,7 +744,8 @@ class TestAnalyzeScaling:
         context = " ".join([word] * 3_000)
         substrings = sorted({word[i:j] for i in range(30) for j in range(i + 1, 31)})
         answers = random.Random(7).sample(substrings, 400)
-        examples = [example(f"q{i}", context, answer) for i, answer in enumerate(answers)]
+        record = {"context": context}
+        examples = [example(f"q{i}", record, answer) for i, answer in enumerate(answers)]
         start = time.perf_counter()
         stats = analyze_dataset(number_tok, examples)
         elapsed = time.perf_counter() - start
@@ -747,7 +757,8 @@ class TestAnalyzeScaling:
         letters = "".join(rng.choice("abcdefgh") for _ in range(16_000))
         context = "one 1912 " + letters + " two"
         answers = [letters[i : i + 5] for i in (rng.randrange(16_000) for _ in range(400))]
-        examples = [example(f"q{i}", context, answer) for i, answer in enumerate(answers)]
+        record = {"context": context}
+        examples = [example(f"q{i}", record, answer) for i, answer in enumerate(answers)]
         start = time.perf_counter()
         stats = analyze_dataset(number_tok, examples)
         elapsed = time.perf_counter() - start
@@ -837,21 +848,23 @@ class TestFixDataset:
 
     def test_span_mismatch_records_are_counted_and_skipped(self, corpus_tok, tmp_path):
         # bypass the reader: hand the fixer a span that lies about its text
-        bad = ExtractiveExample(
-            qid="bad",
-            context="The anchor held.",
-            question="?",
-            gold_answers=("anchor",),
-            detected=(("anchor", (CharSpan(0, 3),)),),
-        )
-        ok = example("ok", "The anchor held.", "anchor", CharSpan(4, 10))
-        summary = fix_dataset(corpus_tok, [bad, ok], tmp_path / "fixed.jsonl")
+        bad = example("bad", {"context": "The anchor held."}, "anchor", CharSpan(0, 3))
+        qa = {"qid": "ok", "question": "?", "answers": ["anchor"],
+              "detected_answers": [{"text": "anchor", "char_spans": [[4, 9]]}]}
+        path = tmp_path / "ok.jsonl"
+        lines = [{"header": {}}, {"context": "The anchor held.", "qas": [qa]}]
+        path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+        (ok,) = read_dataset(path)[1]
+        out_path = tmp_path / "fixed.jsonl"
+        summary = fix_dataset(corpus_tok, [bad, ok], out_path)
         assert summary["skipped_span_mismatch"] == 1
         assert summary["written"] == 1
         assert summary["total"] == 2
+        (written,) = [json.loads(line) for line in out_path.read_text().splitlines()[1:]]
+        assert written["qas"][0]["qid"] == "ok"
 
     def test_example_without_any_answer_is_skipped(self, corpus_tok, tmp_path):
-        empty = ExtractiveExample(qid="none", context="x", question="?")
+        empty = example("none", {"context": "x"}, None)
         summary = fix_dataset(corpus_tok, [empty], tmp_path / "fixed.jsonl")
         assert summary["skipped_no_answer"] == 1
         assert summary["written"] == 0

@@ -202,12 +202,16 @@ def evaluate_one(preds, examples):
 
 
 def hand_examples():
+    """The hand cases' questions; those of one context share one record."""
+    records = {}
     return [
         ExtractiveExample(
             qid=qid,
             context=context,
             question="?",
             gold_answers=tuple(golds),
+            record=records.setdefault(context, {"context": context}),
+            qa={"qid": qid},
         )
         for qid, context, golds, *_ in HAND_CASES
     ]
@@ -359,7 +363,10 @@ class TestHallucinationCheck:
     def test_case_sensitive_but_normalized_variant_is_not(self):
         context = "Both sides signed The Treaty that winter."
         assert hallucination_check("the treaty", context) is True
-        example = ExtractiveExample(qid="q", context=context, question="?", gold_answers=("x",))
+        example = ExtractiveExample(
+            qid="q", context=context, question="?", gold_answers=("x",),
+            record={"context": context}, qa={"qid": "q"},
+        )
         report, _ = evaluate_one({"q": "the treaty"}, [example])
         assert report["hallucination_rate"] == 100.0
         assert report["hallucination_rate_normalized"] == 0.0
@@ -417,7 +424,10 @@ class TestEvaluate:
 
     def test_blank_gold_is_no_gold_as_an_empty_one_is(self):
         def report(golds):
-            ex = ExtractiveExample("q", "It opened in 1912.", "?", gold_answers=golds)
+            record = {"context": "It opened in 1912."}
+            ex = ExtractiveExample(
+                "q", record["context"], "?", gold_answers=golds, record=record, qa={"qid": "q"}
+            )
             return evaluate_one({"q": ""}, [ex])
 
         blank, empty = report(("  ", "1912")), report(("", "1912"))
@@ -516,8 +526,12 @@ class TestEvaluate:
         # gives 100 * 1.1 / 64 = 1.71875, which rounds to 1.7188; their
         # left-to-right sum, 1.0999999999999999, would round to 1.7187
         gold = " ".join(f"x{j}" for j in range(19))
+        record = {"context": gold}
         examples = [
-            ExtractiveExample(qid=f"q{i}", context=gold, question="?", gold_answers=(gold,))
+            ExtractiveExample(
+                qid=f"q{i}", context=gold, question="?", gold_answers=(gold,),
+                record=record, qa={"qid": f"q{i}"},
+            )
             for i in range(64)
         ]
         report, rows = evaluate_one({e.qid: "x0" for e in examples[:11]}, examples)
@@ -563,8 +577,12 @@ class TestEvaluate:
     @given(st.lists(scored_questions(), min_size=1, max_size=8))
     @settings(max_examples=300, deadline=None)
     def test_rows_are_exact_match_and_full_token_f1(self, questions):
+        record = {"context": "x"}
         examples = [
-            ExtractiveExample(qid=f"q{i}", context="x", question="?", gold_answers=tuple(golds))
+            ExtractiveExample(
+                qid=f"q{i}", context="x", question="?", gold_answers=tuple(golds),
+                record=record, qa={"qid": f"q{i}"},
+            )
             for i, (_pred, golds) in enumerate(questions)
         ]
         preds = {f"q{i}": pred for i, (pred, _golds) in enumerate(questions)}

@@ -72,6 +72,8 @@ class TestReadDataset:
         q1, q2, q3 = stream
         assert q1.context is q2.context
         assert q3.context is not q1.context
+        assert q1.record is q2.record and q3.record is not q1.record
+        assert [q1.qa, q2.qa] == q1.record["qas"] and q1.qa is not q2.qa
 
     def test_blank_lines_between_records_are_skipped(self, tmp_path):
         lines = dataset_bytes(THREE_QUESTION_RECORDS).decode("utf-8").splitlines()
@@ -301,8 +303,12 @@ class TestReadDataset:
         ]
 
 
-def examples_of(*contexts):
-    return [ExtractiveExample(f"q{i}", context, "?") for i, context in enumerate(contexts)]
+def examples_of(*records):
+    """One question per given record dict; repeat a dict to give it several."""
+    return [
+        ExtractiveExample(f"q{i}", record["context"], "?", record=record, qa={"qid": f"q{i}"})
+        for i, record in enumerate(records)
+    ]
 
 
 class TestRecords:
@@ -311,25 +317,18 @@ class TestRecords:
         assert [[e.qid for e in r] for r in records(stream)] == [["q1", "q2"], ["q3"]]
 
     def test_equal_text_in_distinct_objects_stays_apart(self):
-        first = "".join(["The bridge ", "opened."])
-        second = "".join(["The bridge ", "opened."])
+        first = {"context": "The bridge opened."}
+        second = {"context": "The bridge opened."}
         assert first == second and first is not second
         examples = examples_of(first, first, second)
         assert [[e.qid for e in r] for r in records(examples)] == [["q0", "q1"], ["q2"]]
-
-    def test_adjacent_one_character_contexts_merge(self):
-        # CPython keeps one object per one-character Latin-1 string, so
-        # records with such a context can merge, as documented
-        first, second = "ax"[1], "xb"[0]
-        assert first is second
-        examples = examples_of(first, second)
-        assert [[e.qid for e in r] for r in records(examples)] == [["q0", "q1"]]
 
     def test_empty_input_yields_nothing(self):
         assert list(records([])) == []
 
     def test_reads_at_most_one_example_past_the_record_it_yields(self):
-        examples = examples_of("a.", "a.", "b.", "b.", "b.", "c.")
+        a, b, c = ({"context": text} for text in ("a.", "b.", "c."))
+        examples = examples_of(a, a, b, b, b, c)
         read = []
 
         def counting():
