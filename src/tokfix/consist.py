@@ -96,8 +96,9 @@ class FixOutcome:
 def answer_variants(
     tok: Tokenizer, answer: str
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Tokenize the answer as-is and with one prepended space; refuse a blank one."""
-    if not answer.strip():
+    """Tokenize ``answer.strip()`` as-is and with one prepended space; refuse a blank one."""
+    answer = answer.strip()
+    if not answer:
         raise ValueError("answer must not be blank")
     raw = encode(tok, answer).ids
     prefixed = encode(tok, " " + answer).ids
@@ -108,9 +109,10 @@ def check_consistency(context_enc: Encoding, answer: str) -> ConsistencyVerdict:
     """Test whether the answer's ids under ``context_enc.tok`` occur
     verbatim in the context ids; a blank answer raises ValueError.
 
-    The answer is judged as given, edge whitespace included. The raw
-    variant is tried first; the prefix-space variant only decides
-    between ``consistent_prefix_space`` and ``inconsistent``.
+    Both variants are of ``answer.strip()``. The raw one is tried first,
+    then the prefix-space one: the span-less ladder's search, so the three
+    verdicts map onto ``already_consistent``, ``subsequence_search`` and
+    ``unresolved`` there, at the same location.
     """
     raw, prefixed = answer_variants(context_enc.tok, answer)
     for ids, status in ((raw, CONSISTENT_RAW), (prefixed, CONSISTENT_PREFIX_SPACE)):
@@ -137,15 +139,15 @@ def make_consistent_target(
 ) -> FixOutcome:
     """Extract target ids from the context encoding; first rung wins.
 
-    Edge whitespace is decided once, here: the gold span is checked
-    against the answer as given and then narrowed to ``answer.strip()``,
-    which every rung works on. Ladder: (1) the raw standalone ids already
-    sit at the gold span; (2) some token run covers the gold span's
-    characters exactly; (3) the minimal covering run decodes to the
-    answer modulo edge whitespace; (4) the context ids are searched for
-    one variant after another: with a span the prefix-space variant, then
-    the raw one; without a span the raw variant (rung 1 when found), then
-    the prefix-space one; (5) unresolved fallback to the stripped answer's
+    The gold span is checked against the answer with its edge whitespace,
+    then narrowed to ``answer.strip()``, which every rung works on, as
+    every command does. Ladder: (1) the raw standalone ids already sit at
+    the gold span; (2) some token run covers the gold span's characters
+    exactly; (3) the minimal covering run decodes to the answer modulo
+    edge whitespace; (4) the context ids are searched for one variant
+    after another: with a span the prefix-space variant, then the raw
+    one; without a span the raw variant (rung 1 when found), then the
+    prefix-space one; (5) unresolved fallback to the stripped answer's
     standalone ids. ``context`` must be the source of ``context_enc``:
     rungs 1-3 find the gold span's code points among its tokens with
     ``token_slice_for_span``. The answer is encoded with ``context_enc.tok``,
@@ -211,11 +213,11 @@ def analyze_dataset(
     ``pct_inconsistent_raw``, the share whose raw standalone ids are
     absent from the context ids, and ``pct_inconsistent_after_prefix``,
     the share still absent once the prefix-space variant is allowed.
-    ``answer_policy="first"`` judges the first of ``answer_texts()``, as
-    given; ``"any"`` counts the most favorable verdict across all of them,
-    and a question without one is skipped. ``sample_size`` takes a uniform
-    reservoir sample in stream order, deterministic for a fixed seed and
-    input order. A repeated qid raises DatasetError.
+    ``answer_policy="first"`` judges the first of ``answer_texts()``,
+    which are stripped; ``"any"`` counts the most favorable verdict across
+    all of them, and a question without one is skipped. ``sample_size``
+    takes a uniform reservoir sample in stream order, deterministic for a
+    fixed seed and input order. A repeated qid raises DatasetError.
 
     Each ``records`` run of the (sampled) stream encodes only windows of
     its context around the occurrences of its distinct judged answers.

@@ -59,8 +59,9 @@ class ExtractiveExample:
     qa: dict = field(kw_only=True, compare=False, repr=False)
 
     def answer_texts(self) -> list[str]:
-        """The non-blank gold texts, or else the non-blank detected texts."""
-        return [*filter(str.strip, self.gold_answers)] or [t for t, _ in self.detected if t.strip()]
+        """The non-blank gold texts, or else the non-blank detected texts; stripped."""
+        texts = [s for t in self.gold_answers if (s := t.strip())]
+        return texts or [s for t, _ in self.detected if (s := t.strip())]
 
 
 def span_mismatch(context: str, start: int, end: int, text: str) -> str | None:

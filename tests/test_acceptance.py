@@ -20,7 +20,18 @@ from tokfix.bpe import (
     load_tokenizer,
     token_slice_for_span,
 )
-from tokfix.consist import UNRESOLVED, analyze_dataset, fix_dataset, make_consistent_target
+from tokfix.consist import (
+    ALREADY_CONSISTENT,
+    CONSISTENT_PREFIX_SPACE,
+    CONSISTENT_RAW,
+    INCONSISTENT,
+    SUBSEQUENCE_SEARCH,
+    UNRESOLVED,
+    analyze_dataset,
+    check_consistency,
+    fix_dataset,
+    make_consistent_target,
+)
 from tokfix.metrics import (
     evaluate,
     hallucination_check,
@@ -191,6 +202,41 @@ def test_repair_guarantee_against_brute_force_oracle():
         misses == unfaithful == 0 and unresolved > 0,
         f"{misses} misses among {unresolved} unresolved, "
         f"{unfaithful} unfaithful targets of {cases} cases",
+    )
+
+
+def test_check_and_span_less_ladder_agree():
+    """Without a span, ``check_consistency`` and the ladder run one search
+    on the stripped answer: each verdict maps to one method, and both
+    name the same token span."""
+    method_of = {
+        CONSISTENT_RAW: ALREADY_CONSISTENT,
+        CONSISTENT_PREFIX_SPACE: SUBSEQUENCE_SEARCH,
+        INCONSISTENT: UNRESOLVED,
+    }
+    rng = random.Random(4404)
+    cases = edged = disagreements = 0
+    while cases < 10_000:
+        tok = random_toy_tokenizer(rng, SPACE_UNITS)
+        context = random_spaced_text(rng)
+        enc = encode(tok, context)
+        for _ in range(8):
+            case = random_edge_answer(rng, context)
+            if case is None:
+                continue
+            answer, _span = case
+            verdict = check_consistency(enc, answer)
+            outcome = make_consistent_target(context, enc, answer)
+            cases += 1
+            edged += answer != answer.strip()
+            disagreements += (
+                method_of[verdict.status] != outcome.method
+                or verdict.location != outcome.context_span
+            )
+    report(
+        "check and span-less ladder agree",
+        disagreements == 0 and edged > 0,
+        f"{disagreements} disagreements in {cases} cases, {edged} with edge whitespace",
     )
 
 

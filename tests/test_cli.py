@@ -607,6 +607,35 @@ class TestFixCommand:
         assert "usage error" in err
 
 
+#: one record whose two answers carry edge whitespace: stripped, the first
+#: is raw-consistent and the second needs the prefix-space variant
+EDGE_RECORD = {
+    "context": "The ship sank in 1912 at night.",
+    "qas": [
+        {"qid": "trailing", "question": "When?", "answers": ["in 1912 "]},
+        {"qid": "leading", "question": "Which year?", "answers": [" 1912"]},
+    ],
+}
+
+
+def test_analyze_and_fix_judge_the_stripped_answer(capsys, tmp_path):
+    dataset = write_dataset(tmp_path / "edge.jsonl", EDGE_RECORD)
+    tokenizer = ["--vocab", VOCAB, "--merges", MERGES, "--dataset", str(dataset)]
+    code, out, _err = run(capsys, "analyze", *tokenizer)
+    assert code == 0
+    (stats,) = json.loads(out)["stats"]
+    assert (stats["consistent_raw"], stats["consistent_prefix_only"], stats["inconsistent"]) == (
+        1, 1, 0,
+    )
+    code, out, _err = run(capsys, "fix", *tokenizer, "--output", str(tmp_path / "fixed.jsonl"))
+    assert code == 0
+    counts = json.loads(out)["summary"]["counts"]
+    assert {method: n for method, n in counts.items() if n} == {
+        "already_consistent": 1,
+        "subsequence_search": 1,
+    }
+
+
 class TestEvaluateCommand:
     def test_perfect_predictions(self, capsys, eval_files):
         gold, perfect, _worse = eval_files
@@ -1222,6 +1251,32 @@ class TestInspectCommand:
         assert code == 0
         assert "consistent_raw" in out
         assert "already_consistent" in out
+
+    @pytest.mark.parametrize(
+        "qid, standalone, prefixed, verdict, method",
+        [
+            ("trailing", "['i', 'n', 'Ġ1912']", "['Ġ', 'i', 'n', 'Ġ1912']",
+             "consistent_raw at tokens [14, 17)", "already_consistent"),
+            ("leading", "['19', '12']", "['Ġ1912']",
+             "consistent_prefix_space at tokens [16, 17)", "subsequence_search"),
+        ],
+    )
+    def test_answer_with_edge_whitespace_traces_its_stripped_form(
+        self, capsys, tmp_path, qid, standalone, prefixed, verdict, method
+    ):
+        dataset = write_dataset(tmp_path / "edge.jsonl", EDGE_RECORD)
+        code, out, _err = run(
+            capsys,
+            "inspect", "--vocab", VOCAB, "--merges", MERGES,
+            "--dataset", str(dataset), "--qid", qid,
+        )
+        assert code == 0
+        lines = dict(line.split(":", 1) for line in out.splitlines())
+        assert lines["standalone pieces"].strip().startswith(standalone + " ids")
+        assert lines["prefixed pieces"].strip().startswith(prefixed + " ids")
+        assert lines["verdict"].strip() == verdict
+        assert lines["fix method"].strip() == method
+        assert lines["context span"].strip().startswith(verdict.split(" at ")[1])
 
     def test_unknown_qid_is_data_error(self, capsys):
         code, _out, err = run(

@@ -130,9 +130,11 @@ class TestAnswerVariants:
         assert ids_to_pieces(toy_tok, prefixed) == ["Ġ", "abc"]
 
     def test_answer_with_leading_space(self, toy_tok):
+        # edge whitespace is stripped: " x" tokenizes as "x" does
         raw, prefixed = answer_variants(toy_tok, " x")
-        assert ids_to_pieces(toy_tok, raw) == ["Ġ", "x"]
-        assert ids_to_pieces(toy_tok, prefixed) == ["Ġ", "Ġ", "x"]
+        assert ids_to_pieces(toy_tok, raw) == ["x"]
+        assert ids_to_pieces(toy_tok, prefixed) == ["Ġ", "x"]
+        assert answer_variants(toy_tok, "\n x  ") == (raw, prefixed) == answer_variants(toy_tok, "x")
 
 
 class TestCheckConsistency:
@@ -154,6 +156,26 @@ class TestCheckConsistency:
         enc = encode(number_tok, "a  b\n")
         with pytest.raises(ValueError, match="blank"):
             check_consistency(enc, answer)
+
+    def test_answer_with_edge_whitespace_is_judged_stripped(self, corpus_tok):
+        # the ladder repairs "in 1912 " as already_consistent and " 1912"
+        # by subsequence_search; the check agrees on both
+        context = "The ship sank in 1912 at night."
+        enc = encode(corpus_tok, context)
+        verdict = check_consistency(enc, "in 1912 ")
+        assert verdict.status == CONSISTENT_RAW
+        assert ids_to_pieces(corpus_tok, enc.ids[verdict.location.start : verdict.location.end]) == [
+            "i", "n", "Ġ1912",
+        ]
+        verdict = check_consistency(enc, " 1912")
+        assert verdict.status == CONSISTENT_PREFIX_SPACE
+        assert ids_to_pieces(corpus_tok, enc.ids[verdict.location.start : verdict.location.end]) == [
+            "Ġ1912",
+        ]
+        for answer, method in (("in 1912 ", ALREADY_CONSISTENT), (" 1912", SUBSEQUENCE_SEARCH)):
+            outcome = make_consistent_target(context, enc, answer)
+            assert outcome.method == method
+            assert outcome.context_span == check_consistency(enc, answer).location
 
     def test_absent_answer_is_inconsistent(self, number_tok):
         enc = encode(number_tok, "nothing numeric here")
@@ -582,10 +604,19 @@ class TestAnalyzeDataset:
 
         monkeypatch.setattr(consist, "check_consistency", counted_check)
         context = "The ship was finished in 1912."
-        ex = example("q1", {"context": context}, "1912", gold=["1912", "1912", "1912"])
+        gold = ["1912", "1912", "1912", " 1912", "1912 "]
+        ex = example("q1", {"context": context}, "1912", gold=gold)
         stats = analyze_dataset(number_tok, [ex], answer_policy="any")
         assert stats["consistent_prefix_only"] == 1
         assert checked == ["1912"]
+
+    @pytest.mark.parametrize("answer_policy", ["first", "any"])
+    def test_windows_search_the_stripped_answer(self, corpus_tok, answer_policy):
+        # "in 1912 " as given does not occur in the context, so a window
+        # searched for it would encode nothing and judge it inconsistent
+        ex = example("q1", {"context": "The ship sank in 1912."}, "in 1912 ")
+        stats = analyze_dataset(corpus_tok, [ex], answer_policy=answer_policy)
+        assert stats == report_row(1, 0, 0)
 
     def test_each_record_encodes_disjoint_split_point_pieces_of_its_context(
         self, corpus_tok, multi_qa_path, monkeypatch
